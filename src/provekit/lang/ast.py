@@ -296,65 +296,75 @@ def free_vars(formula: Formula) -> set[str]:
     return acc
 
 
-def _subst_term(term: Term, name: str, replacement: Term) -> Term:
+def _subst_term(term: Term, mapping: dict[str, Term]) -> Term:
     if isinstance(term, Var):
-        return replacement if term.name == name else term
+        return mapping.get(term.name, term)
     if isinstance(term, (Add, Sub, Mul, Mod, Append)):
-        return type(term)(
-            _subst_term(term.left, name, replacement),
-            _subst_term(term.right, name, replacement),
-        )
+        return type(term)(_subst_term(term.left, mapping), _subst_term(term.right, mapping))
     if isinstance(term, Cons):
-        return Cons(_subst_term(term.head, name, replacement), _subst_term(term.tail, name, replacement))
+        return Cons(_subst_term(term.head, mapping), _subst_term(term.tail, mapping))
     if isinstance(term, Length):
-        return Length(_subst_term(term.arg, name, replacement))
+        return Length(_subst_term(term.arg, mapping))
     if isinstance(term, Count):
-        return Count(_subst_term(term.arg, name, replacement), _subst_term(term.element, name, replacement))
+        return Count(_subst_term(term.arg, mapping), _subst_term(term.element, mapping))
     if isinstance(term, IfThenElse):
         return IfThenElse(
-            substitute(term.cond, name, replacement),
-            _subst_term(term.then, name, replacement),
-            _subst_term(term.other, name, replacement),
+            _subst_formula(term.cond, mapping),
+            _subst_term(term.then, mapping),
+            _subst_term(term.other, mapping),
         )
     if isinstance(term, ListLit):
-        return ListLit(tuple(_subst_term(e, name, replacement) for e in term.elements))
+        return ListLit(tuple(_subst_term(e, mapping) for e in term.elements))
     return term
 
 
-def substitute(formula: Formula, name: str, replacement: Term) -> Formula:
-    """Replace free occurrences of ``name``.  Intended for closed replacement
-    terms (literals), so binder capture cannot arise; shadowing binders stop
-    the descent."""
+def _fresh_name(base: str, taken: set[str]) -> str:
+    i = 1
+    while f"{base}_{i}" in taken:
+        i += 1
+    return f"{base}_{i}"
+
+
+def _subst_formula(formula: Formula, mapping: dict[str, Term]) -> Formula:
     if isinstance(formula, (Eq, Lt, Le)):
-        return type(formula)(
-            _subst_term(formula.left, name, replacement),
-            _subst_term(formula.right, name, replacement),
-        )
+        return type(formula)(_subst_term(formula.left, mapping), _subst_term(formula.right, mapping))
     if isinstance(formula, Mem):
-        return Mem(_subst_term(formula.element, name, replacement), _subst_term(formula.lst, name, replacement))
+        return Mem(_subst_term(formula.element, mapping), _subst_term(formula.lst, mapping))
     if isinstance(formula, Not):
-        return Not(substitute(formula.child, name, replacement))
+        return Not(_subst_formula(formula.child, mapping))
     if isinstance(formula, (And, Or, Implies)):
-        return type(formula)(
-            substitute(formula.left, name, replacement),
-            substitute(formula.right, name, replacement),
-        )
+        return type(formula)(_subst_formula(formula.left, mapping), _subst_formula(formula.right, mapping))
     if isinstance(formula, (Forall, Exists)):
-        if formula.binder == name:
+        # The binder shadows its own name; it is renamed apart when a
+        # replacement reaching the body mentions it, so nothing is captured.
+        inner = {name: term for name, term in mapping.items() if name != formula.binder}
+        if not inner:
             return formula
-        return type(formula)(formula.binder, formula.sort, substitute(formula.body, name, replacement))
+        body_free = free_vars(formula.body)
+        incoming: set[str] = set()
+        for name, term in inner.items():
+            if name in body_free:
+                term_free_vars(term, incoming)
+        binder = formula.binder
+        if binder in incoming:
+            binder = _fresh_name(binder, body_free | incoming)
+            inner[formula.binder] = Var(binder)
+        return type(formula)(binder, formula.sort, _subst_formula(formula.body, inner))
     return formula
 
 
+def substitute(formula: Formula, name: str, replacement: Term) -> Formula:
+    """Replace free occurrences of ``name``.  Shadowing binders stop the
+    descent, and a binder that would capture a free variable of the
+    replacement is renamed apart first."""
+    return _subst_formula(formula, {name: replacement})
+
+
 def rename_free(formula: Formula, mapping: dict[str, str]) -> Formula:
-    """Rename free variables; every target name must itself be fresh enough
-    not to collide with binders in the formula (true for positional binder
-    renames between goals)."""
-    out = formula
-    for old, new in mapping.items():
-        if old != new:
-            out = substitute(out, old, Var(new))
-    return out
+    """Rename free variables simultaneously (so a permutation of names is
+    safe), renaming bound variables apart where a target name would be
+    captured."""
+    return _subst_formula(formula, {old: Var(new) for old, new in mapping.items() if old != new})
 
 
 def conjunct_fringe(formula: Formula) -> list[Formula]:
@@ -364,51 +374,54 @@ def conjunct_fringe(formula: Formula) -> list[Formula]:
     return [formula]
 
 
-def _canon_term(term: Term, env: dict[str, str]) -> str:
+def _canon_term(term: Term, env: dict[str, str], level: int) -> str:
     if isinstance(term, IntLit):
         return str(term.value)
     if isinstance(term, Var):
         return env.get(term.name, term.name)
     if isinstance(term, (Add, Sub, Mul, Mod, Append)):
-        return f"{type(term).__name__}({_canon_term(term.left, env)},{_canon_term(term.right, env)})"
+        return f"{type(term).__name__}({_canon_term(term.left, env, level)},{_canon_term(term.right, env, level)})"
     if isinstance(term, Cons):
-        return f"Cons({_canon_term(term.head, env)},{_canon_term(term.tail, env)})"
+        return f"Cons({_canon_term(term.head, env, level)},{_canon_term(term.tail, env, level)})"
     if isinstance(term, Length):
-        return f"Length({_canon_term(term.arg, env)})"
+        return f"Length({_canon_term(term.arg, env, level)})"
     if isinstance(term, Count):
-        return f"Count({_canon_term(term.arg, env)},{_canon_term(term.element, env)})"
+        return f"Count({_canon_term(term.arg, env, level)},{_canon_term(term.element, env, level)})"
     if isinstance(term, IfThenElse):
         return (
-            f"Ite({_canon_formula(term.cond, env)},{_canon_term(term.then, env)},"
-            f"{_canon_term(term.other, env)})"
+            f"Ite({_canon_formula(term.cond, env, level)},{_canon_term(term.then, env, level)},"
+            f"{_canon_term(term.other, env, level)})"
         )
     if isinstance(term, ListLit):
-        return "List(" + ",".join(_canon_term(e, env) for e in term.elements) + ")"
+        return "List(" + ",".join(_canon_term(e, env, level) for e in term.elements) + ")"
     raise TypeError(f"unknown term {term!r}")
 
 
-def _canon_formula(formula: Formula, env: dict[str, str]) -> str:
+def _canon_formula(formula: Formula, env: dict[str, str], level: int) -> str:
     if isinstance(formula, TrueF):
         return "T"
     if isinstance(formula, FalseF):
         return "F"
     if isinstance(formula, (Eq, Lt, Le)):
-        return f"{type(formula).__name__}({_canon_term(formula.left, env)},{_canon_term(formula.right, env)})"
+        return f"{type(formula).__name__}({_canon_term(formula.left, env, level)},{_canon_term(formula.right, env, level)})"
     if isinstance(formula, Mem):
-        return f"Mem({_canon_term(formula.element, env)},{_canon_term(formula.lst, env)})"
+        return f"Mem({_canon_term(formula.element, env, level)},{_canon_term(formula.lst, env, level)})"
     if isinstance(formula, Not):
-        return f"Not({_canon_formula(formula.child, env)})"
+        return f"Not({_canon_formula(formula.child, env, level)})"
     if isinstance(formula, (And, Or, Implies)):
         return (
-            f"{type(formula).__name__}({_canon_formula(formula.left, env)},"
-            f"{_canon_formula(formula.right, env)})"
+            f"{type(formula).__name__}({_canon_formula(formula.left, env, level)},"
+            f"{_canon_formula(formula.right, env, level)})"
         )
     if isinstance(formula, (Forall, Exists)):
+        # Labelled by binding depth, not by len(env): a binder that shadows
+        # a name already in scope does not grow env, so the next binder down
+        # would reuse its label.
         inner = dict(env)
-        inner[formula.binder] = f"b{len(env)}"
+        inner[formula.binder] = f"b{level}"
         return (
             f"{type(formula).__name__}[{formula.sort.value}]"
-            f"({_canon_formula(formula.body, inner)})"
+            f"({_canon_formula(formula.body, inner, level + 1)})"
         )
     raise TypeError(f"unknown formula {formula!r}")
 
@@ -419,7 +432,7 @@ def statement_key(goal: GoalDecl) -> str:
     are excluded."""
     env = {name: f"b{i}" for i, (name, _) in enumerate(goal.binders)}
     sorts = ",".join(sort.value for _, sort in goal.binders)
-    return f"({sorts})|{_canon_formula(goal.body, env)}"
+    return f"({sorts})|{_canon_formula(goal.body, env, len(goal.binders))}"
 
 
 def alpha_equivalent(a: GoalDecl, b: GoalDecl) -> bool:

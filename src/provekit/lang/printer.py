@@ -131,7 +131,3 @@ def format_formula(formula: Formula, min_prec: int = _P_QUANT) -> str:
 def print_goal(goal: GoalDecl) -> str:
     binders = "".join(f" ({name}: {sort})" for name, sort in goal.binders)
     return f"goal {goal.name}{binders} := {format_formula(goal.body)}"
-
-
-def print_goal_file(goals: list[GoalDecl]) -> str:
-    return "\n".join(print_goal(g) for g in goals) + "\n"

@@ -8,6 +8,7 @@ domain size; everything else falls back to the bounded entailment check.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import replace
@@ -25,7 +26,6 @@ from ..lang.ast import (
     Term,
     conjunct_fringe,
     free_vars,
-    operator_footprint,
     substitute,
 )
 from ..lang.printer import format_formula
@@ -55,17 +55,48 @@ def witness_text(env: dict) -> str:
     return ", ".join(parts)
 
 
+# Distinct (statement, budget) pairs one checker remembers.  A pass@k sweep
+# re-decides a few dozen statements hundreds of times; with the gate
+# quickcheck memo in ``search`` this held about 0.27 MB after 3000
+# ``passk_builtin`` benchmark goals.
+DECIDE_MEMO_SIZE = 128
+
+
+def _decide_statement(
+    binders: tuple[tuple[str, Sort], ...], body: Formula, domain: Domain
+) -> CheckVerdict:
+    # The goal name never reaches the verdict: deciding and the
+    # counterexample text depend on the binders and the body alone.
+    verdict = decide_bounded(GoalDecl(name="", binders=binders, body=body), domain)
+    if verdict.status == DecisionVerdict.VALID:
+        return api.accepted()
+    if verdict.status == DecisionVerdict.COUNTEREXAMPLE:
+        return api.rejected(f"counterexample: {witness_text(verdict.witness or {})}")
+    return api.timeout()
+
+
 class BuiltinChecker:
     """Checker over the bounded evaluator.
 
     The evaluation budget is derived from the requested timeout (a fixed
     node rate, not wall time) and capped by the domain's own budget, so
     identical obligations always get identical verdicts.
+
+    Bounded decides (direct checks, direct-proof completions and
+    reconstructions without lemmas) are memoized per checker in an LRU of
+    ``DECIDE_MEMO_SIZE`` entries keyed by the goal's binders, its body and
+    the effective domain, whose ``node_budget`` carries the timeout.  The
+    goal name is not part of the key.  A timeout is cached like any other
+    verdict: it means the node budget ran out, which is a deterministic
+    function of the statement and that budget, and it is still reported
+    as a timeout, never as a proof.  An exception escapes the memo
+    uncached and surfaces as ``checker_error``, so a later call retries.
     """
 
     def __init__(self, domain: Domain, nodes_per_ms: int = 1000):
         self.domain = domain
         self.nodes_per_ms = nodes_per_ms
+        self._decide_memo = functools.lru_cache(maxsize=DECIDE_MEMO_SIZE)(_decide_statement)
 
     def _domain_for(self, timeout_ms: int) -> Domain:
         budget = min(self.domain.node_budget, max(1, timeout_ms) * self.nodes_per_ms)
@@ -102,12 +133,7 @@ class BuiltinChecker:
         return self._check_entailment(request.goal, request.lemmas, domain)
 
     def _decide(self, goal: GoalDecl, domain: Domain) -> CheckVerdict:
-        verdict = decide_bounded(goal, domain)
-        if verdict.status == DecisionVerdict.VALID:
-            return api.accepted()
-        if verdict.status == DecisionVerdict.COUNTEREXAMPLE:
-            return api.rejected(f"counterexample: {witness_text(verdict.witness or {})}")
-        return api.timeout()
+        return self._decide_memo(goal.binders, goal.body, domain)
 
     def _check_entailment(
         self, goal: GoalDecl, lemmas: tuple[GoalDecl, ...], domain: Domain
@@ -345,6 +371,3 @@ class StochasticPolicy:
             max_ground_points=self.max_ground_points,
         )
 
-
-def goal_footprints(goals: tuple[GoalDecl, ...]) -> list[int]:
-    return [operator_footprint(g) for g in goals]

@@ -18,8 +18,6 @@ import json
 import shlex
 import subprocess
 import threading
-import urllib.error
-import urllib.request
 
 from ..errors import CheckerProtocolError, ParseError, PolicyError
 from ..lang.parser import parse_goal
@@ -131,6 +129,11 @@ class JsonHttpEndpoint:
         self.url = url
 
     def request(self, payload: dict, timeout_s: float) -> dict:
+        # Imported here: urllib.request pulls in ssl, http and email, which
+        # every other use of the package would otherwise pay for in memory.
+        import urllib.error
+        import urllib.request
+
         body = json.dumps(payload).encode()
         req = urllib.request.Request(
             self.url, data=body, headers={"Content-Type": "application/json"}

@@ -9,10 +9,16 @@ closed or the budget runs out.
 
 All randomness is routed through seeds carried in the config, and traces
 never record wall-clock time, so a run is reproducible byte for byte.
+
+Gate quickchecks (the target check and the per-lemma checks) go through a
+bounded process-wide LRU keyed by the goal, name included, and the quickcheck
+and domain configs; quickcheck is a pure function of those, so iterations and
+pass@k samples that re-check a goal reuse the outcome.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -40,7 +46,7 @@ from .prover import (
     PolicyContext,
     axiom_audit,
 )
-from .quickcheck import Counterexample, QcConfig, quickcheck
+from .quickcheck import Counterexample, QcConfig, QcOutcome, quickcheck
 from .scoring import ScoreBreakdown, ScoreConfig, ValidityGate, decomposition_score
 from .trace import RunTrace, env_to_json
 
@@ -75,6 +81,16 @@ REASON_QC_FAILED = "qc_failed"
 REASON_RECONSTRUCTION = "reconstruction_failed"
 REASON_RECONSTRUCTION_TIMEOUT = "reconstruction_timeout"
 REASON_INFRASTRUCTURE = "infrastructure_error"
+
+
+# Distinct gate quickchecks remembered across runs in this process.
+GATE_QC_MEMO_SIZE = 64
+
+
+@functools.lru_cache(maxsize=GATE_QC_MEMO_SIZE)
+def _gate_quickcheck(goal: GoalDecl, qc: QcConfig, domain: Domain) -> QcOutcome:
+    # The goal name is part of the key: quickcheck seeds its trials from it.
+    return quickcheck(goal, qc, domain)
 
 
 def mix_seed(seed: int, tag: str) -> int:
@@ -271,7 +287,7 @@ def evaluate_proposal(
     """
     qc_ok: list[bool] = []
     for lemma in proposal.lemmas:
-        outcome = quickcheck(lemma, config.qc, config.domain)
+        outcome = _gate_quickcheck(lemma, config.qc, config.domain)
         qc_ok.append(not isinstance(outcome, Counterexample))
     verdict: CheckVerdict | None = None
     reason: str | None = None
@@ -392,7 +408,7 @@ def decompose_step(
     # A target that quickcheck can falsify must not be decomposed.  For the
     # root that settles the whole run; for a lemma it just parks the node
     # (the falsity is only over the bounded domain of the parent's gate).
-    target_qc = quickcheck(target.goal, config.qc, config.domain)
+    target_qc = _gate_quickcheck(target.goal, config.qc, config.domain)
     if isinstance(target_qc, Counterexample):
         if target.name == tree.root_name:
             trace.emit(
@@ -402,10 +418,12 @@ def decompose_step(
                 witness=env_to_json(target_qc.witness),
                 trial_index=target_qc.trial_index,
             )
+            # The outcome is shared through the gate memo; the run's
+            # result gets its own copy of the witness.
             return StepOutcome(
                 kind=STEP_DISPROVED,
                 target=target.name,
-                witness=target_qc.witness,
+                witness=dict(target_qc.witness),
             )
         return reject(REASON_TARGET_QC, witness=target_qc.witness, trial=target_qc.trial_index)
 

@@ -7,6 +7,9 @@ path cannot hide: both sides would have to be wrong in the same way.
 
 from __future__ import annotations
 
+import re
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +55,7 @@ from provekit.lang import (
     TrueF,
     Var,
     parse_goal,
+    print_goal,
 )
 
 TINY = Domain(int_lo=-2, int_hi=2, max_list_len=2, elem_lo=-1, elem_hi=1)
@@ -403,6 +407,46 @@ def test_matching_signature_is_renamed_pointwise():
     assert entailment_check([lo, hi], goal, Domain())
     assert not entailment_check([lo], goal, Domain())
     assert not entailment_check([hi], goal, Domain())
+
+
+def test_pointwise_rename_is_simultaneous():
+    # The lemma's binders are the goal's, swapped: renaming one name at a
+    # time collapsed x and y and rejected this valid entailment.
+    goal = _decl("goal g (x: Int) (y: Int) := x - y <= 3")
+    lemma = _decl("goal l (y: Int) (x: Int) := y - x <= 3")
+    assert entailment_check([lemma], goal, Domain())
+
+
+def test_pointwise_rename_avoids_capture():
+    # Renaming a onto x must not let the lemma's own exists x capture it: a
+    # captured premise is false everywhere and entails anything vacuously.
+    goal = _decl("goal g (x: Int) (y: Int) (z: Int) := !(x = 1 /\\ y = 2 /\\ z = 3)")
+    lemma = _decl("goal l (a: Int) (b: Int) (c: Int) := exists x: Int, !(x = a)")
+    assert not entailment_check([lemma], goal, Domain())
+
+
+_CORPUS_NAMES = ("x", "y", "l", "q", "w", "q2", "w2")
+
+
+def _entails(lemmas, goal, domain):
+    try:
+        return entailment_check(lemmas, goal, domain)
+    except BudgetExceeded:
+        return "budget"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.permutations(_CORPUS_NAMES))
+def test_entailment_invariant_under_alpha_renaming_of_the_lemma(seed, names):
+    # Permuting every name of the goal, free and bound, gives an
+    # alpha-equal lemma whose binders and inner quantifiers reuse the
+    # goal's names; it must entail exactly what the goal itself does.
+    goal = random_goal(seed, "g")
+    renaming = dict(zip(_CORPUS_NAMES, names))
+    text = re.sub(r"\b(x|y|l|q|w|q2|w2)\b", lambda m: renaming[m.group(1)], print_goal(goal))
+    lemma = parse_goal(text.replace("goal g ", "goal lemma ", 1))
+    domain = replace(TINY, node_budget=20_000)
+    assert _entails([lemma], goal, domain) == _entails([goal], goal, domain)
 
 
 def test_closed_false_lemma_entails_anything():

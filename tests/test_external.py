@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import http.server
 import json
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -326,6 +329,20 @@ def test_http_connection_failure_is_checker_error():
     verdict = checker.check(_direct("anything"), 200)
     assert verdict.status == CHECKER_ERROR
     assert "transport" in verdict.diagnostics
+
+
+def test_importing_the_package_does_not_load_ssl():
+    # The HTTP transport imports urllib.request (and with it ssl, http and
+    # email) only when a request is sent.
+    import provekit
+
+    src = str(Path(provekit.__file__).resolve().parents[1])
+    code = "import sys, provekit, provekit.cli; print('ssl' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_make_transport_picks_by_scheme(server_script):

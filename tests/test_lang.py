@@ -197,11 +197,16 @@ def test_footprint_additive_over_connectives(seed_a, seed_b):
     assert formula_footprint(Forall("fresh", Sort.INT, a)) == 1 + formula_footprint(a)
 
 
+# Renaming targets: fresh names, the corpus's other binders (so swaps occur)
+# and its inner quantifier names (so a naive rename would be captured).
+_RENAME_TARGETS = ("x", "y", "l", "q", "w", "q2", "w2", "x_r", "y_r", "l_r")
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=0, max_value=10**9))
-def test_footprint_invariant_under_renaming(seed):
+@given(st.integers(min_value=0, max_value=10**9), st.permutations(_RENAME_TARGETS))
+def test_footprint_invariant_under_renaming(seed, targets):
     goal = random_goal(seed, "orig")
-    mapping = {name: f"{name}_r" for name, _ in goal.binders}
+    mapping = {name: new for (name, _), new in zip(goal.binders, targets)}
     renamed = GoalDecl(
         name="renamed",
         binders=tuple((mapping[n], s) for n, s in goal.binders),
@@ -231,6 +236,13 @@ def test_statement_key_distinguishes_binder_sorts():
     a = parse_goal("goal g (x: Int) := x = x")
     b = parse_goal("goal g (l: IntList) := l = l")
     assert statement_key(a) != statement_key(b)
+
+
+def test_statement_key_separates_binders_below_a_shadowing_one():
+    # The inner w shadows the outer binder; v must still get its own label.
+    a = parse_goal("goal g (w: Int) := exists w: Int, exists v: Int, v <= w")
+    b = parse_goal("goal g (w: Int) := exists w: Int, exists v: Int, v <= v")
+    assert not alpha_equivalent(a, b)
 
 
 def test_alpha_equivalence_respects_bound_structure():

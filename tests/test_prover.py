@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import provekit.prover.builtin as builtin_mod
 from provekit.errors import ContractViolation
 from provekit.evaluator import Domain
 from provekit.lang import GoalDecl, IntLit, ListLit, Sort, parse_goal, substitute
@@ -116,6 +117,65 @@ def test_infrastructure_faults_become_checker_error_not_rejection():
 def test_erroring_goal_is_a_rejection_not_a_fault():
     goal = parse_goal("goal e (x: Int) := x % 0 = 0")
     assert _check(CheckRequest(KIND_DIRECT, goal)).status == REJECTED
+
+
+# --- decide memo ---------------------------------------------------------------
+
+
+def _count_decides(monkeypatch, fail_first: int = 0) -> list:
+    """Count calls into the evaluator; the first ``fail_first`` raise."""
+    calls = []
+    real = builtin_mod.decide_bounded
+
+    def counting(goal, domain):
+        calls.append(domain.node_budget)
+        if len(calls) <= fail_first:
+            raise RuntimeError("evaluator crashed")
+        return real(goal, domain)
+
+    monkeypatch.setattr(builtin_mod, "decide_bounded", counting)
+    return calls
+
+
+def test_repeated_decide_is_evaluated_once(monkeypatch):
+    calls = _count_decides(monkeypatch)
+    checker = BuiltinChecker(DOMAIN)
+    goal = parse_goal("goal t (x: Int) := x < 3")
+    renamed = parse_goal("goal other (x: Int) := x < 3")
+    first = checker.check(CheckRequest(KIND_DIRECT, goal), T_MS)
+    # The same statement under another name, and through the other two
+    # request kinds that decide it, reuses the verdict.
+    again = [
+        checker.check(CheckRequest(KIND_DIRECT, renamed), T_MS),
+        checker.check(CheckRequest(KIND_RECONSTRUCTION, goal), T_MS),
+        checker.check(CheckRequest(KIND_COMPLETION, goal, proof_text=DIRECT_PROOF_DIRECTIVE), T_MS),
+    ]
+    assert len(calls) == 1
+    assert first.status == REJECTED and "x=3" in first.diagnostics
+    for verdict in again:
+        assert (verdict.status, verdict.diagnostics) == (first.status, first.diagnostics)
+
+
+def test_decide_memo_is_keyed_by_the_node_budget(monkeypatch):
+    calls = _count_decides(monkeypatch)
+    checker = BuiltinChecker(DOMAIN, nodes_per_ms=1)
+    request = CheckRequest(KIND_DIRECT, parse_goal("goal t (x: Int) := x + 0 = x"))
+    assert checker.check(request, 1).status == TIMEOUT
+    assert checker.check(request, 10_000).status == ACCEPTED
+    # A cached budget exhaustion is still reported as a timeout.
+    assert checker.check(request, 1).status == TIMEOUT
+    assert calls == [1, 10_000]
+
+
+def test_decide_memo_never_caches_a_checker_error(monkeypatch):
+    calls = _count_decides(monkeypatch, fail_first=1)
+    checker = BuiltinChecker(DOMAIN)
+    request = CheckRequest(KIND_DIRECT, parse_goal("goal t (x: Int) := x <= 5"))
+    crashed = checker.check(request, T_MS)
+    assert crashed.status == CHECKER_ERROR and "RuntimeError" in crashed.diagnostics
+    assert checker.check(request, T_MS).status == ACCEPTED
+    assert checker.check(request, T_MS).status == ACCEPTED
+    assert len(calls) == 2
 
 
 # --- conjunction introduction -------------------------------------------------

@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import pytest
 
+import provekit.prover.builtin as builtin_mod
+import provekit.search as search_mod
 from provekit.errors import ContractViolation, PolicyError
 from provekit.evaluator import Domain
 from provekit.lang import parse_goal
@@ -25,7 +27,7 @@ from provekit.prover import (
     StochasticPolicy,
 )
 from provekit.prover import api
-from provekit.quickcheck import QcConfig
+from provekit.quickcheck import QcConfig, quickcheck
 from provekit.search import (
     GOAL_DECOMPOSED,
     GOAL_DISCHARGED,
@@ -561,6 +563,21 @@ def test_traces_carry_no_wall_clock_fields():
     assert "elapsed" not in text
 
 
+def test_lemma_binder_capture_cannot_prove_a_refutable_root():
+    # The lemma is valid, but renaming a onto x under its own exists x used
+    # to make the premise false everywhere, so the entailment held vacuously.
+    # Quickcheck's generator range makes it miss (1, 2, 3), so only the
+    # checker stands between this proposal and a false proof.
+    goal = parse_goal("goal g (x: Int) (y: Int) (z: Int) := !(x = 1 /\\ y = 2 /\\ z = 3)")
+    policy = ScriptedPolicy([
+        _proposal("goal g_1_1 (a: Int) (b: Int) (c: Int) := exists x: Int, !(x = a)"),
+    ])
+    config = replace(CONFIG, decompose_iters=1, complete_iters=1)
+    result, trace = run_single(goal, policy, CHECKER, config)
+    assert result.outcome == OUTCOME_EXHAUSTED
+    assert trace.events[0]["reason"] == REASON_RECONSTRUCTION
+
+
 def test_count_proof_lines_ignores_directive_only_proofs():
     tree = _completion_tree()
     leaf = tree.nodes["leaf"]
@@ -683,3 +700,80 @@ def test_pass_k_builds_and_shuts_down_one_pool_per_run():
     assert closed == factory_calls  # every pool shut down, in run order
     assert all(r.proved for r in result.runs)
     assert all(t.events[-1]["pool"]["submitted"] == 1 for t in result.traces)
+
+
+# --- gate quickcheck memo ------------------------------------------------------------
+
+
+def _count_gate_quickchecks(monkeypatch) -> list[str]:
+    calls = []
+
+    def counting(goal, qc, domain):
+        calls.append(goal.name)
+        return quickcheck(goal, qc, domain)
+
+    monkeypatch.setattr(search_mod, "quickcheck", counting)
+    search_mod._gate_quickcheck.cache_clear()
+    return calls
+
+
+def test_gate_quickchecks_run_once_per_goal(monkeypatch):
+    calls = _count_gate_quickchecks(monkeypatch)
+    outcomes = []
+    for _ in range(2):
+        tree = _tree("goal memo (x: Int) := x + 0 = x /\\ x * 1 = x")
+        outcome = decompose_step(
+            tree, tree.nodes["memo"], ConjunctionSplitter(), CHECKER, CONFIG, _trace(), 1
+        )
+        outcomes.append((outcome.kind, outcome.score))
+    assert outcomes[0] == outcomes[1] == (STEP_ACCEPTED, outcomes[0][1])
+    # The target check, then one check per lemma; the second step hits.
+    assert calls == ["memo", "memo_1_1", "memo_1_2"]
+
+
+def test_gate_memo_keeps_each_goal_name_s_counterexample(monkeypatch):
+    # Quickcheck seeds its trials from the goal name, so alpha-equal goals
+    # with different names must not share an outcome.
+    calls = _count_gate_quickchecks(monkeypatch)
+    seen = []
+    for name in ("first", "second"):
+        tree = _tree(f"goal {name} (x: Int) := x < 60")
+        trace = _trace()
+        outcome = decompose_step(tree, tree.nodes[name], ScriptedPolicy(), CHECKER, CONFIG, trace, 1)
+        expected = quickcheck(tree.nodes[name].goal, CONFIG.qc, CONFIG.domain)
+        assert outcome.kind == STEP_DISPROVED
+        assert outcome.witness == expected.witness
+        assert trace.events[0]["trial_index"] == expected.trial_index
+        seen.append((expected.trial_index, expected.witness))
+    assert seen[0] != seen[1]
+    assert calls == ["first", "second"]
+
+
+def test_pass_k_traces_do_not_depend_on_memo_state(monkeypatch):
+    decides = []
+    real = builtin_mod.decide_bounded
+
+    def counting(goal, domain):
+        decides.append(goal)
+        return real(goal, domain)
+
+    monkeypatch.setattr(builtin_mod, "decide_bounded", counting)
+    goal = parse_goal("goal conj (x: Int) := x + 0 = x /\\ (x * 1 = x /\\ x - x = 0)")
+    config = replace(CONFIG, k_parallel=4, seed=3)
+    policy = StochasticPolicy(0, DOMAIN)
+
+    search_mod._gate_quickcheck.cache_clear()
+    fresh = run_pass_k(goal, policy, BuiltinChecker(DOMAIN), config, max_workers=1)
+    cold_decides = len(decides)
+
+    warmed = BuiltinChecker(DOMAIN)
+    for other in ("goal other (y: Int) := y * 1 = y /\\ y - y = 0", "goal bad (x: Int) := 0 <= x"):
+        run_pass_k(parse_goal(other), policy, warmed, config, max_workers=1)
+    first = run_pass_k(goal, policy, warmed, config, max_workers=1)
+    decides.clear()
+    again = run_pass_k(goal, policy, warmed, config, max_workers=1)
+
+    expected = [t.to_jsonl() for t in fresh.traces]
+    assert [t.to_jsonl() for t in first.traces] == expected
+    assert [t.to_jsonl() for t in again.traces] == expected
+    assert cold_decides > 0 and decides == []
