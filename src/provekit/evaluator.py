@@ -13,13 +13,23 @@ Conventions that matter for soundness downstream:
   that assignment; a crashing statement is never silently accepted.
 - One ``node_budget`` covers a whole decision (all assignments); exhausting
   it raises ``BudgetExceeded``, which callers surface as a resource verdict.
+
+Evaluation is compiled: each call of ``decide_bounded``,
+``entailment_check`` or ``quickcheck`` turns every formula it needs into
+nested closures once, then runs them for every assignment (the technique of
+Feeley & Lapalme, "Using closures for code generation", 1987).  Each closure
+charges exactly one budget step per node visit, in pre-order and left to
+right, with the same short-circuiting as the formula's logic, so step counts
+are part of the contract.  Compiled closures hold their call's budget and
+are never cached.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import BudgetExceeded, ContractViolation, EvalError
 from .lang.ast import (
@@ -109,10 +119,71 @@ class Budget:
     def __init__(self, limit: int):
         self.remaining = limit
 
-    def tick(self) -> None:
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise BudgetExceeded("evaluation step budget exhausted")
+
+_EXHAUSTED = "evaluation step budget exhausted"
+
+TermFn = Callable[[Env], Value]
+FormulaFn = Callable[[Env], bool]
+
+
+class _Compiler:
+    """Turns one formula into nested closures over one domain and budget.
+
+    Every closure starts with the same three-line tick, so each node visit
+    costs exactly one budget step, in pre-order, and the visit that takes
+    ``remaining`` below zero raises.  The closures are built per call and
+    never cached: they hold the budget of that call.
+    """
+
+    def __init__(self, domain: Domain, budget: Budget):
+        self.domain = domain
+        self.budget = budget
+        self._carriers: dict[Sort, tuple[Value, ...]] = {}
+
+    def term(self, term: Term) -> TermFn:
+        build = _TERM_BUILDERS.get(type(term))
+        if build is None:
+            raise EvalError(f"unknown term {term!r}")
+        return build(self, term)
+
+    def formula(self, formula: Formula) -> FormulaFn:
+        build = _FORMULA_BUILDERS.get(type(formula))
+        if build is None:
+            raise EvalError(f"unknown formula {formula!r}")
+        return build(self, formula)
+
+    def carrier(self, sort: Sort) -> tuple[Value, ...]:
+        values = self._carriers.get(sort)
+        if values is None:
+            values = self._carriers[sort] = tuple(self.domain.iter_values(sort))
+        return values
+
+
+def _int_lit(c: _Compiler, term: IntLit) -> TermFn:
+    budget, value = c.budget, term.value
+
+    def run(env: Env) -> Value:
+        budget.remaining -= 1
+        if budget.remaining < 0:
+            raise BudgetExceeded(_EXHAUSTED)
+        return value
+
+    return run
+
+
+def _var(c: _Compiler, term: Var) -> TermFn:
+    budget, name = c.budget, term.name
+
+    def run(env: Env) -> Value:
+        budget.remaining -= 1
+        if budget.remaining < 0:
+            raise BudgetExceeded(_EXHAUSTED)
+        try:
+            return env[name]
+        except KeyError:
+            raise EvalError(f"unbound variable {name!r}") from None
+
+    return run
 
 
 def _trunc_mod(a: int, b: int) -> int:
@@ -122,97 +193,207 @@ def _trunc_mod(a: int, b: int) -> int:
     return r if a >= 0 else -r
 
 
+def _binary(op: Callable[[Value, Value], Value | bool]):
+    """Builder for a node whose two terms are evaluated left to right, then
+    combined by ``op``."""
+
+    def build(c: _Compiler, node) -> Callable[[Env], Value | bool]:
+        budget, left, right = c.budget, c.term(node.left), c.term(node.right)
+
+        def run(env: Env) -> Value | bool:
+            budget.remaining -= 1
+            if budget.remaining < 0:
+                raise BudgetExceeded(_EXHAUSTED)
+            return op(left(env), right(env))
+
+        return run
+
+    return build
+
+
+def _list_lit(c: _Compiler, term: ListLit) -> TermFn:
+    budget, elements = c.budget, tuple(c.term(e) for e in term.elements)
+
+    def run(env: Env) -> Value:
+        budget.remaining -= 1
+        if budget.remaining < 0:
+            raise BudgetExceeded(_EXHAUSTED)
+        return tuple([element(env) for element in elements])
+
+    return run
+
+
+def _cons(c: _Compiler, term: Cons) -> TermFn:
+    budget, head, tail = c.budget, c.term(term.head), c.term(term.tail)
+
+    def run(env: Env) -> Value:
+        budget.remaining -= 1
+        if budget.remaining < 0:
+            raise BudgetExceeded(_EXHAUSTED)
+        return (head(env), *tail(env))
+
+    return run
+
+
+def _length(c: _Compiler, term: Length) -> TermFn:
+    budget, arg = c.budget, c.term(term.arg)
+
+    def run(env: Env) -> Value:
+        budget.remaining -= 1
+        if budget.remaining < 0:
+            raise BudgetExceeded(_EXHAUSTED)
+        return len(arg(env))
+
+    return run
+
+
+def _count(c: _Compiler, term: Count) -> TermFn:
+    budget, arg, element = c.budget, c.term(term.arg), c.term(term.element)
+
+    def run(env: Env) -> Value:
+        budget.remaining -= 1
+        if budget.remaining < 0:
+            raise BudgetExceeded(_EXHAUSTED)
+        lst = arg(env)
+        return lst.count(element(env))
+
+    return run
+
+
+def _if_then_else(c: _Compiler, term: IfThenElse) -> TermFn:
+    budget, cond = c.budget, c.formula(term.cond)
+    then, other = c.term(term.then), c.term(term.other)
+
+    def run(env: Env) -> Value:
+        budget.remaining -= 1
+        if budget.remaining < 0:
+            raise BudgetExceeded(_EXHAUSTED)
+        return then(env) if cond(env) else other(env)
+
+    return run
+
+
+def _constant(c: _Compiler, formula: TrueF | FalseF) -> FormulaFn:
+    budget, value = c.budget, type(formula) is TrueF
+
+    def run(env: Env) -> bool:
+        budget.remaining -= 1
+        if budget.remaining < 0:
+            raise BudgetExceeded(_EXHAUSTED)
+        return value
+
+    return run
+
+
+def _mem(c: _Compiler, formula: Mem) -> FormulaFn:
+    budget, element, lst = c.budget, c.term(formula.element), c.term(formula.lst)
+
+    def run(env: Env) -> bool:
+        budget.remaining -= 1
+        if budget.remaining < 0:
+            raise BudgetExceeded(_EXHAUSTED)
+        needle = element(env)
+        return needle in lst(env)
+
+    return run
+
+
+def _not(c: _Compiler, formula: Not) -> FormulaFn:
+    budget, child = c.budget, c.formula(formula.child)
+
+    def run(env: Env) -> bool:
+        budget.remaining -= 1
+        if budget.remaining < 0:
+            raise BudgetExceeded(_EXHAUSTED)
+        return not child(env)
+
+    return run
+
+
+def _connective(settled_by: bool, result: bool):
+    """Builder for And, Or and Implies: when the left side evaluates to
+    ``settled_by`` the node yields ``result`` without visiting the right."""
+
+    def build(c: _Compiler, formula: And | Or | Implies) -> FormulaFn:
+        budget, left, right = c.budget, c.formula(formula.left), c.formula(formula.right)
+
+        def run(env: Env) -> bool:
+            budget.remaining -= 1
+            if budget.remaining < 0:
+                raise BudgetExceeded(_EXHAUSTED)
+            if left(env) == settled_by:
+                return result
+            return right(env)
+
+        return run
+
+    return build
+
+
+def _quantifier(c: _Compiler, formula: Forall | Exists) -> FormulaFn:
+    budget, binder, body = c.budget, formula.binder, c.formula(formula.body)
+    values, want_all = c.carrier(formula.sort), type(formula) is Forall
+
+    def run(env: Env) -> bool:
+        budget.remaining -= 1
+        if budget.remaining < 0:
+            raise BudgetExceeded(_EXHAUSTED)
+        inner = dict(env)  # the caller's env never sees the binder
+        for value in values:
+            inner[binder] = value
+            if body(inner) != want_all:  # a counterexample or a witness
+                return not want_all
+        return want_all
+
+    return run
+
+
+_TERM_BUILDERS: dict[type, Callable[[_Compiler, Term], TermFn]] = {
+    IntLit: _int_lit,
+    Var: _var,
+    Add: _binary(operator.add),
+    Sub: _binary(operator.sub),
+    Mul: _binary(operator.mul),
+    Mod: _binary(_trunc_mod),
+    ListLit: _list_lit,
+    Cons: _cons,
+    Append: _binary(operator.add),
+    Length: _length,
+    Count: _count,
+    IfThenElse: _if_then_else,
+}
+
+_FORMULA_BUILDERS: dict[type, Callable[[_Compiler, Formula], FormulaFn]] = {
+    TrueF: _constant,
+    FalseF: _constant,
+    Eq: _binary(operator.eq),
+    Lt: _binary(operator.lt),
+    Le: _binary(operator.le),
+    Mem: _mem,
+    Not: _not,
+    And: _connective(False, False),
+    Or: _connective(True, True),
+    Implies: _connective(False, True),
+    Forall: _quantifier,
+    Exists: _quantifier,
+}
+
+
+def compile_formula(formula: Formula, domain: Domain, budget: Budget) -> FormulaFn:
+    """Compile once; each call of the result evaluates under one assignment
+    and charges ``budget``.  Quantifiers enumerate the domain."""
+    return _Compiler(domain, budget).formula(formula)
+
+
 def eval_term(term: Term, env: Env, domain: Domain, budget: Budget) -> Value:
-    budget.tick()
-    if isinstance(term, IntLit):
-        return term.value
-    if isinstance(term, Var):
-        try:
-            return env[term.name]
-        except KeyError:
-            raise EvalError(f"unbound variable {term.name!r}") from None
-    if isinstance(term, Add):
-        return eval_term(term.left, env, domain, budget) + eval_term(term.right, env, domain, budget)
-    if isinstance(term, Sub):
-        return eval_term(term.left, env, domain, budget) - eval_term(term.right, env, domain, budget)
-    if isinstance(term, Mul):
-        return eval_term(term.left, env, domain, budget) * eval_term(term.right, env, domain, budget)
-    if isinstance(term, Mod):
-        return _trunc_mod(
-            eval_term(term.left, env, domain, budget),
-            eval_term(term.right, env, domain, budget),
-        )
-    if isinstance(term, ListLit):
-        return tuple(eval_term(e, env, domain, budget) for e in term.elements)
-    if isinstance(term, Cons):
-        head = eval_term(term.head, env, domain, budget)
-        tail = eval_term(term.tail, env, domain, budget)
-        return (head, *tail)
-    if isinstance(term, Append):
-        return eval_term(term.left, env, domain, budget) + eval_term(term.right, env, domain, budget)
-    if isinstance(term, Length):
-        return len(eval_term(term.arg, env, domain, budget))
-    if isinstance(term, Count):
-        lst = eval_term(term.arg, env, domain, budget)
-        needle = eval_term(term.element, env, domain, budget)
-        return sum(1 for x in lst if x == needle)
-    if isinstance(term, IfThenElse):
-        if eval_formula(term.cond, env, domain, budget):
-            return eval_term(term.then, env, domain, budget)
-        return eval_term(term.other, env, domain, budget)
-    raise EvalError(f"unknown term {term!r}")
+    return _Compiler(domain, budget).term(term)(env)
 
 
 def eval_formula(formula: Formula, env: Env, domain: Domain, budget: Budget | None = None) -> bool:
     """Evaluate under one assignment; quantifiers enumerate the domain."""
     if budget is None:
         budget = Budget(domain.node_budget)
-    budget.tick()
-    if isinstance(formula, TrueF):
-        return True
-    if isinstance(formula, FalseF):
-        return False
-    if isinstance(formula, Eq):
-        return eval_term(formula.left, env, domain, budget) == eval_term(
-            formula.right, env, domain, budget
-        )
-    if isinstance(formula, Lt):
-        return eval_term(formula.left, env, domain, budget) < eval_term(
-            formula.right, env, domain, budget
-        )
-    if isinstance(formula, Le):
-        return eval_term(formula.left, env, domain, budget) <= eval_term(
-            formula.right, env, domain, budget
-        )
-    if isinstance(formula, Mem):
-        needle = eval_term(formula.element, env, domain, budget)
-        return needle in eval_term(formula.lst, env, domain, budget)
-    if isinstance(formula, Not):
-        return not eval_formula(formula.child, env, domain, budget)
-    if isinstance(formula, And):
-        return eval_formula(formula.left, env, domain, budget) and eval_formula(
-            formula.right, env, domain, budget
-        )
-    if isinstance(formula, Or):
-        return eval_formula(formula.left, env, domain, budget) or eval_formula(
-            formula.right, env, domain, budget
-        )
-    if isinstance(formula, Implies):
-        return (not eval_formula(formula.left, env, domain, budget)) or eval_formula(
-            formula.right, env, domain, budget
-        )
-    if isinstance(formula, (Forall, Exists)):
-        want_all = isinstance(formula, Forall)
-        for value in domain.iter_values(formula.sort):
-            inner = dict(env)
-            inner[formula.binder] = value
-            result = eval_formula(formula.body, inner, domain, budget)
-            if want_all and not result:
-                return False
-            if not want_all and result:
-                return True
-        return want_all
-    raise EvalError(f"unknown formula {formula!r}")
+    return compile_formula(formula, domain, budget)(env)
 
 
 @dataclass(frozen=True)
@@ -236,9 +417,10 @@ class DecisionVerdict:
 def decide_bounded(goal: GoalDecl, domain: Domain) -> DecisionVerdict:
     """Exhaustively decide the goal over the domain under one budget."""
     budget = Budget(domain.node_budget)
+    holds_at = compile_formula(goal.body, domain, budget)
     for env in domain.iter_assignments(goal.binders):
         try:
-            holds = eval_formula(goal.body, env, domain, budget)
+            holds = holds_at(env)
         except EvalError:
             holds = False
         except BudgetExceeded:
@@ -273,6 +455,7 @@ def entailment_check(lemmas: list[GoalDecl], goal: GoalDecl, domain: Domain) -> 
     Raises BudgetExceeded when the shared budget runs out.
     """
     budget = Budget(domain.node_budget)
+    compiler = _Compiler(domain, budget)
     goal_names = [name for name, _ in goal.binders]
     goal_sig = _signature(goal)
 
@@ -283,14 +466,15 @@ def entailment_check(lemmas: list[GoalDecl], goal: GoalDecl, domain: Domain) -> 
     for lemma in lemmas:
         if lemma.binders and _signature(lemma) == goal_sig:
             mapping = {old: new for (old, _), new in zip(lemma.binders, goal_names)}
-            premises.append((POINTWISE, rename_free(lemma.body, mapping)))
+            premises.append((POINTWISE, compiler.formula(rename_free(lemma.body, mapping))))
             continue
         # Universal closure over the lemma's own binders, evaluated once;
         # it is assignment-independent from the goal's point of view.
         result: bool | None = True
+        holds_at = compiler.formula(lemma.body)
         for env in domain.iter_assignments(lemma.binders):
             try:
-                if not eval_formula(lemma.body, env, domain, budget):
+                if not holds_at(env):
                     result = False
                     break
             except EvalError:
@@ -298,6 +482,7 @@ def entailment_check(lemmas: list[GoalDecl], goal: GoalDecl, domain: Domain) -> 
                 break
         premises.append((CONST, result))
 
+    goal_holds_at = compiler.formula(goal.body)
     for env in domain.iter_assignments(goal.binders):
         satisfied = True
         for kind, payload in premises:
@@ -309,7 +494,7 @@ def entailment_check(lemmas: list[GoalDecl], goal: GoalDecl, domain: Domain) -> 
                     break
                 continue
             try:
-                if not eval_formula(payload, env, domain, budget):  # type: ignore[arg-type]
+                if not payload(env):  # type: ignore[operator]
                     satisfied = False
                     break
             except EvalError:
@@ -317,7 +502,7 @@ def entailment_check(lemmas: list[GoalDecl], goal: GoalDecl, domain: Domain) -> 
         if not satisfied:
             continue
         try:
-            if not eval_formula(goal.body, env, domain, budget):
+            if not goal_holds_at(env):
                 return False
         except EvalError:
             return False

@@ -43,7 +43,9 @@ class JsonLineProcess:
     """A child process spoken to over stdin/stdout, one JSON object per line.
 
     A background reader routes responses by id, so slow answers to earlier
-    requests cannot starve later ones."""
+    requests cannot starve later ones.  It keeps only replies that a request
+    is still waiting for: a reply that arrives after its request timed out
+    is dropped, so late answers cannot pile up."""
 
     def __init__(self, argv: list[str] | str):
         if isinstance(argv, str):
@@ -58,6 +60,7 @@ class JsonLineProcess:
         self._write_lock = threading.Lock()
         self._cond = threading.Condition()
         self._responses: dict[str, dict] = {}
+        self._awaited: set[str] = set()
         self._broken: str | None = None
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
@@ -77,8 +80,9 @@ class JsonLineProcess:
                     self._cond.notify_all()
                 return
             with self._cond:
-                self._responses[key] = payload
-                self._cond.notify_all()
+                if key in self._awaited:
+                    self._responses[key] = payload
+                    self._cond.notify_all()
         with self._cond:
             if self._broken is None:
                 self._broken = "peer closed its output stream"
@@ -87,24 +91,33 @@ class JsonLineProcess:
     def request(self, payload: dict, timeout_s: float) -> dict:
         key = str(payload["id"])
         encoded = json.dumps(payload) + "\n"
-        with self._write_lock:
-            if self._proc.stdin is None or self._proc.poll() is not None:
-                raise CheckerProtocolError("peer process is gone")
-            self._proc.stdin.write(encoded)
-            self._proc.stdin.flush()
-        deadline = threading.TIMEOUT_MAX if timeout_s is None else timeout_s
+        # Registered before the write, so even an instant reply is kept.
         with self._cond:
-            got = self._cond.wait_for(
-                lambda: key in self._responses or self._broken is not None,
-                timeout=deadline,
-            )
-            if key in self._responses:
-                return self._responses.pop(key)
-            if self._broken is not None:
-                raise CheckerProtocolError(self._broken)
-            if not got:
-                raise CheckerProtocolError(f"no response for {key} within {timeout_s}s")
-            raise CheckerProtocolError("transport failure")
+            self._awaited.add(key)
+        try:
+            with self._write_lock:
+                if self._proc.stdin is None or self._proc.poll() is not None:
+                    raise CheckerProtocolError("peer process is gone")
+                self._proc.stdin.write(encoded)
+                self._proc.stdin.flush()
+            deadline = threading.TIMEOUT_MAX if timeout_s is None else timeout_s
+            with self._cond:
+                got = self._cond.wait_for(
+                    lambda: key in self._responses or self._broken is not None,
+                    timeout=deadline,
+                )
+                if key in self._responses:
+                    return self._responses.pop(key)
+                if self._broken is not None:
+                    raise CheckerProtocolError(self._broken)
+                if not got:
+                    raise CheckerProtocolError(f"no response for {key} within {timeout_s}s")
+                raise CheckerProtocolError("transport failure")
+        finally:
+            # Also drops a reply that slipped in after the wait gave up.
+            with self._cond:
+                self._awaited.discard(key)
+                self._responses.pop(key, None)
 
     def close(self) -> None:
         try:

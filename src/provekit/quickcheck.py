@@ -11,9 +11,10 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import BudgetExceeded, ContractViolation, EvalError
-from .evaluator import Domain, Env, eval_formula
+from .evaluator import Budget, Domain, Env, compile_formula
 from .lang.ast import GoalDecl, Sort
 
 
@@ -65,43 +66,53 @@ def derive_rng(seed: int, goal_name: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def generate_env(
+def env_sampler(
     binders: tuple[tuple[str, Sort], ...], config: QcConfig, rng: random.Random
-) -> Env:
-    """Draw one assignment; identical generator state gives an identical
-    environment."""
-    env: Env = {}
-    for name, sort in binders:
-        if sort is Sort.INT:
-            env[name] = rng.randint(config.gen_int_lo, config.gen_int_hi)
-        else:
-            length = rng.randint(0, config.gen_max_list_len)
-            env[name] = tuple(
-                rng.randint(config.elem_lo, config.elem_hi) for _ in range(length)
-            )
-    return env
+) -> Callable[[], Env]:
+    """Return a function that draws one assignment per call; identical
+    generator state gives an identical sequence of environments."""
+    randint = rng.randint
+    int_lo, int_hi, max_len = config.gen_int_lo, config.gen_int_hi, config.gen_max_list_len
+    elem_lo, elem_hi = config.elem_lo, config.elem_hi
+    plan = [(name, sort is Sort.INT) for name, sort in binders]
 
+    def draw() -> Env:
+        env: Env = {}
+        for name, is_int in plan:
+            if is_int:
+                env[name] = randint(int_lo, int_hi)
+            else:
+                # The length is drawn first, then the elements in order.
+                env[name] = tuple([randint(elem_lo, elem_hi) for _ in range(randint(0, max_len))])
+        return env
 
-def _falsifies(goal: GoalDecl, env: Env, domain: Domain) -> bool:
-    """Errors and budget exhaustion count as falsifying the assignment."""
-    try:
-        return not eval_formula(goal.body, env, domain)
-    except (EvalError, BudgetExceeded):
-        return True
+    return draw
 
 
 def quickcheck(goal: GoalDecl, config: QcConfig, domain: Domain) -> QcOutcome:
     """Run up to ``config.trials`` sampled assignments against the goal body.
 
     Inner quantifiers still range over ``domain``; only the outer binders are
-    sampled.  The first falsifying assignment is re-verified and returned
+    sampled.  The body is compiled once per call and each trial gets a fresh
+    node budget.  The first falsifying assignment is re-verified and returned
     with its 1-based trial index.
     """
-    rng = derive_rng(config.seed, goal.name)
+    budget = Budget(domain.node_budget)
+    holds_at = compile_formula(goal.body, domain, budget)
+
+    def falsifies(env: Env) -> bool:
+        """Errors and budget exhaustion count as falsifying the assignment."""
+        budget.remaining = domain.node_budget
+        try:
+            return not holds_at(env)
+        except (EvalError, BudgetExceeded):
+            return True
+
+    draw = env_sampler(goal.binders, config, derive_rng(config.seed, goal.name))
     for trial in range(1, config.trials + 1):
-        env = generate_env(goal.binders, config, rng)
-        if _falsifies(goal, env, domain):
-            if not _falsifies(goal, env, domain):  # re-verification
+        env = draw()
+        if falsifies(env):
+            if not falsifies(env):  # re-verification
                 raise ContractViolation("witness failed re-verification")
             return Counterexample(witness=env, trial_index=trial)
     return NoCounterexample(trials_run=config.trials)

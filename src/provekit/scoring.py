@@ -45,6 +45,17 @@ class ScoreBreakdown:
     r: float
     S: float
 
+    def to_json(self) -> dict:
+        """The form traces and training records store."""
+        return {
+            "v": self.v,
+            "d_parent": self.d_parent,
+            "d_children": list(self.d_children),
+            "d_bar": self.d_bar,
+            "r": self.r,
+            "S": self.S,
+        }
+
 
 def logsumexp_footprint(footprints: list[int], temperature: float) -> float:
     """Smooth maximum of child footprints: T * log(sum(exp(d_i / T))).

@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .errors import ContractViolation, PolicyError
@@ -352,17 +351,6 @@ def _proposal_json(proposal: DecompositionProposal) -> dict:
     }
 
 
-def _breakdown_json(breakdown: ScoreBreakdown) -> dict:
-    return {
-        "v": breakdown.v,
-        "d_parent": breakdown.d_parent,
-        "d_children": list(breakdown.d_children),
-        "d_bar": breakdown.d_bar,
-        "r": breakdown.r,
-        "S": breakdown.S,
-    }
-
-
 @dataclass
 class StepOutcome:
     kind: str
@@ -398,7 +386,7 @@ def decompose_step(
                 "qc_ok": list(evaluation.qc_ok),
             }
             if evaluation.breakdown is not None:
-                fields["score"] = _breakdown_json(evaluation.breakdown)
+                fields["score"] = evaluation.breakdown.to_json()
         if witness is not None:
             fields["witness"] = env_to_json(witness)
             fields["trial_index"] = trial
@@ -473,7 +461,7 @@ def decompose_step(
             "reconstruction_ok": evaluation.gate.reconstruction_ok,
             "qc_ok": list(evaluation.qc_ok),
         },
-        score=_breakdown_json(breakdown),
+        score=breakdown.to_json(),
     )
     return StepOutcome(kind=outcome_kind, target=target.name, score=breakdown)
 
@@ -782,6 +770,10 @@ def run_pass_k(
     if k == 1 or (max_workers is not None and max_workers <= 1):
         outcomes = [one(i) for i in range(k)]
     else:
+        # Imported here: concurrent.futures pulls in logging and traceback,
+        # which a process that never fans out would otherwise carry.
+        from concurrent.futures import ThreadPoolExecutor
+
         workers = min(k, max_workers) if max_workers else k
         with ThreadPoolExecutor(max_workers=workers) as executor:
             outcomes = list(executor.map(one, range(k)))

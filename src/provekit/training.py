@@ -344,14 +344,7 @@ def _decomposition_record(goal: GoalDecl, rollout: Rollout) -> TrajectoryRecord:
         goal_source=print_goal(goal),
         lemma_sources=tuple(print_goal(l) for l in rollout.proposal.lemmas),
         reconstruction=rollout.proposal.reconstruction,
-        score={
-            "v": breakdown.v,
-            "d_parent": breakdown.d_parent,
-            "d_children": list(breakdown.d_children),
-            "d_bar": breakdown.d_bar,
-            "r": breakdown.r,
-            "S": breakdown.S,
-        },
+        score=breakdown.to_json(),
         reward=rollout.reward,
     )
 

@@ -7,6 +7,8 @@ path cannot hide: both sides would have to be wrong in the same way.
 
 from __future__ import annotations
 
+import collections
+import hashlib
 import re
 from dataclasses import replace
 
@@ -57,6 +59,7 @@ from provekit.lang import (
     parse_goal,
     print_goal,
 )
+from provekit.quickcheck import QcConfig, quickcheck
 
 TINY = Domain(int_lo=-2, int_hi=2, max_list_len=2, elem_lo=-1, elem_hi=1)
 
@@ -343,8 +346,11 @@ def test_budget_ticks_once_per_node_visit():
 
 def test_budget_exhaustion_raises():
     goal = parse_goal("goal t := 1 + 2 = 3")
-    with pytest.raises(BudgetExceeded):
-        eval_formula(goal.body, {}, TINY, Budget(3))
+    for limit in range(5):  # the visit that takes the budget below zero raises
+        budget = Budget(limit)
+        with pytest.raises(BudgetExceeded):
+            eval_formula(goal.body, {}, TINY, budget)
+        assert budget.remaining == -1
 
 
 # --- bounded decision -------------------------------------------------------
@@ -366,6 +372,9 @@ def test_evaluation_error_counts_as_falsifying():
     verdict = decide_bounded(parse_goal("goal e (x: Int) := x % 0 = 0"), TINY)
     assert verdict.status == DecisionVerdict.COUNTEREXAMPLE
     assert verdict.witness == {"x": -2}  # first assignment in order
+    # The error escapes a quantifier; the witness must not carry its binder.
+    verdict = decide_bounded(parse_goal("goal e (x: Int) := forall q: Int, x % 0 = q"), TINY)
+    assert verdict.witness == {"x": -2}
 
 
 def test_tiny_budget_yields_resource_verdict():
@@ -384,6 +393,34 @@ def test_decision_agrees_with_naive_oracle(seed):
     assert verdict.status == status
     if status == DecisionVerdict.COUNTEREXAMPLE:
         assert verdict.witness == witness
+
+
+def test_observable_behaviour_is_pinned():
+    # Recorded from the tree-walking interpreter this evaluator replaced:
+    # every verdict, witness and step count, and every quickcheck outcome,
+    # must stay exactly as it was.  24 of the decides exhaust the budget,
+    # so the budget path is pinned too.
+    domain = Domain(node_budget=25_000)
+    config = QcConfig(trials=200)
+    decided, checked = [], []
+    for s in range(300):
+        goal = random_goal(s, f"g{s}", 3)
+        verdict = decide_bounded(goal, domain)
+        decided.append((verdict.status, verdict.witness, verdict.steps_used))
+        checked.append(quickcheck(goal, config, domain))
+    assert collections.Counter(status for status, _, _ in decided) == {
+        DecisionVerdict.COUNTEREXAMPLE: 226,
+        DecisionVerdict.VALID: 50,
+        DecisionVerdict.RESOURCE_EXCEEDED: 24,
+    }
+    assert (
+        hashlib.sha256(repr(decided).encode()).hexdigest()
+        == "e7059fc3c97e20bf5cd15e2be0a0885e9851001c85997f85bc820628cfaa376d"
+    )
+    assert (
+        hashlib.sha256(repr(checked).encode()).hexdigest()
+        == "3943a7c882af97b362eb2323f50bba918b3f4228fe271c358a595d8df306f408"
+    )
 
 
 # --- entailment -------------------------------------------------------------

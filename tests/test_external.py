@@ -189,6 +189,15 @@ def test_transport_timeout_raises(process):
         process.request({"id": "t1", "goal": "goal slowreply := 0 = 0"}, 0.25)
 
 
+def test_late_reply_after_timeout_is_dropped(process):
+    with pytest.raises(CheckerProtocolError, match="no response"):
+        process.request({"id": "late1", "goal": "goal slowreply := 0 = 0"}, 0.25)
+    # The peer answers in order, so by the time this reply is in, the late
+    # answer to late1 has been read as well.
+    assert process.request({"id": "after1", "goal": "goal plain := 0 = 0"}, 5.0)["id"] == "after1"
+    assert process._responses == {}
+
+
 def test_peer_exit_surfaces_as_protocol_error(process):
     with pytest.raises(CheckerProtocolError):
         process.request({"id": "d1", "goal": "goal dropdead := 0 = 0"}, 2.0)

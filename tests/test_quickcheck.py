@@ -15,7 +15,7 @@ from provekit.quickcheck import (
     NoCounterexample,
     QcConfig,
     derive_rng,
-    generate_env,
+    env_sampler,
     quickcheck,
 )
 
@@ -122,10 +122,10 @@ def test_generated_values_respect_configured_ranges(seed):
         gen_elem_lo=0,
         gen_elem_hi=2,
     )
-    rng = derive_rng(seed, "ranges")
     binders = (("x", Sort.INT), ("l", Sort.INT_LIST), ("y", Sort.INT))
+    draw = env_sampler(binders, cfg, derive_rng(seed, "ranges"))
     for _ in range(20):
-        env = generate_env(binders, cfg, rng)
+        env = draw()
         assert -3 <= env["x"] <= 7
         assert -3 <= env["y"] <= 7
         assert len(env["l"]) <= 4
@@ -135,9 +135,9 @@ def test_generated_values_respect_configured_ranges(seed):
 def test_element_range_defaults_to_integer_range():
     cfg = QcConfig(trials=1, seed=0, gen_int_lo=5, gen_int_hi=6, gen_max_list_len=3)
     assert cfg.elem_lo == 5 and cfg.elem_hi == 6
-    rng = derive_rng(0, "default-elems")
+    draw = env_sampler((("l", Sort.INT_LIST),), cfg, derive_rng(0, "default-elems"))
     for _ in range(20):
-        env = generate_env((("l", Sort.INT_LIST),), cfg, rng)
+        env = draw()
         assert all(5 <= e <= 6 for e in env["l"])
 
 

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -546,12 +550,15 @@ def test_run_single_forks_the_policy_with_the_config_seed():
 
 
 def test_identical_runs_produce_byte_identical_traces():
-    goal = parse_goal("goal conj (x: Int) := x + 0 = x /\\ (x * 1 = x /\\ 0 <= x + 5)")
+    # A valid goal, so the runs go through decomposition and checker calls
+    # instead of ending at the first quickcheck.
+    goal = parse_goal("goal conj (x: Int) := x + 0 = x /\\ (x * 1 = x /\\ x <= x + 5)")
     policy = StochasticPolicy(0, DOMAIN)
     config = replace(CONFIG, seed=42)
-    _, trace_a = run_single(goal, policy, CHECKER, config)
+    result_a, trace_a = run_single(goal, policy, CHECKER, config)
     # Use the same (now state-advanced) policy object: fork must reset it.
-    _, trace_b = run_single(goal, policy, CHECKER, config)
+    result_b, trace_b = run_single(goal, policy, CHECKER, config)
+    assert result_a.outcome == result_b.outcome == OUTCOME_PROVED
     assert trace_a.to_jsonl() == trace_b.to_jsonl()
 
 
@@ -650,12 +657,25 @@ def test_pass_k_on_refutable_goal_reports_disproof():
 
 
 def test_pass_k_threaded_matches_sequential():
-    goal = parse_goal("goal conj (x: Int) := x + 0 = x /\\ (x * 1 = x /\\ 0 <= x + 5)")
+    goal = parse_goal("goal conj (x: Int) := x + 0 = x /\\ (x * 1 = x /\\ x <= x + 5)")
     config = replace(CONFIG, k_parallel=4, seed=9)
     policy = StochasticPolicy(0, DOMAIN)
     sequential = run_pass_k(goal, policy, CHECKER, config, max_workers=1)
     threaded = run_pass_k(goal, policy, CHECKER, config, max_workers=4)
+    assert [r.outcome for r in sequential.runs] == [OUTCOME_PROVED] * 4
     assert [t.to_jsonl() for t in sequential.traces] == [t.to_jsonl() for t in threaded.traces]
+
+
+def test_importing_the_package_does_not_load_the_thread_pool():
+    # run_pass_k imports concurrent.futures (and with it logging and
+    # traceback) only when it fans out.
+    src = str(Path(search_mod.__file__).resolve().parents[1])
+    code = "import sys, provekit, provekit.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class _RecordingPool:
