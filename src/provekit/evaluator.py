@@ -33,6 +33,7 @@ from typing import Callable, Iterator
 
 from .errors import BudgetExceeded, ContractViolation, EvalError
 from .lang.ast import (
+    CHILDREN,
     Add,
     And,
     Append,
@@ -53,6 +54,7 @@ from .lang.ast import (
     Mem,
     Mod,
     Mul,
+    Node,
     Not,
     Or,
     Implies,
@@ -140,17 +142,11 @@ class _Compiler:
         self.budget = budget
         self._carriers: dict[Sort, tuple[Value, ...]] = {}
 
-    def term(self, term: Term) -> TermFn:
-        build = _TERM_BUILDERS.get(type(term))
+    def compile(self, node: Node) -> Callable[[Env], Value | bool]:
+        build = _BUILDERS.get(type(node))
         if build is None:
-            raise EvalError(f"unknown term {term!r}")
-        return build(self, term)
-
-    def formula(self, formula: Formula) -> FormulaFn:
-        build = _FORMULA_BUILDERS.get(type(formula))
-        if build is None:
-            raise EvalError(f"unknown formula {formula!r}")
-        return build(self, formula)
+            raise EvalError(f"unknown syntax node {node!r}")
+        return build(self, node)
 
     def carrier(self, sort: Sort) -> tuple[Value, ...]:
         values = self._carriers.get(sort)
@@ -159,16 +155,21 @@ class _Compiler:
         return values
 
 
-def _int_lit(c: _Compiler, term: IntLit) -> TermFn:
-    budget, value = c.budget, term.value
+def _constant(value_of: Callable[[Node], Value | bool]):
+    """Builder for a leaf whose value is fixed at compile time."""
 
-    def run(env: Env) -> Value:
-        budget.remaining -= 1
-        if budget.remaining < 0:
-            raise BudgetExceeded(_EXHAUSTED)
-        return value
+    def build(c: _Compiler, node: Node) -> Callable[[Env], Value | bool]:
+        budget, value = c.budget, value_of(node)
 
-    return run
+        def run(env: Env) -> Value | bool:
+            budget.remaining -= 1
+            if budget.remaining < 0:
+                raise BudgetExceeded(_EXHAUSTED)
+            return value
+
+        return run
+
+    return build
 
 
 def _var(c: _Compiler, term: Var) -> TermFn:
@@ -194,11 +195,12 @@ def _trunc_mod(a: int, b: int) -> int:
 
 
 def _binary(op: Callable[[Value, Value], Value | bool]):
-    """Builder for a node whose two terms are evaluated left to right, then
-    combined by ``op``."""
+    """Builder for a node whose two child terms are evaluated in field
+    order, then combined by ``op``."""
 
-    def build(c: _Compiler, node) -> Callable[[Env], Value | bool]:
-        budget, left, right = c.budget, c.term(node.left), c.term(node.right)
+    def build(c: _Compiler, node: Node) -> Callable[[Env], Value | bool]:
+        left, right = CHILDREN[type(node)](node)
+        budget, left, right = c.budget, c.compile(left), c.compile(right)
 
         def run(env: Env) -> Value | bool:
             budget.remaining -= 1
@@ -212,7 +214,7 @@ def _binary(op: Callable[[Value, Value], Value | bool]):
 
 
 def _list_lit(c: _Compiler, term: ListLit) -> TermFn:
-    budget, elements = c.budget, tuple(c.term(e) for e in term.elements)
+    budget, elements = c.budget, tuple(c.compile(e) for e in term.elements)
 
     def run(env: Env) -> Value:
         budget.remaining -= 1
@@ -224,7 +226,7 @@ def _list_lit(c: _Compiler, term: ListLit) -> TermFn:
 
 
 def _cons(c: _Compiler, term: Cons) -> TermFn:
-    budget, head, tail = c.budget, c.term(term.head), c.term(term.tail)
+    budget, head, tail = c.budget, c.compile(term.head), c.compile(term.tail)
 
     def run(env: Env) -> Value:
         budget.remaining -= 1
@@ -236,7 +238,7 @@ def _cons(c: _Compiler, term: Cons) -> TermFn:
 
 
 def _length(c: _Compiler, term: Length) -> TermFn:
-    budget, arg = c.budget, c.term(term.arg)
+    budget, arg = c.budget, c.compile(term.arg)
 
     def run(env: Env) -> Value:
         budget.remaining -= 1
@@ -247,22 +249,9 @@ def _length(c: _Compiler, term: Length) -> TermFn:
     return run
 
 
-def _count(c: _Compiler, term: Count) -> TermFn:
-    budget, arg, element = c.budget, c.term(term.arg), c.term(term.element)
-
-    def run(env: Env) -> Value:
-        budget.remaining -= 1
-        if budget.remaining < 0:
-            raise BudgetExceeded(_EXHAUSTED)
-        lst = arg(env)
-        return lst.count(element(env))
-
-    return run
-
-
 def _if_then_else(c: _Compiler, term: IfThenElse) -> TermFn:
-    budget, cond = c.budget, c.formula(term.cond)
-    then, other = c.term(term.then), c.term(term.other)
+    budget, cond = c.budget, c.compile(term.cond)
+    then, other = c.compile(term.then), c.compile(term.other)
 
     def run(env: Env) -> Value:
         budget.remaining -= 1
@@ -273,20 +262,8 @@ def _if_then_else(c: _Compiler, term: IfThenElse) -> TermFn:
     return run
 
 
-def _constant(c: _Compiler, formula: TrueF | FalseF) -> FormulaFn:
-    budget, value = c.budget, type(formula) is TrueF
-
-    def run(env: Env) -> bool:
-        budget.remaining -= 1
-        if budget.remaining < 0:
-            raise BudgetExceeded(_EXHAUSTED)
-        return value
-
-    return run
-
-
 def _mem(c: _Compiler, formula: Mem) -> FormulaFn:
-    budget, element, lst = c.budget, c.term(formula.element), c.term(formula.lst)
+    budget, element, lst = c.budget, c.compile(formula.element), c.compile(formula.lst)
 
     def run(env: Env) -> bool:
         budget.remaining -= 1
@@ -299,7 +276,7 @@ def _mem(c: _Compiler, formula: Mem) -> FormulaFn:
 
 
 def _not(c: _Compiler, formula: Not) -> FormulaFn:
-    budget, child = c.budget, c.formula(formula.child)
+    budget, child = c.budget, c.compile(formula.child)
 
     def run(env: Env) -> bool:
         budget.remaining -= 1
@@ -315,7 +292,7 @@ def _connective(settled_by: bool, result: bool):
     ``settled_by`` the node yields ``result`` without visiting the right."""
 
     def build(c: _Compiler, formula: And | Or | Implies) -> FormulaFn:
-        budget, left, right = c.budget, c.formula(formula.left), c.formula(formula.right)
+        budget, left, right = c.budget, c.compile(formula.left), c.compile(formula.right)
 
         def run(env: Env) -> bool:
             budget.remaining -= 1
@@ -331,7 +308,7 @@ def _connective(settled_by: bool, result: bool):
 
 
 def _quantifier(c: _Compiler, formula: Forall | Exists) -> FormulaFn:
-    budget, binder, body = c.budget, formula.binder, c.formula(formula.body)
+    budget, binder, body = c.budget, formula.binder, c.compile(formula.body)
     values, want_all = c.carrier(formula.sort), type(formula) is Forall
 
     def run(env: Env) -> bool:
@@ -348,8 +325,8 @@ def _quantifier(c: _Compiler, formula: Forall | Exists) -> FormulaFn:
     return run
 
 
-_TERM_BUILDERS: dict[type, Callable[[_Compiler, Term], TermFn]] = {
-    IntLit: _int_lit,
+_BUILDERS: dict[type, Callable[[_Compiler, Node], Callable[[Env], Value | bool]]] = {
+    IntLit: _constant(operator.attrgetter("value")),
     Var: _var,
     Add: _binary(operator.add),
     Sub: _binary(operator.sub),
@@ -359,13 +336,10 @@ _TERM_BUILDERS: dict[type, Callable[[_Compiler, Term], TermFn]] = {
     Cons: _cons,
     Append: _binary(operator.add),
     Length: _length,
-    Count: _count,
+    Count: _binary(tuple.count),
     IfThenElse: _if_then_else,
-}
-
-_FORMULA_BUILDERS: dict[type, Callable[[_Compiler, Formula], FormulaFn]] = {
-    TrueF: _constant,
-    FalseF: _constant,
+    TrueF: _constant(lambda node: True),
+    FalseF: _constant(lambda node: False),
     Eq: _binary(operator.eq),
     Lt: _binary(operator.lt),
     Le: _binary(operator.le),
@@ -382,11 +356,11 @@ _FORMULA_BUILDERS: dict[type, Callable[[_Compiler, Formula], FormulaFn]] = {
 def compile_formula(formula: Formula, domain: Domain, budget: Budget) -> FormulaFn:
     """Compile once; each call of the result evaluates under one assignment
     and charges ``budget``.  Quantifiers enumerate the domain."""
-    return _Compiler(domain, budget).formula(formula)
+    return _Compiler(domain, budget).compile(formula)
 
 
 def eval_term(term: Term, env: Env, domain: Domain, budget: Budget) -> Value:
-    return _Compiler(domain, budget).term(term)(env)
+    return _Compiler(domain, budget).compile(term)(env)
 
 
 def eval_formula(formula: Formula, env: Env, domain: Domain, budget: Budget | None = None) -> bool:
@@ -466,12 +440,12 @@ def entailment_check(lemmas: list[GoalDecl], goal: GoalDecl, domain: Domain) -> 
     for lemma in lemmas:
         if lemma.binders and _signature(lemma) == goal_sig:
             mapping = {old: new for (old, _), new in zip(lemma.binders, goal_names)}
-            premises.append((POINTWISE, compiler.formula(rename_free(lemma.body, mapping))))
+            premises.append((POINTWISE, compiler.compile(rename_free(lemma.body, mapping))))
             continue
         # Universal closure over the lemma's own binders, evaluated once;
         # it is assignment-independent from the goal's point of view.
         result: bool | None = True
-        holds_at = compiler.formula(lemma.body)
+        holds_at = compiler.compile(lemma.body)
         for env in domain.iter_assignments(lemma.binders):
             try:
                 if not holds_at(env):
@@ -482,7 +456,7 @@ def entailment_check(lemmas: list[GoalDecl], goal: GoalDecl, domain: Domain) -> 
                 break
         premises.append((CONST, result))
 
-    goal_holds_at = compiler.formula(goal.body)
+    goal_holds_at = compiler.compile(goal.body)
     for env in domain.iter_assignments(goal.binders):
         satisfied = True
         for kind, payload in premises:
@@ -512,7 +486,8 @@ def entailment_check(lemmas: list[GoalDecl], goal: GoalDecl, domain: Domain) -> 
 def leave_one_out_necessity(lemmas: list[GoalDecl], goal: GoalDecl, domain: Domain) -> list[bool]:
     """For each lemma: does dropping it break the entailment?
 
-    Advisory diagnostics only; results are recorded, never used to gate.
+    Advisory diagnostics only: the flags are returned, and nothing in the
+    package records them or gates on them.
     Precondition: the full set entails the goal.
     """
     if not entailment_check(lemmas, goal, domain):

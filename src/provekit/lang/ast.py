@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Callable
 
 
 class Sort(enum.Enum):
@@ -197,49 +199,60 @@ class GoalDecl:
 
 
 # ---------------------------------------------------------------------------
+# The node table
+
+Node = Term | Formula
+
+
+class _NodeTable(dict):
+    """Per-class dispatch table; an unregistered class is an error, never a
+    leaf, so no walk can silently skip the variables inside it."""
+
+    def __missing__(self, cls: type):
+        raise TypeError(f"unknown syntax node {cls.__name__}")
+
+
+def _fields(*names: str) -> Callable[[Node], tuple[Node, ...]]:
+    if not names:
+        return lambda node: ()
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda node: (get(node),)
+    return attrgetter(*names)
+
+
+# The child nodes of every node class, in field order.  Every structural
+# walk below dispatches through this table, and so do the printer and the
+# evaluator's compiler.
+CHILDREN: dict[type, Callable[[Node], tuple[Node, ...]]] = _NodeTable({
+    **dict.fromkeys((IntLit, Var, TrueF, FalseF), _fields()),
+    **dict.fromkeys(
+        (Add, Sub, Mul, Mod, Append, Eq, Lt, Le, And, Or, Implies), _fields("left", "right")
+    ),
+    ListLit: attrgetter("elements"),
+    Cons: _fields("head", "tail"),
+    Length: _fields("arg"),
+    Count: _fields("arg", "element"),
+    IfThenElse: _fields("cond", "then", "other"),
+    Mem: _fields("element", "lst"),
+    Not: _fields("child"),
+    Forall: _fields("body"),
+    Exists: _fields("body"),
+})
+
+
+# ---------------------------------------------------------------------------
 # Structural measures and helpers
 
 # Nodes that count one step of logical or domain structure.  Variable
 # references, literals and binder annotations carry no weight.
-_COUNTED_TERMS = (Add, Sub, Mul, Mod, Cons, Append, Length, Count, IfThenElse)
-_COUNTED_FORMULAS = (Eq, Lt, Le, Mem, Not, And, Or, Implies, Forall, Exists)
+_COUNTED = frozenset(CHILDREN).difference({IntLit, Var, ListLit, TrueF, FalseF})
 
 
-def term_footprint(term: Term) -> int:
-    weight = 1 if isinstance(term, _COUNTED_TERMS) else 0
-    if isinstance(term, (Add, Sub, Mul, Mod, Append)):
-        return weight + term_footprint(term.left) + term_footprint(term.right)
-    if isinstance(term, Cons):
-        return weight + term_footprint(term.head) + term_footprint(term.tail)
-    if isinstance(term, Length):
-        return weight + term_footprint(term.arg)
-    if isinstance(term, Count):
-        return weight + term_footprint(term.arg) + term_footprint(term.element)
-    if isinstance(term, IfThenElse):
-        return (
-            weight
-            + formula_footprint(term.cond)
-            + term_footprint(term.then)
-            + term_footprint(term.other)
-        )
-    if isinstance(term, ListLit):
-        return sum(term_footprint(e) for e in term.elements)
-    return weight
-
-
-def formula_footprint(formula: Formula) -> int:
-    weight = 1 if isinstance(formula, _COUNTED_FORMULAS) else 0
-    if isinstance(formula, (Eq, Lt, Le)):
-        return weight + term_footprint(formula.left) + term_footprint(formula.right)
-    if isinstance(formula, Mem):
-        return weight + term_footprint(formula.element) + term_footprint(formula.lst)
-    if isinstance(formula, Not):
-        return weight + formula_footprint(formula.child)
-    if isinstance(formula, (And, Or, Implies)):
-        return weight + formula_footprint(formula.left) + formula_footprint(formula.right)
-    if isinstance(formula, (Forall, Exists)):
-        return weight + formula_footprint(formula.body)
-    return weight
+def formula_footprint(node: Node) -> int:
+    """Count of operator nodes in a formula or term."""
+    kind = type(node)
+    return (1 if kind in _COUNTED else 0) + sum(map(formula_footprint, CHILDREN[kind](node)))
 
 
 def operator_footprint(goal: GoalDecl) -> int:
@@ -248,74 +261,24 @@ def operator_footprint(goal: GoalDecl) -> int:
     return formula_footprint(goal.body)
 
 
-def term_free_vars(term: Term, acc: set[str]) -> None:
-    if isinstance(term, Var):
-        acc.add(term.name)
-    elif isinstance(term, (Add, Sub, Mul, Mod, Append)):
-        term_free_vars(term.left, acc)
-        term_free_vars(term.right, acc)
-    elif isinstance(term, Cons):
-        term_free_vars(term.head, acc)
-        term_free_vars(term.tail, acc)
-    elif isinstance(term, Length):
-        term_free_vars(term.arg, acc)
-    elif isinstance(term, Count):
-        term_free_vars(term.arg, acc)
-        term_free_vars(term.element, acc)
-    elif isinstance(term, IfThenElse):
-        free_vars_into(term.cond, acc)
-        term_free_vars(term.then, acc)
-        term_free_vars(term.other, acc)
-    elif isinstance(term, ListLit):
-        for e in term.elements:
-            term_free_vars(e, acc)
-
-
-def free_vars_into(formula: Formula, acc: set[str]) -> None:
-    if isinstance(formula, (Eq, Lt, Le)):
-        term_free_vars(formula.left, acc)
-        term_free_vars(formula.right, acc)
-    elif isinstance(formula, Mem):
-        term_free_vars(formula.element, acc)
-        term_free_vars(formula.lst, acc)
-    elif isinstance(formula, Not):
-        free_vars_into(formula.child, acc)
-    elif isinstance(formula, (And, Or, Implies)):
-        free_vars_into(formula.left, acc)
-        free_vars_into(formula.right, acc)
-    elif isinstance(formula, (Forall, Exists)):
-        inner: set[str] = set()
-        free_vars_into(formula.body, inner)
-        inner.discard(formula.binder)
+def _collect_free(node: Node, acc: set[str]) -> None:
+    kind = type(node)
+    if kind is Var:
+        acc.add(node.name)
+    elif kind is Forall or kind is Exists:
+        inner = free_vars(node.body)
+        inner.discard(node.binder)
         acc |= inner
+    else:
+        for child in CHILDREN[kind](node):
+            _collect_free(child, acc)
 
 
-def free_vars(formula: Formula) -> set[str]:
+def free_vars(node: Node) -> set[str]:
+    """Names that occur free in a formula or term."""
     acc: set[str] = set()
-    free_vars_into(formula, acc)
+    _collect_free(node, acc)
     return acc
-
-
-def _subst_term(term: Term, mapping: dict[str, Term]) -> Term:
-    if isinstance(term, Var):
-        return mapping.get(term.name, term)
-    if isinstance(term, (Add, Sub, Mul, Mod, Append)):
-        return type(term)(_subst_term(term.left, mapping), _subst_term(term.right, mapping))
-    if isinstance(term, Cons):
-        return Cons(_subst_term(term.head, mapping), _subst_term(term.tail, mapping))
-    if isinstance(term, Length):
-        return Length(_subst_term(term.arg, mapping))
-    if isinstance(term, Count):
-        return Count(_subst_term(term.arg, mapping), _subst_term(term.element, mapping))
-    if isinstance(term, IfThenElse):
-        return IfThenElse(
-            _subst_formula(term.cond, mapping),
-            _subst_term(term.then, mapping),
-            _subst_term(term.other, mapping),
-        )
-    if isinstance(term, ListLit):
-        return ListLit(tuple(_subst_term(e, mapping) for e in term.elements))
-    return term
 
 
 def _fresh_name(base: str, taken: set[str]) -> str:
@@ -325,46 +288,45 @@ def _fresh_name(base: str, taken: set[str]) -> str:
     return f"{base}_{i}"
 
 
-def _subst_formula(formula: Formula, mapping: dict[str, Term]) -> Formula:
-    if isinstance(formula, (Eq, Lt, Le)):
-        return type(formula)(_subst_term(formula.left, mapping), _subst_term(formula.right, mapping))
-    if isinstance(formula, Mem):
-        return Mem(_subst_term(formula.element, mapping), _subst_term(formula.lst, mapping))
-    if isinstance(formula, Not):
-        return Not(_subst_formula(formula.child, mapping))
-    if isinstance(formula, (And, Or, Implies)):
-        return type(formula)(_subst_formula(formula.left, mapping), _subst_formula(formula.right, mapping))
-    if isinstance(formula, (Forall, Exists)):
+def _subst(node: Node, mapping: dict[str, Term]) -> Node:
+    kind = type(node)
+    if kind is Var:
+        return mapping.get(node.name, node)
+    if kind is Forall or kind is Exists:
         # The binder shadows its own name; it is renamed apart when a
         # replacement reaching the body mentions it, so nothing is captured.
-        inner = {name: term for name, term in mapping.items() if name != formula.binder}
+        inner = {name: term for name, term in mapping.items() if name != node.binder}
         if not inner:
-            return formula
-        body_free = free_vars(formula.body)
+            return node
+        body_free = free_vars(node.body)
         incoming: set[str] = set()
         for name, term in inner.items():
             if name in body_free:
-                term_free_vars(term, incoming)
-        binder = formula.binder
+                _collect_free(term, incoming)
+        binder = node.binder
         if binder in incoming:
             binder = _fresh_name(binder, body_free | incoming)
-            inner[formula.binder] = Var(binder)
-        return type(formula)(binder, formula.sort, _subst_formula(formula.body, inner))
-    return formula
+            inner[node.binder] = Var(binder)
+        return kind(binder, node.sort, _subst(node.body, inner))
+    children = CHILDREN[kind](node)
+    if not children:
+        return node
+    rebuilt = [_subst(child, mapping) for child in children]
+    return ListLit(tuple(rebuilt)) if kind is ListLit else kind(*rebuilt)
 
 
 def substitute(formula: Formula, name: str, replacement: Term) -> Formula:
     """Replace free occurrences of ``name``.  Shadowing binders stop the
     descent, and a binder that would capture a free variable of the
     replacement is renamed apart first."""
-    return _subst_formula(formula, {name: replacement})
+    return _subst(formula, {name: replacement})
 
 
 def rename_free(formula: Formula, mapping: dict[str, str]) -> Formula:
     """Rename free variables simultaneously (so a permutation of names is
     safe), renaming bound variables apart where a target name would be
     captured."""
-    return _subst_formula(formula, {old: Var(new) for old, new in mapping.items() if old != new})
+    return _subst(formula, {old: Var(new) for old, new in mapping.items() if old != new})
 
 
 def conjunct_fringe(formula: Formula) -> list[Formula]:
@@ -374,56 +336,27 @@ def conjunct_fringe(formula: Formula) -> list[Formula]:
     return [formula]
 
 
-def _canon_term(term: Term, env: dict[str, str], level: int) -> str:
-    if isinstance(term, IntLit):
-        return str(term.value)
-    if isinstance(term, Var):
-        return env.get(term.name, term.name)
-    if isinstance(term, (Add, Sub, Mul, Mod, Append)):
-        return f"{type(term).__name__}({_canon_term(term.left, env, level)},{_canon_term(term.right, env, level)})"
-    if isinstance(term, Cons):
-        return f"Cons({_canon_term(term.head, env, level)},{_canon_term(term.tail, env, level)})"
-    if isinstance(term, Length):
-        return f"Length({_canon_term(term.arg, env, level)})"
-    if isinstance(term, Count):
-        return f"Count({_canon_term(term.arg, env, level)},{_canon_term(term.element, env, level)})"
-    if isinstance(term, IfThenElse):
-        return (
-            f"Ite({_canon_formula(term.cond, env, level)},{_canon_term(term.then, env, level)},"
-            f"{_canon_term(term.other, env, level)})"
-        )
-    if isinstance(term, ListLit):
-        return "List(" + ",".join(_canon_term(e, env, level) for e in term.elements) + ")"
-    raise TypeError(f"unknown term {term!r}")
+# Key labels that differ from the class name.
+_KEY_LABELS = {TrueF: "T", FalseF: "F", IfThenElse: "Ite", ListLit: "List"}
 
 
-def _canon_formula(formula: Formula, env: dict[str, str], level: int) -> str:
-    if isinstance(formula, TrueF):
-        return "T"
-    if isinstance(formula, FalseF):
-        return "F"
-    if isinstance(formula, (Eq, Lt, Le)):
-        return f"{type(formula).__name__}({_canon_term(formula.left, env, level)},{_canon_term(formula.right, env, level)})"
-    if isinstance(formula, Mem):
-        return f"Mem({_canon_term(formula.element, env, level)},{_canon_term(formula.lst, env, level)})"
-    if isinstance(formula, Not):
-        return f"Not({_canon_formula(formula.child, env, level)})"
-    if isinstance(formula, (And, Or, Implies)):
-        return (
-            f"{type(formula).__name__}({_canon_formula(formula.left, env, level)},"
-            f"{_canon_formula(formula.right, env, level)})"
-        )
-    if isinstance(formula, (Forall, Exists)):
+def _canon(node: Node, env: dict[str, str], level: int) -> str:
+    kind = type(node)
+    if kind is Var:
+        return env.get(node.name, node.name)
+    if kind is IntLit:
+        return str(node.value)
+    if kind is Forall or kind is Exists:
         # Labelled by binding depth, not by len(env): a binder that shadows
         # a name already in scope does not grow env, so the next binder down
         # would reuse its label.
         inner = dict(env)
-        inner[formula.binder] = f"b{level}"
-        return (
-            f"{type(formula).__name__}[{formula.sort.value}]"
-            f"({_canon_formula(formula.body, inner, level + 1)})"
-        )
-    raise TypeError(f"unknown formula {formula!r}")
+        inner[node.binder] = f"b{level}"
+        return f"{kind.__name__}[{node.sort.value}]({_canon(node.body, inner, level + 1)})"
+    if kind is TrueF or kind is FalseF:
+        return _KEY_LABELS[kind]
+    args = ",".join([_canon(child, env, level) for child in CHILDREN[kind](node)])
+    return f"{_KEY_LABELS.get(kind, kind.__name__)}({args})"
 
 
 def statement_key(goal: GoalDecl) -> str:
@@ -432,7 +365,7 @@ def statement_key(goal: GoalDecl) -> str:
     are excluded."""
     env = {name: f"b{i}" for i, (name, _) in enumerate(goal.binders)}
     sorts = ",".join(sort.value for _, sort in goal.binders)
-    return f"({sorts})|{_canon_formula(goal.body, env, len(goal.binders))}"
+    return f"({sorts})|{_canon(goal.body, env, len(goal.binders))}"
 
 
 def alpha_equivalent(a: GoalDecl, b: GoalDecl) -> bool:

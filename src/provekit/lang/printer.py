@@ -8,6 +8,7 @@ are inserted wherever a child sits below the precedence its context needs.
 from __future__ import annotations
 
 from .ast import (
+    CHILDREN,
     Add,
     And,
     Append,
@@ -17,7 +18,6 @@ from .ast import (
     Exists,
     FalseF,
     Forall,
-    Formula,
     GoalDecl,
     IfThenElse,
     IntLit,
@@ -28,104 +28,92 @@ from .ast import (
     Mem,
     Mod,
     Mul,
+    Node,
     Not,
     Or,
     Implies,
     Sub,
-    Term,
     TrueF,
     Var,
 )
 
 # Formula precedence: quantifiers extend maximally right, so they act as the
-# loosest binders; Not is tightest among the connectives.
+# loosest binders; Not is tightest among the connectives.  Terms have their
+# own scale; every term binds at least as tightly as a formula context asks.
 _P_QUANT = 0
 _P_IMPLIES = 1
 _P_OR = 2
 _P_AND = 3
-_P_NOT = 4
-_P_ATOM = 5
 
-# Term precedence.
 _T_CONS = 1
 _T_ADD = 2
 _T_MUL = 3
-_T_PRIMARY = 4
+
+_LEFT, _RIGHT = "left", "right"
+
+# Infix operators as (spaced symbol, precedence, the precedence the left
+# operand must reach, the one the right operand must reach): the operand on
+# the side an operator does not associate to must bind strictly tighter.
+_INFIX = {
+    cls: (f" {symbol} ", prec, prec + (assoc == _RIGHT), prec + (assoc == _LEFT))
+    for cls, (symbol, prec, assoc) in {
+        Cons: ("::", _T_CONS, _RIGHT),
+        Append: ("++", _T_CONS, _RIGHT),
+        Add: ("+", _T_ADD, _LEFT),
+        Sub: ("-", _T_ADD, _LEFT),
+        Mul: ("*", _T_MUL, _LEFT),
+        Mod: ("%", _T_MUL, _LEFT),
+        And: ("/\\", _P_AND, _RIGHT),
+        Or: ("\\/", _P_OR, _RIGHT),
+        Implies: ("->", _P_IMPLIES, _RIGHT),
+    }.items()
+}
+
+# Atomic formulas: two terms around a symbol, never parenthesized.
+_ATOMS = {Eq: " = ", Lt: " < ", Le: " <= ", Mem: " in "}
 
 
-def format_term(term: Term, min_prec: int = _T_CONS) -> str:
-    if isinstance(term, IntLit):
-        return str(term.value)
-    if isinstance(term, Var):
-        return term.name
-    if isinstance(term, ListLit):
-        return "[" + ", ".join(format_term(e) for e in term.elements) + "]"
-    if isinstance(term, Length):
-        return f"len({format_term(term.arg)})"
-    if isinstance(term, Count):
-        return f"count({format_term(term.arg)}, {format_term(term.element)})"
-    if isinstance(term, IfThenElse):
-        return (
-            f"(if {format_formula(term.cond, _P_QUANT)} "
-            f"then {format_term(term.then)} else {format_term(term.other)})"
-        )
-    if isinstance(term, (Cons, Append)):
-        op = "::" if isinstance(term, Cons) else "++"
-        left = term.head if isinstance(term, Cons) else term.left
-        right = term.tail if isinstance(term, Cons) else term.right
-        # Right associative: the left child must bind strictly tighter.
-        text = f"{format_term(left, _T_CONS + 1)} {op} {format_term(right, _T_CONS)}"
-        return f"({text})" if _T_CONS < min_prec else text
-    if isinstance(term, (Add, Sub)):
-        op = "+" if isinstance(term, Add) else "-"
-        text = f"{format_term(term.left, _T_ADD)} {op} {format_term(term.right, _T_ADD + 1)}"
-        return f"({text})" if _T_ADD < min_prec else text
-    if isinstance(term, (Mul, Mod)):
-        op = "*" if isinstance(term, Mul) else "%"
-        text = f"{format_term(term.left, _T_MUL)} {op} {format_term(term.right, _T_MUL + 1)}"
-        return f"({text})" if _T_MUL < min_prec else text
-    raise TypeError(f"unknown term {term!r}")
-
-
-def format_formula(formula: Formula, min_prec: int = _P_QUANT) -> str:
-    if isinstance(formula, TrueF):
-        return "true"
-    if isinstance(formula, FalseF):
-        return "false"
-    if isinstance(formula, Eq):
-        return f"{format_term(formula.left)} = {format_term(formula.right)}"
-    if isinstance(formula, Lt):
-        return f"{format_term(formula.left)} < {format_term(formula.right)}"
-    if isinstance(formula, Le):
-        return f"{format_term(formula.left)} <= {format_term(formula.right)}"
-    if isinstance(formula, Mem):
-        return f"{format_term(formula.element)} in {format_term(formula.lst)}"
-    if isinstance(formula, Not):
-        # Always parenthesize the negated formula; cheap and unambiguous.
-        return f"!({format_formula(formula.child, _P_QUANT)})"
-    if isinstance(formula, And):
-        text = (
-            f"{format_formula(formula.left, _P_AND + 1)} /\\ "
-            f"{format_formula(formula.right, _P_AND)}"
-        )
-        return f"({text})" if _P_AND < min_prec else text
-    if isinstance(formula, Or):
-        text = (
-            f"{format_formula(formula.left, _P_OR + 1)} \\/ "
-            f"{format_formula(formula.right, _P_OR)}"
-        )
-        return f"({text})" if _P_OR < min_prec else text
-    if isinstance(formula, Implies):
-        text = (
-            f"{format_formula(formula.left, _P_IMPLIES + 1)} -> "
-            f"{format_formula(formula.right, _P_IMPLIES)}"
-        )
-        return f"({text})" if _P_IMPLIES < min_prec else text
-    if isinstance(formula, (Forall, Exists)):
-        kw = "forall" if isinstance(formula, Forall) else "exists"
-        text = f"{kw} {formula.binder}: {formula.sort}, {format_formula(formula.body, _P_QUANT)}"
+def format_formula(node: Node, min_prec: int = _P_QUANT) -> str:
+    """Render a formula or a term, parenthesized when it binds more loosely
+    than ``min_prec``."""
+    kind = type(node)
+    infix = _INFIX.get(kind)
+    if infix is not None:
+        symbol, prec, left_prec, right_prec = infix
+        left, right = CHILDREN[kind](node)
+        text = format_formula(left, left_prec) + symbol + format_formula(right, right_prec)
+        return f"({text})" if prec < min_prec else text
+    if kind is Var:
+        return node.name
+    if kind is IntLit:
+        return str(node.value)
+    atom = _ATOMS.get(kind)
+    if atom is not None:
+        left, right = CHILDREN[kind](node)
+        return format_formula(left) + atom + format_formula(right)
+    if kind is Forall or kind is Exists:
+        keyword = "forall" if kind is Forall else "exists"
+        text = f"{keyword} {node.binder}: {node.sort}, {format_formula(node.body)}"
         return f"({text})" if _P_QUANT < min_prec else text
-    raise TypeError(f"unknown formula {formula!r}")
+    if kind is Not:
+        # Always parenthesize the negated formula; cheap and unambiguous.
+        return f"!({format_formula(node.child)})"
+    if kind is ListLit:
+        return "[" + ", ".join([format_formula(e) for e in node.elements]) + "]"
+    if kind is Length:
+        return f"len({format_formula(node.arg)})"
+    if kind is Count:
+        return f"count({format_formula(node.arg)}, {format_formula(node.element)})"
+    if kind is IfThenElse:
+        return (
+            f"(if {format_formula(node.cond)} "
+            f"then {format_formula(node.then)} else {format_formula(node.other)})"
+        )
+    if kind is TrueF:
+        return "true"
+    if kind is FalseF:
+        return "false"
+    raise TypeError(f"unknown syntax node {kind.__name__}")
 
 
 def print_goal(goal: GoalDecl) -> str:

@@ -206,13 +206,23 @@ class GoalTree:
         self.nodes[node.name] = node
         self.order.append(node.name)
 
-    def add_lemmas(self, parent: GoalNode, lemmas: tuple[GoalDecl, ...], score: float) -> list[GoalNode]:
+    def add_lemmas(
+        self,
+        parent: GoalNode,
+        lemmas: tuple[GoalDecl, ...],
+        score: float,
+        footprints: tuple[int, ...] | None = None,
+    ) -> list[GoalNode]:
+        """Insert the lemmas below ``parent``; ``footprints`` are their
+        operator footprints when the caller already has them."""
+        if footprints is None:
+            footprints = tuple(map(operator_footprint, lemmas))
         children = []
-        for decl in lemmas:
+        for decl, footprint in zip(lemmas, footprints):
             child = GoalNode(
                 name=decl.name,
                 goal=decl,
-                footprint=operator_footprint(decl),
+                footprint=footprint,
                 depth=parent.depth + 1,
                 order=len(self.order),
                 parent=parent.name,
@@ -277,12 +287,15 @@ def evaluate_proposal(
     proposal: DecompositionProposal,
     checker: Checker,
     config: SearchConfig,
+    footprints: tuple[int, tuple[int, ...]] | None = None,
 ) -> ProposalEvaluation:
     """Run the acceptance gate for a proposal against ``goal``.
 
     Order matters: lemmas are quickchecked first and the reconstruction
     check is skipped when any lemma already failed, so a falsified lemma
-    never costs a checker call.
+    never costs a checker call.  ``footprints`` holds the operator
+    footprints of the goal and of each lemma when the caller already has
+    them.
     """
     qc_ok: list[bool] = []
     for lemma in proposal.lemmas:
@@ -315,7 +328,9 @@ def evaluate_proposal(
         reason = REASON_QC_FAILED
     recon_ok = verdict is not None and verdict.is_accepted
     gate = ValidityGate(reconstruction_ok=recon_ok, qc_ok_per_lemma=tuple(qc_ok))
-    parent_fp = operator_footprint(goal)
+    parent_fp, child_fps = footprints or (
+        operator_footprint(goal), tuple(map(operator_footprint, proposal.lemmas))
+    )
     if proposal.k == 0 and parent_fp == 0:
         # Degenerate goal with no weighted operators: treat a direct
         # discharge as full reduction rather than dividing by zero.
@@ -323,7 +338,6 @@ def evaluate_proposal(
             v=gate.value, d_parent=0, d_children=(), d_bar=0.0, r=1.0, S=float(gate.value),
         )
     else:
-        child_fps = tuple(operator_footprint(lemma) for lemma in proposal.lemmas)
         breakdown = decomposition_score(gate, parent_fp, child_fps, config.score)
     if breakdown.v == 1:
         reason = None
@@ -336,7 +350,7 @@ def evaluate_proposal(
     )
 
 
-def _proposal_json(proposal: DecompositionProposal) -> dict:
+def _proposal_json(proposal: DecompositionProposal, footprints: tuple[int, ...]) -> dict:
     return {
         "reconstruction": proposal.reconstruction,
         "rationale": proposal.rationale,
@@ -344,9 +358,9 @@ def _proposal_json(proposal: DecompositionProposal) -> dict:
             {
                 "name": lemma.name,
                 "source": print_goal(lemma),
-                "footprint": operator_footprint(lemma),
+                "footprint": footprint,
             }
-            for lemma in proposal.lemmas
+            for lemma, footprint in zip(proposal.lemmas, footprints)
         ],
     }
 
@@ -378,7 +392,7 @@ def decompose_step(
             "target_footprint": target.footprint,
             "outcome": STEP_REJECTED,
             "reason": reason,
-            "proposal": _proposal_json(proposal) if proposal is not None else None,
+            "proposal": proposal,
         }
         if evaluation is not None:
             fields["gate"] = {
@@ -427,18 +441,22 @@ def decompose_step(
     except PolicyError as exc:
         return reject(REASON_POLICY_ERROR + f": {exc}")
 
+    footprints = tuple(map(operator_footprint, proposal.lemmas))
+    proposal_json = _proposal_json(proposal, footprints)
     if proposal.k > 0:
         if target.footprint == 0:
-            return reject(REASON_ZERO_FOOTPRINT, proposal=proposal)
+            return reject(REASON_ZERO_FOOTPRINT, proposal=proposal_json)
         if tree.inserted_lemmas + proposal.k > config.max_open_lemmas:
-            return reject(REASON_LEMMA_CAP, proposal=proposal)
+            return reject(REASON_LEMMA_CAP, proposal=proposal_json)
         names = [lemma.name for lemma in proposal.lemmas]
         if len(set(names)) != len(names) or any(name in tree.nodes for name in names):
-            return reject(REASON_DUPLICATE_NAME, proposal=proposal)
+            return reject(REASON_DUPLICATE_NAME, proposal=proposal_json)
 
-    evaluation = evaluate_proposal(target.goal, proposal, checker, config)
+    evaluation = evaluate_proposal(
+        target.goal, proposal, checker, config, (target.footprint, footprints)
+    )
     if not evaluation.accepted:
-        return reject(evaluation.reason or REASON_RECONSTRUCTION, proposal=proposal, evaluation=evaluation)
+        return reject(evaluation.reason or REASON_RECONSTRUCTION, proposal=proposal_json, evaluation=evaluation)
 
     breakdown = evaluation.breakdown
     assert breakdown is not None
@@ -447,7 +465,7 @@ def decompose_step(
         target.closing_proof = proposal.reconstruction
         outcome_kind = STEP_DISCHARGED
     else:
-        tree.add_lemmas(target, proposal.lemmas, breakdown.S)
+        tree.add_lemmas(target, proposal.lemmas, breakdown.S, footprints)
         outcome_kind = STEP_ACCEPTED
     trace.emit(
         "decompose_attempt",
@@ -456,7 +474,7 @@ def decompose_step(
         target_footprint=target.footprint,
         outcome=outcome_kind,
         reason=None,
-        proposal=_proposal_json(proposal),
+        proposal=proposal_json,
         gate={
             "reconstruction_ok": evaluation.gate.reconstruction_ok,
             "qc_ok": list(evaluation.qc_ok),

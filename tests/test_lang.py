@@ -1,15 +1,23 @@
 """Parser, printer, and structural-measure tests for the goal language."""
 
+import hashlib
+import re
+from dataclasses import dataclass, replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from provekit.errors import ParseError
+import provekit
+import provekit.lang
+from provekit.errors import EvalError, ParseError
+from provekit.evaluator import _BUILDERS, Domain, eval_formula
 from provekit.lang import (
     Add,
     And,
     Eq,
     Forall,
+    Formula,
     GoalDecl,
     IntLit,
     Le,
@@ -17,8 +25,10 @@ from provekit.lang import (
     Mem,
     Not,
     Sort,
+    Term,
     Var,
     alpha_equivalent,
+    format_formula,
     formula_footprint,
     free_vars,
     operator_footprint,
@@ -27,9 +37,11 @@ from provekit.lang import (
     print_goal,
     rename_free,
     statement_key,
+    substitute,
 )
+from provekit.lang.ast import CHILDREN
 
-from corpus import random_goal
+from corpus import random_goal, wide_conjunction_goal
 
 
 def roundtrip(goal: GoalDecl) -> GoalDecl:
@@ -279,3 +291,108 @@ def test_printer_not_always_parenthesizes():
 def test_printer_renders_list_literals():
     printed = print_goal(parse_goal("goal p := [1, 2] = 1 :: 2 :: []"))
     assert "[1, 2]" in printed
+
+
+# ---------------------------------------------------------------------------
+# Traversals, pinned
+
+
+def _traversal_record(goal: GoalDecl) -> tuple:
+    body = goal.body
+    names = [name for name, _ in goal.binders]
+    quantified = re.search(r"(?:forall|exists) (\w+):", print_goal(goal))
+    inner = quantified.group(1) if quantified else "q"
+    substituted = swapped = None
+    if names:
+        substituted = tuple(
+            print_goal(replace(goal, body=substitute(body, names[0], term)))
+            for term in (IntLit(1), Var(inner))
+        )
+    if len(names) >= 2:
+        swapped = print_goal(replace(goal, body=rename_free(body, {names[0]: names[1], names[1]: names[0]})))
+    return (
+        print_goal(goal),
+        statement_key(goal),
+        operator_footprint(goal),
+        sorted(free_vars(body)),
+        substituted,
+        swapped,
+    )
+
+
+def test_traversals_are_pinned():
+    # Recorded before the per-class isinstance chains were replaced by the
+    # node table: printing, canonical keys, footprints, free variables and
+    # substitution (with replacements an inner quantifier would capture)
+    # must stay exactly as they were.
+    goals = [random_goal(s, f"g{s}", d) for s in range(300) for d in (2, 3, 4)]
+    goals += [wide_conjunction_goal(f"w{i}", 6) for i in range(10)]
+    digest = hashlib.sha256()
+    for goal in goals:
+        digest.update(repr(_traversal_record(goal)).encode())
+    assert digest.hexdigest() == "7f52fcd382f2c19076814f9c2c7e3228781a48cdbc387958ff22107142b8719c"
+
+
+# ---------------------------------------------------------------------------
+# The node table
+
+
+@dataclass(frozen=True)
+class _Unregistered(Term):
+    """A node class no table knows about."""
+
+    arg: Term
+
+
+# Every node class once: Add Sub Mul Mod Cons Append Length Count ListLit
+# IfThenElse IntLit Var, Eq Lt Le Mem Not And Or Implies Forall Exists TrueF
+# FalseF.
+_EVERY_NODE = (
+    "goal every (x: Int) (l: IntList) := forall q: Int, exists w: Int, "
+    "!(x in x :: [1] ++ l) /\\ true \\/ false -> "
+    "len(l) = count(l, x) * 2 - x % 3 + (if x < q then x else w) /\\ w <= q"
+)
+
+
+def _classes_in(node) -> set[type]:
+    seen = {type(node)}
+    for child in CHILDREN[type(node)](node):
+        seen |= _classes_in(child)
+    return seen
+
+
+def test_every_node_class_is_in_every_table():
+    classes = set(Term.__subclasses__()) | set(Formula.__subclasses__())
+    classes.discard(_Unregistered)
+    assert len(classes) == 24
+    assert classes <= set(CHILDREN)
+    assert classes <= set(_BUILDERS)
+    # The printer dispatches in code, not through a dict: print a goal that
+    # holds every class and read it back.
+    goal = parse_goal(_EVERY_NODE)
+    assert _classes_in(goal.body) == classes
+    assert parse_goal(print_goal(goal)) == goal
+
+
+def test_unregistered_node_class_is_rejected_by_every_walk():
+    # An unknown node skipped as a leaf would hide the variables below it,
+    # and the and-intro check would pass a lemma with an unbound name.
+    body = Eq(_Unregistered(Var("x")), IntLit(0))
+    goal = GoalDecl("stray", (("x", Sort.INT),), body)
+    for walk in (
+        formula_footprint,
+        free_vars,
+        lambda f: substitute(f, "x", IntLit(1)),
+        lambda f: rename_free(f, {"x": "y"}),
+        lambda f: statement_key(replace(goal, body=f)),
+        format_formula,
+    ):
+        with pytest.raises(TypeError):
+            walk(body)
+    with pytest.raises(EvalError):
+        eval_formula(body, {"x": 0}, Domain())
+
+
+def test_every_exported_name_resolves():
+    for module in (provekit, provekit.lang):
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
