@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .analytics import (
@@ -211,30 +211,14 @@ def cmd_pool_stats(args) -> int:
         for handle in handles:
             pool.await_verdict(handle)
         stats = pool.stats()
-    payload = {
-        "submitted": stats.submitted,
-        "completed": stats.completed,
-        "timed_out": stats.timed_out,
-        "cancelled": stats.cancelled,
-        "in_flight": stats.in_flight,
-        "queued": stats.queued,
-        "peak_in_flight": stats.peak_in_flight,
-        "latency_ms_p50": stats.latency_ms_p50,
-        "latency_ms_p95": stats.latency_ms_p95,
-        "latency_ms_p99": stats.latency_ms_p99,
-        "conserved": stats.conserved(),
-    }
+    payload = {**asdict(stats), "conserved": stats.conserved()}
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
-def _load_traces(path: str):
-    return read_trace_dir(path)
-
-
 def cmd_analyze(args) -> int:
     if args.report == "passk":
-        curve = pass_at_k_curve(_load_traces(args.traces))
+        curve = pass_at_k_curve(read_trace_dir(args.traces))
         rows = [(k, rate) for k, rate in curve]
         if args.out:
             write_csv(args.out, ["k", "pass_rate"], rows)
@@ -242,7 +226,7 @@ def cmd_analyze(args) -> int:
             print(f"pass@{k} = {rate:.4f}")
     elif args.report == "reduction":
         rows = []
-        for trace in _load_traces(args.traces):
+        for trace in read_trace_dir(args.traces):
             run_id = trace.header.get("run_id")
             for row in reduction_rate_curve(trace):
                 rows.append({"run_id": run_id, **row})
@@ -255,19 +239,19 @@ def cmd_analyze(args) -> int:
                 f"remaining={row['remaining_fraction']:.4f} r={row['r']:.4f}"
             )
     elif args.report == "success":
-        curve = success_vs_iterations(_load_traces(args.traces))
+        curve = success_vs_iterations(read_trace_dir(args.traces))
         if args.out:
             write_csv(args.out, ["complete_iters", "success_rate"], curve)
         for budget, rate in curve:
             print(f"budget {budget}: success {rate:.4f}")
     elif args.report == "auroc":
-        scores, labels = score_label_pairs(_load_traces(args.traces))
+        scores, labels = score_label_pairs(read_trace_dir(args.traces))
         value = auroc(scores, labels)
         if args.out:
             write_csv(args.out, ["auroc"], [(value,)])
         print(f"auroc = {value:.4f}")
     elif args.report == "stats":
-        stats = proof_stats(_load_traces(args.traces))
+        stats = proof_stats(read_trace_dir(args.traces))
         print(json.dumps(stats, indent=2, sort_keys=True))
     else:  # pragma: no cover - argparse restricts choices
         raise SystemExit(f"unknown report {args.report!r}")

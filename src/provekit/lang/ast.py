@@ -8,6 +8,7 @@ the dedup and trace machinery rely on.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable
@@ -329,10 +330,11 @@ def rename_free(formula: Formula, mapping: dict[str, str]) -> Formula:
     return _subst(formula, {old: Var(new) for old, new in mapping.items() if old != new})
 
 
-def conjunct_fringe(formula: Formula) -> list[Formula]:
-    """Leaves of the maximal conjunction tree, left to right."""
-    if isinstance(formula, And):
-        return conjunct_fringe(formula.left) + conjunct_fringe(formula.right)
+def conjunct_fringe(formula: Formula, depth: float = math.inf) -> list[Formula]:
+    """Leaves of the conjunction tree, left to right, descending at most
+    ``depth`` levels (the whole tree by default)."""
+    if depth > 0 and isinstance(formula, And):
+        return conjunct_fringe(formula.left, depth - 1) + conjunct_fringe(formula.right, depth - 1)
     return [formula]
 
 

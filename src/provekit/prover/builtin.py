@@ -198,12 +198,6 @@ def _restrict_binders(
     return tuple(b for b in binders if b[0] in used)
 
 
-def _split_fringe(body: Formula, depth: int) -> list[Formula]:
-    if depth <= 0 or not isinstance(body, And):
-        return [body]
-    return _split_fringe(body.left, depth - 1) + _split_fringe(body.right, depth - 1)
-
-
 def _direct_proposal() -> DecompositionProposal:
     return DecompositionProposal(lemmas=(), reconstruction=api.RECON_DIRECT)
 
@@ -241,7 +235,7 @@ class ConjunctionSplitter:
         goal = context.goal
         if not isinstance(goal.body, And):
             return _direct_proposal()
-        pieces = _split_fringe(goal.body, self.depth)
+        pieces = conjunct_fringe(goal.body, self.depth)
         child_depth = context.target_depth + 1
         lemmas = []
         for i, piece in enumerate(pieces, start=1):

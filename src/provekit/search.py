@@ -29,6 +29,7 @@ from .lang import GoalDecl, operator_footprint, print_goal
 from .prover import (
     ACCEPTED,
     CHECKER_ERROR,
+    DIRECT_PROOF_DIRECTIVE,
     KIND_COMPLETION,
     KIND_DIRECT,
     KIND_RECONSTRUCTION,
@@ -173,7 +174,11 @@ class SearchConfig:
 
 @dataclass
 class GoalNode:
-    """One goal in the search tree."""
+    """One goal in the search tree.
+
+    ``feedback`` keeps the failed completion attempts, oldest first, so a
+    later completion stage over the same tree resumes from them.
+    """
 
     name: str
     goal: GoalDecl
@@ -185,6 +190,8 @@ class GoalNode:
     creation_score: float = 0.0
     closing_proof: str | None = None
     closing_attempt: int | None = None
+    closing_verdict: CheckVerdict | None = None
+    feedback: list[FeedbackEntry] = field(default_factory=list)
 
 
 class GoalTree:
@@ -304,19 +311,12 @@ def evaluate_proposal(
     verdict: CheckVerdict | None = None
     reason: str | None = None
     if all(qc_ok):
-        if proposal.k == 0:
-            request = CheckRequest(
-                kind=KIND_DIRECT,
-                goal=goal,
-                proof_text=proposal.reconstruction,
-            )
-        else:
-            request = CheckRequest(
-                kind=KIND_RECONSTRUCTION,
-                goal=goal,
-                lemmas=proposal.lemmas,
-                proof_text=proposal.reconstruction,
-            )
+        request = CheckRequest(
+            kind=KIND_RECONSTRUCTION if proposal.lemmas else KIND_DIRECT,
+            goal=goal,
+            lemmas=proposal.lemmas,
+            proof_text=proposal.reconstruction,
+        )
         verdict = checker.check(request, config.check_timeout_ms)
         if verdict.status == TIMEOUT:
             reason = REASON_RECONSTRUCTION_TIMEOUT
@@ -385,12 +385,15 @@ def decompose_step(
 ) -> StepOutcome:
     """One stage-one iteration against an already-selected target."""
 
-    def reject(reason: str, *, proposal=None, evaluation=None, witness=None, trial=None) -> StepOutcome:
+    def record(
+        reason, *, outcome=STEP_REJECTED, proposal=None, evaluation=None, witness=None, trial=None
+    ) -> StepOutcome:
+        """Emit the step's one ``decompose_attempt`` event."""
         fields = {
             "iteration": iteration,
             "target": target.name,
             "target_footprint": target.footprint,
-            "outcome": STEP_REJECTED,
+            "outcome": outcome,
             "reason": reason,
             "proposal": proposal,
         }
@@ -405,7 +408,8 @@ def decompose_step(
             fields["witness"] = env_to_json(witness)
             fields["trial_index"] = trial
         trace.emit("decompose_attempt", **fields)
-        return StepOutcome(kind=STEP_REJECTED, target=target.name, reason=reason, witness=witness)
+        score = evaluation.breakdown if evaluation is not None and evaluation.accepted else None
+        return StepOutcome(kind=outcome, target=target.name, reason=reason, witness=witness, score=score)
 
     # A target that quickcheck can falsify must not be decomposed.  For the
     # root that settles the whole run; for a lemma it just parks the node
@@ -427,7 +431,7 @@ def decompose_step(
                 target=target.name,
                 witness=dict(target_qc.witness),
             )
-        return reject(REASON_TARGET_QC, witness=target_qc.witness, trial=target_qc.trial_index)
+        return record(REASON_TARGET_QC, witness=target_qc.witness, trial=target_qc.trial_index)
 
     siblings = tuple(n.goal for n in tree.open_nodes() if n.name != target.name)
     context = PolicyContext(
@@ -439,49 +443,31 @@ def decompose_step(
     try:
         proposal = policy.propose_decomposition(context)
     except PolicyError as exc:
-        return reject(REASON_POLICY_ERROR + f": {exc}")
+        return record(REASON_POLICY_ERROR + f": {exc}")
 
     footprints = tuple(map(operator_footprint, proposal.lemmas))
     proposal_json = _proposal_json(proposal, footprints)
     if proposal.k > 0:
         if target.footprint == 0:
-            return reject(REASON_ZERO_FOOTPRINT, proposal=proposal_json)
+            return record(REASON_ZERO_FOOTPRINT, proposal=proposal_json)
         if tree.inserted_lemmas + proposal.k > config.max_open_lemmas:
-            return reject(REASON_LEMMA_CAP, proposal=proposal_json)
+            return record(REASON_LEMMA_CAP, proposal=proposal_json)
         names = [lemma.name for lemma in proposal.lemmas]
         if len(set(names)) != len(names) or any(name in tree.nodes for name in names):
-            return reject(REASON_DUPLICATE_NAME, proposal=proposal_json)
+            return record(REASON_DUPLICATE_NAME, proposal=proposal_json)
 
     evaluation = evaluate_proposal(
         target.goal, proposal, checker, config, (target.footprint, footprints)
     )
     if not evaluation.accepted:
-        return reject(evaluation.reason or REASON_RECONSTRUCTION, proposal=proposal_json, evaluation=evaluation)
+        return record(evaluation.reason or REASON_RECONSTRUCTION, proposal=proposal_json, evaluation=evaluation)
 
-    breakdown = evaluation.breakdown
-    assert breakdown is not None
     if proposal.k == 0:
         target.status = GOAL_DISCHARGED
         target.closing_proof = proposal.reconstruction
-        outcome_kind = STEP_DISCHARGED
-    else:
-        tree.add_lemmas(target, proposal.lemmas, breakdown.S, footprints)
-        outcome_kind = STEP_ACCEPTED
-    trace.emit(
-        "decompose_attempt",
-        iteration=iteration,
-        target=target.name,
-        target_footprint=target.footprint,
-        outcome=outcome_kind,
-        reason=None,
-        proposal=proposal_json,
-        gate={
-            "reconstruction_ok": evaluation.gate.reconstruction_ok,
-            "qc_ok": list(evaluation.qc_ok),
-        },
-        score=breakdown.to_json(),
-    )
-    return StepOutcome(kind=outcome_kind, target=target.name, score=breakdown)
+        return record(None, outcome=STEP_DISCHARGED, proposal=proposal_json, evaluation=evaluation)
+    tree.add_lemmas(target, proposal.lemmas, evaluation.breakdown.S, footprints)
+    return record(None, outcome=STEP_ACCEPTED, proposal=proposal_json, evaluation=evaluation)
 
 
 @dataclass
@@ -534,9 +520,9 @@ def completion_stage(
     """Stage two: sweep the open leaves until all close or budgets run out.
 
     Each sweep gives every still-open leaf exactly one attempt, so a stuck
-    lemma cannot starve its siblings.  Returns (sweeps_used, audit_failures).
+    lemma cannot starve its siblings.  Each failed attempt is appended to
+    its node's ``feedback``.  Returns (sweeps_used, audit_failures).
     """
-    feedback: dict[str, list[FeedbackEntry]] = {name: [] for name in tree.order}
     audit_failures = 0
     sweeps_used = 0
     for sweep in range(1, config.complete_iters + 1):
@@ -551,7 +537,7 @@ def completion_stage(
                 goal=node.goal,
                 sibling_goals=siblings,
                 mode=MODE_COMPLETE,
-                feedback_history=tuple(feedback[node.name]),
+                feedback_history=tuple(node.feedback),
                 target_depth=node.depth,
             )
             try:
@@ -578,22 +564,18 @@ def completion_stage(
         ]
         verdicts = _dispatch_checks(requests, checker, pool, config.check_timeout_ms)
         for (node, attempt), verdict in zip(attempts, verdicts):
-            audit_ok: bool | None = None
-            if verdict.status == ACCEPTED:
-                offending = axiom_audit(verdict)
-                audit_ok = not offending
-                if audit_ok:
-                    node.status = GOAL_PROVED
-                    node.closing_proof = attempt.proof_text
-                    node.closing_attempt = sweep
-                else:
-                    # The checker said yes but leaned on a disallowed axiom;
-                    # the lemma stays unproved and the attempt goes back to
-                    # the policy as feedback like any other failure.
-                    audit_failures += 1
-                    feedback[node.name].append(FeedbackEntry(attempt.proof_text, verdict))
+            audit_ok = not axiom_audit(verdict) if verdict.status == ACCEPTED else None
+            if audit_ok:
+                node.status = GOAL_PROVED
+                node.closing_proof = attempt.proof_text
+                node.closing_attempt = sweep
+                node.closing_verdict = verdict
             else:
-                feedback[node.name].append(FeedbackEntry(attempt.proof_text, verdict))
+                # An acceptance that leaned on a disallowed axiom leaves the
+                # lemma unproved and goes back to the policy as feedback like
+                # any other failure.
+                audit_failures += audit_ok is False
+                node.feedback.append(FeedbackEntry(attempt.proof_text, verdict))
             trace.emit(
                 "complete_attempt",
                 sweep=sweep,
@@ -630,7 +612,7 @@ def run_single(
     tree = GoalTree(problem)
 
     decompose_used = 0
-    disproved: StepOutcome | None = None
+    witness: Env | None = None
     while decompose_used < config.decompose_iters:
         if time.monotonic() > deadline:
             break
@@ -640,54 +622,32 @@ def run_single(
         decompose_used += 1
         outcome = decompose_step(tree, target, policy, checker, config, trace, decompose_used)
         if outcome.kind == STEP_DISPROVED:
-            disproved = outcome
+            # A disproving step always carries its witness.
+            witness = outcome.witness
             break
 
-    if disproved is not None:
-        trace.emit(
-            "run_end",
-            outcome=OUTCOME_DISPROVED,
-            witness=env_to_json(disproved.witness or {}),
-            decompose_iterations=decompose_used,
-            complete_iterations=0,
-            lemma_count=None,
-            proof_lines=None,
-            audit_failures=0,
-            pool=_pool_counters(pool),
-        )
-        result = RunResult(
-            outcome=OUTCOME_DISPROVED,
-            problem=problem.name,
-            run_index=run_index,
-            seed=config.seed,
-            decompose_iterations=decompose_used,
-            complete_iterations=0,
-            witness=disproved.witness,
-        )
-        return result, trace
-
-    leaves = tree.leaves()
-    lemma_count = len(leaves)
-    trace.emit(
-        "stage_transition",
-        decompose_iterations=decompose_used,
-        lemma_count=lemma_count,
-        open_leaves=[n.name for n in tree.open_nodes()],
-    )
-    complete_used, audit_failures = completion_stage(
-        tree, policy, checker, config, trace, deadline, pool=pool,
-    )
-
-    if tree.all_closed():
-        outcome_name = OUTCOME_PROVED
+    lemma_count = proof_lines = None
+    complete_used = audit_failures = open_count = 0
+    if witness is not None:
+        outcome_name = OUTCOME_DISPROVED
     else:
-        outcome_name = OUTCOME_EXHAUSTED
-    proof_lines = _count_proof_lines(tree)
-    open_count = len(tree.open_nodes())
+        lemma_count = len(tree.leaves())
+        trace.emit(
+            "stage_transition",
+            decompose_iterations=decompose_used,
+            lemma_count=lemma_count,
+            open_leaves=[n.name for n in tree.open_nodes()],
+        )
+        complete_used, audit_failures = completion_stage(
+            tree, policy, checker, config, trace, deadline, pool=pool,
+        )
+        outcome_name = OUTCOME_PROVED if tree.all_closed() else OUTCOME_EXHAUSTED
+        proof_lines = _count_proof_lines(tree)
+        open_count = len(tree.open_nodes())
     trace.emit(
         "run_end",
         outcome=outcome_name,
-        witness=None,
+        witness=None if witness is None else env_to_json(witness),
         decompose_iterations=decompose_used,
         complete_iterations=complete_used,
         lemma_count=lemma_count,
@@ -706,6 +666,7 @@ def run_single(
         proof_lines=proof_lines,
         open_leaves=open_count,
         audit_failures=audit_failures,
+        witness=witness,
     )
     return result, trace
 
@@ -717,8 +678,6 @@ def _count_proof_lines(tree: GoalTree) -> int | None:
     counting those lines would just re-report the leaf count, so the figure
     is only produced when some closing proof is more than that directive.
     """
-    from .prover import DIRECT_PROOF_DIRECTIVE
-
     texts = [
         node.closing_proof
         for node in tree.leaves()

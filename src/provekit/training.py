@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ContractViolation, FilterViolation, PolicyError
@@ -20,19 +20,23 @@ from .prover import (
     ACCEPTED,
     CHECKER_ERROR,
     DEFAULT_AXIOM_ALLOWLIST,
-    KIND_COMPLETION,
-    MODE_COMPLETE,
     MODE_DECOMPOSE,
-    CheckRequest,
     CheckVerdict,
     Checker,
     DecompositionProposal,
-    FeedbackEntry,
     Policy,
     PolicyContext,
-    axiom_audit,
 )
-from .search import ProposalEvaluation, SearchConfig, evaluate_proposal, mix_seed
+from .search import (
+    GOAL_PROVED,
+    GoalTree,
+    ProposalEvaluation,
+    SearchConfig,
+    completion_stage,
+    evaluate_proposal,
+    mix_seed,
+)
+from .trace import RunTrace
 
 RECORD_DECOMPOSITION = "decomposition"
 RECORD_COMPLETION = "completion"
@@ -148,36 +152,36 @@ def policy_first_completion(
 
     The total attempt budget is ``config.complete_iters``; the first
     ``policy_attempts`` of it go to the policy under test so its successes
-    are observable separately from the safety net's.
+    are observable separately from the safety net's.  Both phases are the
+    search's completion stage over a one-goal tree, so the goal is asked
+    for exactly as a search leaf would be (no siblings, depth 0), and the
+    feedback of the policy's failures carries over to the fallback.
     """
     if policy_attempts < 0:
         raise ContractViolation("policy_attempts must be >= 0")
-    feedback: list[FeedbackEntry] = []
-    budget = config.complete_iters
-    for attempt in range(1, budget + 1):
-        source = SOURCE_POLICY if attempt <= policy_attempts else SOURCE_FALLBACK
-        active = policy if source == SOURCE_POLICY else fallback
-        context = PolicyContext(
-            goal=goal,
-            mode=MODE_COMPLETE,
-            feedback_history=tuple(feedback),
+    tree = GoalTree(goal)
+    node = tree.nodes[goal.name]
+    trace = RunTrace(header={})  # the stage's events are not kept
+    first = min(policy_attempts, config.complete_iters)
+    phases = (
+        (SOURCE_POLICY, policy, first),
+        (SOURCE_FALLBACK, fallback, config.complete_iters - first),
+    )
+    used = 0
+    for source, active, sweeps in phases:
+        completion_stage(
+            tree, active, checker, replace(config, complete_iters=sweeps), trace, float("inf")
         )
-        try:
-            candidate = active.propose_completion(context)
-        except PolicyError:
-            continue
-        request = CheckRequest(kind=KIND_COMPLETION, goal=goal, proof_text=candidate.proof_text)
-        verdict = checker.check(request, config.check_timeout_ms)
-        if verdict.status == ACCEPTED and not axiom_audit(verdict):
+        if node.status == GOAL_PROVED:
             return CompletionOutcome(
                 closed=True,
                 source=source,
-                attempts_used=attempt,
-                proof_text=candidate.proof_text,
-                verdict=verdict,
+                attempts_used=used + node.closing_attempt,
+                proof_text=node.closing_proof,
+                verdict=node.closing_verdict,
             )
-        feedback.append(FeedbackEntry(candidate.proof_text, verdict))
-    return CompletionOutcome(closed=False, source=None, attempts_used=budget)
+        used += sweeps
+    return CompletionOutcome(closed=False, source=None, attempts_used=config.complete_iters)
 
 
 class Curriculum:

@@ -1,0 +1,54 @@
+"""Every name a package module imports is used in that module.
+
+No linter ships with the project, and code moves between modules, so an
+import its last user left behind is caught here.  Package ``__init__``
+modules are skipped: their imports are the re-exports.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import provekit
+
+PACKAGE = Path(provekit.__file__).resolve().parent
+MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement and never read as a name."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_unused_imports_are_found():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path as osp\n"
+        "import xml.dom\n"
+        "from json import dumps, loads as parse\n"
+        "def f(x: dumps) -> None:\n"
+        "    return xml.dom\n"
+    )
+    assert unused_imports(source) == ["os", "osp", "parse"]
+
+
+def test_the_scan_covers_the_package():
+    names = {p.relative_to(PACKAGE).as_posix() for p in MODULES}
+    assert {"search.py", "training.py", "cli.py", "lang/ast.py", "prover/builtin.py"} <= names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
+def test_module_has_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

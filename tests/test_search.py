@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -13,9 +14,11 @@ import pytest
 
 import provekit.prover.builtin as builtin_mod
 import provekit.search as search_mod
+from corpus import random_goal, wide_conjunction_goal
 from provekit.errors import ContractViolation, PolicyError
 from provekit.evaluator import Domain
 from provekit.lang import parse_goal
+from provekit.pool import PoolConfig, VerificationPool
 from provekit.prover import (
     ACCEPTED,
     DIRECT_PROOF_DIRECTIVE,
@@ -664,6 +667,46 @@ def test_pass_k_threaded_matches_sequential():
     threaded = run_pass_k(goal, policy, CHECKER, config, max_workers=4)
     assert [r.outcome for r in sequential.runs] == [OUTCOME_PROVED] * 4
     assert [t.to_jsonl() for t in sequential.traces] == [t.to_jsonl() for t in threaded.traces]
+
+
+# sha256 of every run's trace for PIN_GOALS, recorded before training's
+# completion records came from completion_stage.  With a one-slot pool per
+# run the pool counters in run_end are deterministic too.
+PIN_DOMAIN = Domain(node_budget=25_000)
+PIN_CONFIG = SearchConfig(
+    decompose_iters=6, complete_iters=2, k_parallel=2, qc=QcConfig(trials=100, seed=0), domain=PIN_DOMAIN
+)
+PIN_GOALS = [random_goal(s, f"g{s}") for s in range(30)] + [
+    wide_conjunction_goal(f"w{n}", n) for n in (3, 5, 7)
+]
+PASS_K_TRACE_PINS = {
+    False: "269eeb56c37fa88e46b3701d55fc63e425700cd8b5c3969e3f27fc336c71f9dc",
+    True: "6f2d2c99324119e89e935d278db4a38e853195805d2e5ac2759c6f3f6c15717b",
+}
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["no_pool", "one_slot_pool"])
+def test_pass_k_traces_are_pinned(pooled):
+    digest = hashlib.sha256()
+    outcomes = set()
+    for goal in PIN_GOALS:
+        checker = BuiltinChecker(PIN_DOMAIN)
+        factory = None
+        if pooled:
+            def factory():
+                return VerificationPool(checker, PoolConfig(max_concurrent=1))
+        result = run_pass_k(
+            goal,
+            StochasticPolicy(0, PIN_DOMAIN, split_depth=3),
+            checker,
+            replace(PIN_CONFIG, seed=mix_seed(0, goal.name)),
+            pool_factory=factory,
+        )
+        outcomes.update(run.outcome for run in result.runs)
+        for trace in result.traces:
+            digest.update(trace.to_jsonl().encode())
+    assert outcomes == {OUTCOME_DISPROVED, OUTCOME_PROVED, OUTCOME_EXHAUSTED}
+    assert digest.hexdigest() == PASS_K_TRACE_PINS[pooled]
 
 
 def test_importing_the_package_does_not_load_the_thread_pool():

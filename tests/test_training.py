@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
 
+from corpus import random_goal, wide_conjunction_goal
 from provekit.errors import ContractViolation, FilterViolation, PolicyError
 from provekit.evaluator import Domain
 from provekit.lang import parse_goal
@@ -518,3 +520,55 @@ def test_collect_is_deterministic():
     records_b, _, stats_b = run()
     assert [r.to_json() for r in records_a] == [r.to_json() for r in records_b]
     assert stats_a == stats_b
+
+
+class SlowCompleter:
+    """Decomposes like its inner policy; a goal's completions fail
+    ``sum(map(ord, name)) % 4`` times before it suggests the decision
+    procedure, so some lemmas outlast the policy's attempts."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def propose_decomposition(self, context):
+        return self.inner.propose_decomposition(context)
+
+    def propose_completion(self, context):
+        failed = len(context.feedback_history)
+        patience = sum(map(ord, context.goal.name)) % 4
+        text = "decide" if failed >= patience else f"sorry {failed}"
+        return CompletionAttempt(text, failed + 1)
+
+    def fork(self, seed):
+        return SlowCompleter(self.inner.fork(seed))
+
+
+# sha256 of the exported file, recorded while policy_first_completion still
+# ran its own propose/check/audit loop.
+COLLECT_EXPORT_PIN = "1e80a6f73bb7bbbfc75e033ebb6cabaa0446abebbbbacba2c805537bf66af177"
+
+
+def test_collect_export_is_pinned(tmp_path):
+    domain = Domain(node_budget=25_000)
+    config = SearchConfig(qc=QcConfig(trials=100, seed=0), complete_iters=4, domain=domain, seed=2)
+    problems = (
+        [wide_conjunction_goal(f"w{n}", n) for n in (2, 3, 4)]
+        + [random_goal(s, f"g{s}") for s in range(12)]
+        + [GOAL_BOTH]
+    )
+    records, _, _ = collect(
+        problems,
+        SlowCompleter(StochasticPolicy(0, domain, split_depth=2)),
+        BuiltinChecker(domain),
+        config,
+        fallback=DirectSubmit(),
+        n_problems=20,
+        n_rollouts=4,
+        replay_ratio=0.5,
+        policy_attempts=2,
+    )
+    sources = {(r.source, r.attempt_index) for r in records if r.kind == RECORD_COMPLETION}
+    assert sources == {(SOURCE_POLICY, 1), (SOURCE_POLICY, 2), (SOURCE_FALLBACK, 3)}
+    path = tmp_path / "trajectories.jsonl"
+    export_trajectories(records, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == COLLECT_EXPORT_PIN
