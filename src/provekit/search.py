@@ -1,11 +1,12 @@
 """Two-stage proof search.
 
 Stage one repeatedly picks an open goal and asks the policy to either break
-it into lemmas or discharge it outright; every proposal passes a gate
-(quickcheck on each lemma, then a checker-verified reconstruction) before the
-tree is touched.  Stage two sweeps the surviving leaves, asking the policy
-for complete proofs and feeding checker diagnostics back until every leaf is
-closed or the budget runs out.
+it into lemmas or discharge it outright.  ``propose_and_gate``, which
+training rewards use too, takes every proposal through one gate (structural
+checks, quickcheck on each lemma, then a checker-verified reconstruction)
+before the tree is touched.  Stage two sweeps the surviving leaves, asking
+the policy for complete proofs and feeding checker diagnostics back until
+every leaf is closed or the budget runs out.
 
 All randomness is routed through seeds carried in the config, and traces
 never record wall-clock time, so a run is reproducible byte for byte.
@@ -276,13 +277,16 @@ def select_target(tree: GoalTree, strategy: str) -> GoalNode | None:
 
 @dataclass
 class ProposalEvaluation:
-    """Gate outputs for one decomposition proposal."""
+    """Gate outputs for one decomposition proposal, with the lemmas' operator
+    footprints.  A proposal turned away before any check (a policy error or
+    a structural rejection) has no ``gate`` and no ``breakdown``."""
 
-    qc_ok: tuple[bool, ...]
-    reconstruction_verdict: CheckVerdict | None
-    gate: ValidityGate
-    breakdown: ScoreBreakdown | None
+    footprints: tuple[int, ...]
     reason: str | None
+    qc_ok: tuple[bool, ...] = ()
+    reconstruction_verdict: CheckVerdict | None = None
+    gate: ValidityGate | None = None
+    breakdown: ScoreBreakdown | None = None
 
     @property
     def accepted(self) -> bool:
@@ -290,20 +294,28 @@ class ProposalEvaluation:
 
 
 def evaluate_proposal(
-    goal: GoalDecl,
+    tree: GoalTree,
+    target: GoalNode,
     proposal: DecompositionProposal,
     checker: Checker,
     config: SearchConfig,
-    footprints: tuple[int, tuple[int, ...]] | None = None,
 ) -> ProposalEvaluation:
-    """Run the acceptance gate for a proposal against ``goal``.
+    """Run the acceptance gate for a proposal against ``target`` in ``tree``.
 
-    Order matters: lemmas are quickchecked first and the reconstruction
-    check is skipped when any lemma already failed, so a falsified lemma
-    never costs a checker call.  ``footprints`` holds the operator
-    footprints of the goal and of each lemma when the caller already has
-    them.
+    Order matters: the structural checks (a decomposable target, the lemma
+    cap, fresh lemma names) cost nothing and come first; then lemmas are
+    quickchecked, and the reconstruction check is skipped when any lemma
+    already failed, so a falsified lemma never costs a checker call.
     """
+    footprints = tuple(map(operator_footprint, proposal.lemmas))
+    if proposal.k > 0:
+        names = [lemma.name for lemma in proposal.lemmas]
+        if target.footprint == 0:
+            return ProposalEvaluation(footprints, REASON_ZERO_FOOTPRINT)
+        if tree.inserted_lemmas + proposal.k > config.max_open_lemmas:
+            return ProposalEvaluation(footprints, REASON_LEMMA_CAP)
+        if len(set(names)) != len(names) or any(name in tree.nodes for name in names):
+            return ProposalEvaluation(footprints, REASON_DUPLICATE_NAME)
     qc_ok: list[bool] = []
     for lemma in proposal.lemmas:
         outcome = _gate_quickcheck(lemma, config.qc, config.domain)
@@ -313,7 +325,7 @@ def evaluate_proposal(
     if all(qc_ok):
         request = CheckRequest(
             kind=KIND_RECONSTRUCTION if proposal.lemmas else KIND_DIRECT,
-            goal=goal,
+            goal=target.goal,
             lemmas=proposal.lemmas,
             proof_text=proposal.reconstruction,
         )
@@ -328,26 +340,39 @@ def evaluate_proposal(
         reason = REASON_QC_FAILED
     recon_ok = verdict is not None and verdict.is_accepted
     gate = ValidityGate(reconstruction_ok=recon_ok, qc_ok_per_lemma=tuple(qc_ok))
-    parent_fp, child_fps = footprints or (
-        operator_footprint(goal), tuple(map(operator_footprint, proposal.lemmas))
-    )
-    if proposal.k == 0 and parent_fp == 0:
+    if proposal.k == 0 and target.footprint == 0:
         # Degenerate goal with no weighted operators: treat a direct
         # discharge as full reduction rather than dividing by zero.
         breakdown = ScoreBreakdown(
             v=gate.value, d_parent=0, d_children=(), d_bar=0.0, r=1.0, S=float(gate.value),
         )
     else:
-        breakdown = decomposition_score(gate, parent_fp, child_fps, config.score)
+        breakdown = decomposition_score(gate, target.footprint, footprints, config.score)
     if breakdown.v == 1:
         reason = None
-    return ProposalEvaluation(
-        qc_ok=tuple(qc_ok),
-        reconstruction_verdict=verdict,
-        gate=gate,
-        breakdown=breakdown,
-        reason=reason,
-    )
+    return ProposalEvaluation(footprints, reason, tuple(qc_ok), verdict, gate, breakdown)
+
+
+def propose_and_gate(
+    tree: GoalTree,
+    target: GoalNode,
+    policy: Policy,
+    checker: Checker,
+    config: SearchConfig,
+) -> tuple[DecompositionProposal | None, ProposalEvaluation]:
+    """Ask the policy to decompose ``target`` and gate its answer: the one
+    path from a policy to a scored proposal, for search and training alike.
+
+    A policy error comes back as a ``None`` proposal and a reason-only
+    evaluation (``policy_error: ...``).
+    """
+    siblings = tuple(n.goal for n in tree.open_nodes() if n.name != target.name)
+    context = PolicyContext(target.goal, siblings, mode=MODE_DECOMPOSE, target_depth=target.depth)
+    try:
+        proposal = policy.propose_decomposition(context)
+    except PolicyError as exc:
+        return None, ProposalEvaluation((), f"{REASON_POLICY_ERROR}: {exc}")
+    return proposal, evaluate_proposal(tree, target, proposal, checker, config)
 
 
 def _proposal_json(proposal: DecompositionProposal, footprints: tuple[int, ...]) -> dict:
@@ -397,13 +422,12 @@ def decompose_step(
             "reason": reason,
             "proposal": proposal,
         }
-        if evaluation is not None:
+        if evaluation is not None and evaluation.gate is not None:
             fields["gate"] = {
                 "reconstruction_ok": evaluation.gate.reconstruction_ok,
                 "qc_ok": list(evaluation.qc_ok),
             }
-            if evaluation.breakdown is not None:
-                fields["score"] = evaluation.breakdown.to_json()
+            fields["score"] = evaluation.breakdown.to_json()
         if witness is not None:
             fields["witness"] = env_to_json(witness)
             fields["trial_index"] = trial
@@ -433,40 +457,18 @@ def decompose_step(
             )
         return record(REASON_TARGET_QC, witness=target_qc.witness, trial=target_qc.trial_index)
 
-    siblings = tuple(n.goal for n in tree.open_nodes() if n.name != target.name)
-    context = PolicyContext(
-        goal=target.goal,
-        sibling_goals=siblings,
-        mode=MODE_DECOMPOSE,
-        target_depth=target.depth,
-    )
-    try:
-        proposal = policy.propose_decomposition(context)
-    except PolicyError as exc:
-        return record(REASON_POLICY_ERROR + f": {exc}")
-
-    footprints = tuple(map(operator_footprint, proposal.lemmas))
-    proposal_json = _proposal_json(proposal, footprints)
-    if proposal.k > 0:
-        if target.footprint == 0:
-            return record(REASON_ZERO_FOOTPRINT, proposal=proposal_json)
-        if tree.inserted_lemmas + proposal.k > config.max_open_lemmas:
-            return record(REASON_LEMMA_CAP, proposal=proposal_json)
-        names = [lemma.name for lemma in proposal.lemmas]
-        if len(set(names)) != len(names) or any(name in tree.nodes for name in names):
-            return record(REASON_DUPLICATE_NAME, proposal=proposal_json)
-
-    evaluation = evaluate_proposal(
-        target.goal, proposal, checker, config, (target.footprint, footprints)
-    )
+    proposal, evaluation = propose_and_gate(tree, target, policy, checker, config)
+    if proposal is None:
+        return record(evaluation.reason)
+    proposal_json = _proposal_json(proposal, evaluation.footprints)
     if not evaluation.accepted:
-        return record(evaluation.reason or REASON_RECONSTRUCTION, proposal=proposal_json, evaluation=evaluation)
+        return record(evaluation.reason, proposal=proposal_json, evaluation=evaluation)
 
     if proposal.k == 0:
         target.status = GOAL_DISCHARGED
         target.closing_proof = proposal.reconstruction
         return record(None, outcome=STEP_DISCHARGED, proposal=proposal_json, evaluation=evaluation)
-    tree.add_lemmas(target, proposal.lemmas, evaluation.breakdown.S, footprints)
+    tree.add_lemmas(target, proposal.lemmas, evaluation.breakdown.S, evaluation.footprints)
     return record(None, outcome=STEP_ACCEPTED, proposal=proposal_json, evaluation=evaluation)
 
 

@@ -14,27 +14,25 @@ import random
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .errors import ContractViolation, FilterViolation, PolicyError
+from .errors import ContractViolation, FilterViolation
 from .lang import GoalDecl, parse_goal, print_goal, statement_key
 from .prover import (
     ACCEPTED,
-    CHECKER_ERROR,
     DEFAULT_AXIOM_ALLOWLIST,
-    MODE_DECOMPOSE,
     CheckVerdict,
     Checker,
     DecompositionProposal,
     Policy,
-    PolicyContext,
 )
 from .search import (
     GOAL_PROVED,
+    REASON_INFRASTRUCTURE,
     GoalTree,
     ProposalEvaluation,
     SearchConfig,
     completion_stage,
-    evaluate_proposal,
     mix_seed,
+    propose_and_gate,
 )
 from .trace import RunTrace
 
@@ -90,27 +88,25 @@ def score_rollout_group(
 ) -> RolloutGroup:
     """Sample ``n_rollouts`` proposals for one goal and score each.
 
-    The policy is asked repeatedly with the same context; a stochastic
-    policy diversifies on its own RNG.  Gate failures are rewards of 0.0,
-    not errors: the learner must see them.
+    Each sample takes the search's own path (``propose_and_gate``) on a
+    one-goal tree, so the reward is S exactly when search would accept the
+    proposal.  A stochastic policy diversifies on its own RNG.  Gate
+    failures are rewards of 0.0, not errors: the learner must see them.
     """
     if n_rollouts < 1:
         raise ContractViolation("n_rollouts must be >= 1")
-    context = PolicyContext(goal=goal, mode=MODE_DECOMPOSE)
+    tree = GoalTree(goal)
+    root = tree.nodes[goal.name]
     rollouts: list[Rollout] = []
     for _ in range(n_rollouts):
-        try:
-            proposal = policy.propose_decomposition(context)
-        except PolicyError as exc:
-            rollouts.append(Rollout(None, None, None, error=f"policy_error: {exc}"))
-            continue
-        evaluation = evaluate_proposal(goal, proposal, checker, config)
-        verdict = evaluation.reconstruction_verdict
-        if verdict is not None and verdict.status == CHECKER_ERROR:
-            rollouts.append(Rollout(proposal, evaluation, None, error=verdict.diagnostics))
-            continue
-        assert evaluation.breakdown is not None
-        rollouts.append(Rollout(proposal, evaluation, evaluation.breakdown.S))
+        proposal, evaluation = propose_and_gate(tree, root, policy, checker, config)
+        if proposal is None:  # the policy failed
+            rollout = Rollout(None, None, None, error=evaluation.reason)
+        elif evaluation.reason == REASON_INFRASTRUCTURE:
+            rollout = Rollout(proposal, evaluation, None, evaluation.reconstruction_verdict.diagnostics)
+        else:
+            rollout = Rollout(proposal, evaluation, evaluation.breakdown.S if evaluation.accepted else 0.0)
+        rollouts.append(rollout)
     return RolloutGroup(goal=goal, rollouts=rollouts)
 
 

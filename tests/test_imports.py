@@ -1,8 +1,13 @@
-"""Every name a package module imports is used in that module.
+"""Static scans of the package source.
 
-No linter ships with the project, and code moves between modules, so an
-import its last user left behind is caught here.  Package ``__init__``
-modules are skipped: their imports are the re-exports.
+Every name a package module imports is used in that module.  No linter
+ships with the project, and code moves between modules, so an import its
+last user left behind is caught here.  Package ``__init__`` modules are
+skipped: their imports are the re-exports.
+
+Outside the prover package and the verification pool, only the search
+module asks a policy for a proposal, calls a checker or audits axioms, so
+search and training share one gate and one completion loop.
 """
 
 from __future__ import annotations
@@ -16,6 +21,23 @@ import provekit
 
 PACKAGE = Path(provekit.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+
+
+# Calls that only search.py may make, outside prover/ and pool.py.
+GATED_CALLS = frozenset({"propose_decomposition", "propose_completion", "axiom_audit", "check"})
+
+
+def gated_calls(source: str) -> list[str]:
+    """Names of the calls in ``source`` that are in GATED_CALLS, as
+    ``obj.name(...)`` or ``name(...)``."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in GATED_CALLS:
+                names.append(name)
+    return sorted(names)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -52,3 +74,26 @@ def test_the_scan_covers_the_package():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_gated_calls_are_found():
+    source = (
+        "from .prover import axiom_audit\n"
+        "def f(policy, checker, ctx, req):\n"
+        "    policy.propose_decomposition(ctx).lemmas\n"
+        "    checker.check(req, 10)\n"
+        "    checker.checks(req)\n"
+        "    return axiom_audit(checker), policy.propose_completion\n"
+    )
+    assert gated_calls(source) == ["axiom_audit", "check", "propose_decomposition"]
+
+
+def test_only_search_calls_the_policy_the_checker_and_the_audit():
+    callers = set()
+    for path in PACKAGE.rglob("*.py"):
+        name = path.relative_to(PACKAGE).as_posix()
+        if name.startswith("prover/") or name == "pool.py":
+            continue
+        if gated_calls(path.read_text()):
+            callers.add(name)
+    assert callers == {"search.py"}

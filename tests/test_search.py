@@ -231,10 +231,16 @@ def test_select_target_returns_none_when_all_closed():
 # --- proposal gate ---------------------------------------------------------------
 
 
+def _evaluate(goal, proposal, checker, config):
+    """Gate ``proposal`` against the root of a one-goal tree."""
+    tree = GoalTree(goal)
+    return evaluate_proposal(tree, tree.nodes[goal.name], proposal, checker, config)
+
+
 def test_discharge_proposal_sends_a_direct_check():
     goal = parse_goal("goal g (x: Int) := x + 0 = x")
     stub = StubChecker(lambda req: api.accepted())
-    evaluation = evaluate_proposal(goal, _proposal(reconstruction=RECON_DIRECT), stub, CONFIG)
+    evaluation = _evaluate(goal, _proposal(reconstruction=RECON_DIRECT), stub, CONFIG)
     assert evaluation.accepted
     assert evaluation.breakdown.S == 1.0 and evaluation.breakdown.r == 1.0
     (request,) = stub.requests
@@ -245,7 +251,7 @@ def test_discharge_proposal_sends_a_direct_check():
 def test_discharging_an_operator_free_goal_is_full_reduction():
     goal = parse_goal("goal g := true")
     stub = StubChecker(lambda req: api.accepted())
-    evaluation = evaluate_proposal(goal, _proposal(reconstruction=RECON_DIRECT), stub, CONFIG)
+    evaluation = _evaluate(goal, _proposal(reconstruction=RECON_DIRECT), stub, CONFIG)
     assert evaluation.accepted
     assert evaluation.breakdown.d_parent == 0
     assert evaluation.breakdown.S == 1.0
@@ -254,7 +260,7 @@ def test_discharging_an_operator_free_goal_is_full_reduction():
 def test_falsified_lemma_skips_the_checker():
     goal = parse_goal("goal g (x: Int) := x = x")
     stub = StubChecker(lambda req: api.accepted())
-    evaluation = evaluate_proposal(goal, _proposal("goal bad := 0 < 0"), stub, CONFIG)
+    evaluation = _evaluate(goal, _proposal("goal bad := 0 < 0"), stub, CONFIG)
     assert not evaluation.accepted
     assert evaluation.reason == REASON_QC_FAILED
     assert evaluation.qc_ok == (False,)
@@ -266,7 +272,7 @@ def test_reconstruction_request_carries_lemmas():
     goal = parse_goal("goal g (x: Int) := x + 0 = x /\\ x * 1 = x")
     stub = StubChecker(lambda req: api.accepted())
     proposal = _proposal("goal p1 (a: Int) := a + 0 = a", "goal p2 (a: Int) := a * 1 = a")
-    evaluation = evaluate_proposal(goal, proposal, stub, CONFIG)
+    evaluation = _evaluate(goal, proposal, stub, CONFIG)
     assert evaluation.accepted
     assert evaluation.qc_ok == (True, True)
     (request,) = stub.requests
@@ -286,7 +292,7 @@ def test_reconstruction_request_carries_lemmas():
 def test_checker_failures_map_to_reasons(verdict, reason):
     goal = parse_goal("goal g (x: Int) := x = x")
     stub = StubChecker(lambda req: verdict)
-    evaluation = evaluate_proposal(goal, _proposal("goal a (x: Int) := x = x"), stub, CONFIG)
+    evaluation = _evaluate(goal, _proposal("goal a (x: Int) := x = x"), stub, CONFIG)
     assert not evaluation.accepted
     assert evaluation.reason == reason
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +22,17 @@ from provekit.prover import (
 )
 from provekit.prover import api
 from provekit.quickcheck import QcConfig
-from provekit.search import SearchConfig
+from provekit.search import (
+    REASON_DUPLICATE_NAME,
+    REASON_INFRASTRUCTURE,
+    REASON_LEMMA_CAP,
+    REASON_POLICY_ERROR,
+    REASON_ZERO_FOOTPRINT,
+    STEP_ACCEPTED,
+    STEP_DISCHARGED,
+    SearchConfig,
+    run_single,
+)
 from provekit.training import (
     RECORD_COMPLETION,
     RECORD_DECOMPOSITION,
@@ -163,6 +174,62 @@ def test_rollout_group_mixes_discharge_and_split():
     assert split.reward == pytest.approx(expected, abs=1e-12)
     assert split.evaluation.breakdown.d_children == (2, 2)
     assert 0.0 < group.mean_reward() < 1.0
+
+
+# -- training reward agrees with search ---------------------------------------
+
+
+def _search_reward(goal, policy, config):
+    """The reward that the first ``decompose_attempt`` of a one-iteration
+    search implies, with its reason; ``None, None`` when quickcheck refutes
+    the root, so no proposal is asked for."""
+    _, trace = run_single(goal, policy, CHECKER, replace(config, decompose_iters=1, complete_iters=0))
+    attempts = [e for e in trace.events if e["type"] == "decompose_attempt"]
+    if not attempts:
+        return None, None
+    (event,) = attempts
+    reason = event["reason"]
+    if reason is not None and reason.split(":")[0] in (REASON_POLICY_ERROR, REASON_INFRASTRUCTURE):
+        return None, reason
+    if event["outcome"] in (STEP_ACCEPTED, STEP_DISCHARGED):
+        return event["score"]["S"], reason
+    return 0.0, reason
+
+
+def _training_reward(goal, policy, config):
+    group = score_rollout_group(goal, policy.fork(config.seed), CHECKER, config, n_rollouts=1)
+    return group.rollouts[0].reward
+
+
+@pytest.mark.parametrize(
+    "goal,lemmas,config,reason",
+    [
+        (parse_goal("goal z := true"), (parse_goal("goal z1 := true"),), CONFIG, REASON_ZERO_FOOTPRINT),
+        (GOAL_BOTH, (LEMMA_L, replace(LEMMA_R, name=LEMMA_L.name)), CONFIG, REASON_DUPLICATE_NAME),
+        (GOAL_BOTH, (replace(LEMMA_L, name=GOAL_BOTH.name), LEMMA_R), CONFIG, REASON_DUPLICATE_NAME),
+        (GOAL_BOTH, (LEMMA_L, LEMMA_R), replace(CONFIG, max_open_lemmas=1), REASON_LEMMA_CAP),
+    ],
+    ids=["zero_footprint_target", "repeated_lemma_name", "lemma_named_like_goal", "lemma_cap"],
+)
+def test_structural_rejections_score_zero_as_in_search(goal, lemmas, config, reason):
+    proposal = DecompositionProposal(lemmas, "and-intro")
+    searched, searched_reason = _search_reward(goal, ScriptedDecomposer([proposal]), config)
+    assert searched_reason == reason
+    assert _training_reward(goal, ScriptedDecomposer([proposal]), config) == searched == 0.0
+
+
+def test_training_reward_matches_search_on_random_goals():
+    policy = StochasticPolicy(0, Domain())
+    compared = []
+    for s in range(200):
+        goal = random_goal(s, f"g{s}", 3)
+        searched, reason = _search_reward(goal, policy, CONFIG)
+        if reason is None and searched is None:
+            continue  # quickcheck refuted the root
+        assert _training_reward(goal, policy, CONFIG) == searched, (goal.name, reason)
+        compared.append(searched)
+    # Both rejections and accepted splits with a partial reduction occur.
+    assert 0.0 in compared and any(0.0 < r < 1.0 for r in compared)
 
 
 # -- group filtering ---------------------------------------------------------
