@@ -30,7 +30,7 @@ from .evaluator import (
 )
 from .lang import GoalDecl, Sort, operator_footprint, parse_goal, parse_goal_file, print_goal
 from .pool import JobHandle, PoolConfig, PoolStats, VerificationPool
-from .quickcheck import Counterexample, NoCounterexample, QcConfig, quickcheck
+from .quickcheck import Counterexample, NoCounterexample, QcConfig, mix_seed, quickcheck
 from .scoring import (
     ScoreBreakdown,
     ScoreConfig,
@@ -43,7 +43,6 @@ from .search import (
     PassKResult,
     RunResult,
     SearchConfig,
-    mix_seed,
     run_pass_k,
     run_single,
 )
@@ -60,10 +59,10 @@ __all__ = [
     "GoalDecl", "Sort", "operator_footprint", "parse_goal", "parse_goal_file",
     "print_goal",
     "JobHandle", "PoolConfig", "PoolStats", "VerificationPool",
-    "Counterexample", "NoCounterexample", "QcConfig", "quickcheck",
+    "Counterexample", "NoCounterexample", "QcConfig", "mix_seed", "quickcheck",
     "ScoreBreakdown", "ScoreConfig", "ValidityGate", "decomposition_score",
     "logsumexp_footprint", "reduction_ratio",
-    "PassKResult", "RunResult", "SearchConfig", "mix_seed", "run_pass_k",
+    "PassKResult", "RunResult", "SearchConfig", "run_pass_k",
     "run_single",
     "RunTrace", "parse_trace", "read_trace", "read_trace_dir",
     "__version__",

@@ -44,8 +44,8 @@ from .prover import (
     StochasticPolicy,
     make_transport,
 )
-from .quickcheck import Counterexample, quickcheck
-from .search import SearchConfig, mix_seed, run_pass_k
+from .quickcheck import Counterexample, mix_seed, quickcheck
+from .search import SearchConfig, run_pass_k
 from .trace import read_trace_dir
 from .training import collect, export_trajectories
 

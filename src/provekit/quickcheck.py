@@ -2,8 +2,10 @@
 
 Generation is uniform and fully seeded: each call derives its own generator
 state from (seed, goal name), so outcomes are reproducible and independent
-of call order.  A reported witness is always re-verified by evaluation
-before being returned; there is no shrinking.
+of call order.  Values are drawn by rejection on ``getrandbits``, which
+yields exactly the stream ``random.randint`` would give from the same state,
+without its per-call argument checks.  A reported witness is always
+re-verified by evaluation before being returned; there is no shrinking.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ class QcConfig:
             raise ContractViolation("trials must be positive")
         if self.gen_int_lo > self.gen_int_hi:
             raise ContractViolation("empty generator integer range")
+        if self.gen_max_list_len < 0:
+            raise ContractViolation("gen_max_list_len must be >= 0")
+        if self.elem_lo > self.elem_hi:
+            raise ContractViolation("empty generator element range")
 
     @property
     def elem_lo(self) -> int:
@@ -60,30 +66,59 @@ class Counterexample:
 QcOutcome = NoCounterexample | Counterexample
 
 
+def mix_seed(seed: int, tag: str) -> int:
+    """Derive a sub-seed from a master seed and a text tag.
+
+    Runs over different problems must not share their random streams even
+    when launched with one master seed, so the tag (normally the goal name)
+    is hashed into the seed.
+    """
+    digest = hashlib.sha256(f"{seed}:{tag}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
 def derive_rng(seed: int, goal_name: str) -> random.Random:
     """Generator state owned by one quickcheck call, stable across runs."""
-    digest = hashlib.sha256(f"{seed}:{goal_name}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    return random.Random(mix_seed(seed, goal_name))
 
 
 def env_sampler(
     binders: tuple[tuple[str, Sort], ...], config: QcConfig, rng: random.Random
 ) -> Callable[[], Env]:
     """Return a function that draws one assignment per call; identical
-    generator state gives an identical sequence of environments."""
-    randint = rng.randint
-    int_lo, int_hi, max_len = config.gen_int_lo, config.gen_int_hi, config.gen_max_list_len
-    elem_lo, elem_hi = config.elem_lo, config.elem_hi
+    generator state gives an identical sequence of environments.
+
+    Each value equals what ``rng.randint`` would return at that point of the
+    stream: ``randint(lo, hi)`` is ``lo + r`` for the first
+    ``getrandbits(n.bit_length())`` draw ``r`` below ``n = hi - lo + 1``.
+    """
+    getrandbits = rng.getrandbits
+
+    def uniform(lo: int, hi: int) -> Callable[[], int]:
+        n = hi - lo + 1
+        k = n.bit_length()
+
+        def draw_one() -> int:
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            return lo + r
+
+        return draw_one
+
+    draw_int = uniform(config.gen_int_lo, config.gen_int_hi)
+    draw_len = uniform(0, config.gen_max_list_len)
+    draw_elem = uniform(config.elem_lo, config.elem_hi)
     plan = [(name, sort is Sort.INT) for name, sort in binders]
 
     def draw() -> Env:
         env: Env = {}
         for name, is_int in plan:
             if is_int:
-                env[name] = randint(int_lo, int_hi)
+                env[name] = draw_int()
             else:
                 # The length is drawn first, then the elements in order.
-                env[name] = tuple([randint(elem_lo, elem_hi) for _ in range(randint(0, max_len))])
+                env[name] = tuple([draw_elem() for _ in range(draw_len())])
         return env
 
     return draw

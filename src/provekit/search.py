@@ -14,13 +14,14 @@ never record wall-clock time, so a run is reproducible byte for byte.
 Gate quickchecks (the target check and the per-lemma checks) go through a
 bounded process-wide LRU keyed by the goal, name included, and the quickcheck
 and domain configs; quickcheck is a pure function of those, so iterations and
-pass@k samples that re-check a goal reuse the outcome.
+pass@k samples that re-check a goal reuse the outcome.  One lock serialises
+the lookups, so fan-out threads that miss on one key run its quickcheck once.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
+import threading
 import time
 from dataclasses import dataclass, field, replace
 
@@ -48,6 +49,7 @@ from .prover import (
     axiom_audit,
 )
 from .quickcheck import Counterexample, QcConfig, QcOutcome, quickcheck
+from .quickcheck import mix_seed as mix_seed  # re-exported
 from .scoring import ScoreBreakdown, ScoreConfig, ValidityGate, decomposition_score
 from .trace import RunTrace, env_to_json
 
@@ -89,20 +91,18 @@ GATE_QC_MEMO_SIZE = 64
 
 
 @functools.lru_cache(maxsize=GATE_QC_MEMO_SIZE)
-def _gate_quickcheck(goal: GoalDecl, qc: QcConfig, domain: Domain) -> QcOutcome:
+def _gate_qc_memo(goal: GoalDecl, qc: QcConfig, domain: Domain) -> QcOutcome:
     # The goal name is part of the key: quickcheck seeds its trials from it.
     return quickcheck(goal, qc, domain)
 
 
-def mix_seed(seed: int, tag: str) -> int:
-    """Derive a sub-seed from a master seed and a text tag.
+_GATE_QC_LOCK = threading.Lock()
 
-    Runs over different problems must not share their random streams even
-    when launched with one master seed, so the tag (normally the goal name)
-    is hashed into the seed.
-    """
-    digest = hashlib.sha256(f"{seed}:{tag}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+
+def _gate_quickcheck(goal: GoalDecl, qc: QcConfig, domain: Domain) -> QcOutcome:
+    # Quickcheck holds the GIL throughout, so serialising costs no parallelism.
+    with _GATE_QC_LOCK:
+        return _gate_qc_memo(goal, qc, domain)
 
 
 @dataclass
@@ -219,12 +219,10 @@ class GoalTree:
         parent: GoalNode,
         lemmas: tuple[GoalDecl, ...],
         score: float,
-        footprints: tuple[int, ...] | None = None,
+        footprints: tuple[int, ...],
     ) -> list[GoalNode]:
         """Insert the lemmas below ``parent``; ``footprints`` are their
-        operator footprints when the caller already has them."""
-        if footprints is None:
-            footprints = tuple(map(operator_footprint, lemmas))
+        operator footprints, as the gate computed them."""
         children = []
         for decl, footprint in zip(lemmas, footprints):
             child = GoalNode(

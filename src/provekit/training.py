@@ -24,6 +24,7 @@ from .prover import (
     DecompositionProposal,
     Policy,
 )
+from .quickcheck import mix_seed
 from .search import (
     GOAL_PROVED,
     REASON_INFRASTRUCTURE,
@@ -31,7 +32,6 @@ from .search import (
     ProposalEvaluation,
     SearchConfig,
     completion_stage,
-    mix_seed,
     propose_and_gate,
 )
 from .trace import RunTrace

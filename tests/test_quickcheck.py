@@ -1,4 +1,5 @@
-"""Seeded random testing: determinism, witness soundness, generator ranges."""
+"""Seeded random testing: determinism, witness soundness, generator ranges
+and the generator stream."""
 
 from __future__ import annotations
 
@@ -141,9 +142,54 @@ def test_element_range_defaults_to_integer_range():
         assert all(5 <= e <= 6 for e in env["l"])
 
 
+def _randint_sampler(binders, config, rng):
+    """The trial stream drawn with ``rng.randint``, which ``env_sampler`` must reproduce."""
+
+    def draw():
+        env = {}
+        for name, sort in binders:
+            if sort is Sort.INT:
+                env[name] = rng.randint(config.gen_int_lo, config.gen_int_hi)
+            else:
+                length = rng.randint(0, config.gen_max_list_len)
+                env[name] = tuple(rng.randint(config.elem_lo, config.elem_hi) for _ in range(length))
+        return env
+
+    return draw
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        QcConfig(),
+        QcConfig(gen_int_lo=4, gen_int_hi=4, gen_max_list_len=0),
+        QcConfig(gen_int_lo=-7, gen_int_hi=300, gen_max_list_len=7, gen_elem_lo=0, gen_elem_hi=3),
+        QcConfig(gen_int_lo=-(2**40), gen_int_hi=2**40, gen_elem_lo=-(2**33), gen_elem_hi=2**35),
+    ],
+    ids=["default", "one_value", "narrow_elements", "wider_than_2_32"],
+)
+def test_sampler_stream_equals_randint(config):
+    # Witnesses and trial indices are pinned elsewhere through this stream;
+    # a change in how CPython's randint draws from getrandbits fails here.
+    binders = (("x", Sort.INT), ("l", Sort.INT_LIST), ("y", Sort.INT), ("m", Sort.INT_LIST))
+    for seed in range(10):
+        rng, reference_rng = derive_rng(seed, "stream"), derive_rng(seed, "stream")
+        draw = env_sampler(binders, config, rng)
+        reference = _randint_sampler(binders, config, reference_rng)
+        assert [draw() for _ in range(500)] == [reference() for _ in range(500)]
+        assert rng.getstate() == reference_rng.getstate()
+
+
 @pytest.mark.parametrize(
     "kwargs",
-    [{"trials": 0}, {"trials": -3}, {"gen_int_lo": 1, "gen_int_hi": 0}],
+    [
+        {"trials": 0},
+        {"trials": -3},
+        {"gen_int_lo": 1, "gen_int_hi": 0},
+        {"gen_max_list_len": -1},
+        {"gen_elem_lo": 3, "gen_elem_hi": 1},
+        {"gen_int_lo": 5, "gen_int_hi": 9, "gen_elem_lo": 10},
+    ],
 )
 def test_bad_configs_are_rejected(kwargs):
     with pytest.raises(ContractViolation):

@@ -6,6 +6,8 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,7 +19,7 @@ import provekit.search as search_mod
 from corpus import random_goal, wide_conjunction_goal
 from provekit.errors import ContractViolation, PolicyError
 from provekit.evaluator import Domain
-from provekit.lang import parse_goal
+from provekit.lang import operator_footprint, parse_goal
 from provekit.pool import PoolConfig, VerificationPool
 from provekit.prover import (
     ACCEPTED,
@@ -181,7 +183,7 @@ def test_tree_bookkeeping():
     assert tree.inserted_lemmas == 0
 
     lemmas = (parse_goal("goal a (x: Int) := x = x"), parse_goal("goal b (x: Int) := x + 0 = x"))
-    children = tree.add_lemmas(root, lemmas, score=0.7)
+    children = tree.add_lemmas(root, lemmas, 0.7, tuple(map(operator_footprint, lemmas)))
     assert root.status == GOAL_DECOMPOSED
     assert [c.order for c in children] == [1, 2]
     assert all(c.parent == "root" and c.depth == 1 for c in children)
@@ -199,15 +201,12 @@ def test_tree_bookkeeping():
 def test_select_target_by_footprint_with_insertion_tiebreak():
     tree = _tree("goal root (x: Int) := x = x /\\ (x + 0 = x /\\ x * 1 = x)")
     root = tree.nodes["root"]
-    tree.add_lemmas(
-        root,
-        (
-            parse_goal("goal small (x: Int) := x = x"),
-            parse_goal("goal big (x: Int) := x + 0 = x /\\ x * 1 = x"),
-            parse_goal("goal twin (x: Int) := x * 1 = x /\\ x + 0 = x"),
-        ),
-        score=0.5,
+    lemmas = (
+        parse_goal("goal small (x: Int) := x = x"),
+        parse_goal("goal big (x: Int) := x + 0 = x /\\ x * 1 = x"),
+        parse_goal("goal twin (x: Int) := x * 1 = x /\\ x + 0 = x"),
     )
+    tree.add_lemmas(root, lemmas, 0.5, tuple(map(operator_footprint, lemmas)))
     target = select_target(tree, CONFIG.target_strategy)
     assert target is not None and target.name == "big"  # ties break to earliest
 
@@ -215,8 +214,10 @@ def test_select_target_by_footprint_with_insertion_tiebreak():
 def test_select_target_by_creation_score():
     tree = _tree("goal root := 0 = 0 /\\ 1 = 1")
     root = tree.nodes["root"]
-    (weak,) = tree.add_lemmas(root, (parse_goal("goal weak := 0 = 0"),), score=0.2)
-    strong = tree.add_lemmas(root, (parse_goal("goal strong := 1 = 1"),), score=0.9)[0]
+    lemmas = (parse_goal("goal weak := 0 = 0"),)
+    (weak,) = tree.add_lemmas(root, lemmas, 0.2, tuple(map(operator_footprint, lemmas)))
+    lemmas = (parse_goal("goal strong := 1 = 1"),)
+    strong = tree.add_lemmas(root, lemmas, 0.9, tuple(map(operator_footprint, lemmas)))[0]
     assert weak.footprint == strong.footprint
     target = select_target(tree, TARGET_HIGHEST_SCORE)
     assert target is not None and target.name == "strong"
@@ -316,7 +317,8 @@ def test_refuted_root_disproves_the_run():
 def test_refuted_lemma_is_rejected_not_disproved():
     tree = _tree("goal root (x: Int) := x = x")
     root = tree.nodes["root"]
-    (lemma,) = tree.add_lemmas(root, (parse_goal("goal lem (x: Int) := 0 <= x"),), score=0.5)
+    lemmas = (parse_goal("goal lem (x: Int) := 0 <= x"),)
+    (lemma,) = tree.add_lemmas(root, lemmas, 0.5, tuple(map(operator_footprint, lemmas)))
     trace = _trace()
     outcome = decompose_step(tree, lemma, ScriptedPolicy(), CHECKER, CONFIG, trace, 1)
     assert outcome.kind == STEP_REJECTED
@@ -420,7 +422,8 @@ def test_accepted_discharge_closes_the_target():
 def _completion_tree():
     tree = _tree("goal root (x: Int) := x = x")
     root = tree.nodes["root"]
-    tree.add_lemmas(root, (parse_goal("goal leaf (x: Int) := x + 0 = x"),), score=0.5)
+    lemmas = (parse_goal("goal leaf (x: Int) := x + 0 = x"),)
+    tree.add_lemmas(root, lemmas, 0.5, tuple(map(operator_footprint, lemmas)))
     return tree
 
 
@@ -490,11 +493,8 @@ def test_completion_policy_error_skips_that_leaf():
 def test_each_sweep_attempts_every_open_leaf():
     tree = _tree("goal root (x: Int) := x = x /\\ x + 0 = x")
     root = tree.nodes["root"]
-    tree.add_lemmas(
-        root,
-        (parse_goal("goal a (x: Int) := x = x"), parse_goal("goal b (x: Int) := x + 0 = x")),
-        score=0.5,
-    )
+    lemmas = (parse_goal("goal a (x: Int) := x = x"), parse_goal("goal b (x: Int) := x + 0 = x"))
+    tree.add_lemmas(root, lemmas, 0.5, tuple(map(operator_footprint, lemmas)))
     trace = _trace()
     sweeps, _ = completion_stage(
         tree, ScriptedPolicy(), CHECKER, CONFIG, trace, deadline=float("inf")
@@ -782,7 +782,7 @@ def _count_gate_quickchecks(monkeypatch) -> list[str]:
         return quickcheck(goal, qc, domain)
 
     monkeypatch.setattr(search_mod, "quickcheck", counting)
-    search_mod._gate_quickcheck.cache_clear()
+    search_mod._gate_qc_memo.cache_clear()
     return calls
 
 
@@ -818,6 +818,35 @@ def test_gate_memo_keeps_each_goal_name_s_counterexample(monkeypatch):
     assert calls == ["first", "second"]
 
 
+def test_gate_memo_runs_a_key_once_across_threads(monkeypatch):
+    # Fan-out threads that miss on one key together must not both run the
+    # quickcheck; the stub sleeps so that, unserialised, both would miss.
+    calls = []
+
+    def slow(goal, qc, domain):
+        calls.append(goal.name)
+        time.sleep(0.2)
+        return quickcheck(goal, qc, domain)
+
+    monkeypatch.setattr(search_mod, "quickcheck", slow)
+    search_mod._gate_qc_memo.cache_clear()
+    goal = parse_goal("goal shared (x: Int) := x + 0 = x")
+    start = threading.Barrier(2)
+    outcomes = []
+
+    def ask():
+        start.wait()
+        outcomes.append(search_mod._gate_quickcheck(goal, CONFIG.qc, CONFIG.domain))
+
+    threads = [threading.Thread(target=ask) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert calls == ["shared"]
+    assert outcomes == [quickcheck(goal, CONFIG.qc, CONFIG.domain)] * 2
+
+
 def test_pass_k_traces_do_not_depend_on_memo_state(monkeypatch):
     decides = []
     real = builtin_mod.decide_bounded
@@ -831,7 +860,7 @@ def test_pass_k_traces_do_not_depend_on_memo_state(monkeypatch):
     config = replace(CONFIG, k_parallel=4, seed=3)
     policy = StochasticPolicy(0, DOMAIN)
 
-    search_mod._gate_quickcheck.cache_clear()
+    search_mod._gate_qc_memo.cache_clear()
     fresh = run_pass_k(goal, policy, BuiltinChecker(DOMAIN), config, max_workers=1)
     cold_decides = len(decides)
 
