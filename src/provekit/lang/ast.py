@@ -243,6 +243,99 @@ CHILDREN: dict[type, Callable[[Node], tuple[Node, ...]]] = _NodeTable({
 
 
 # ---------------------------------------------------------------------------
+# The operator table
+
+LEFT, RIGHT, NONASSOC = "left", "right", "nonassoc"
+
+# Every infix operator and atomic comparison, loosest first: ASCII symbol,
+# node class, precedence and associativity.  The parser climbs this table
+# and the printer parenthesizes by it, so the two agree by construction.
+# Quantifiers bind loosest of all (their bodies extend as far right as they
+# can), and ``!`` takes a comparison as its operand.
+OPERATORS = (
+    ("->", Implies, 1, RIGHT),
+    ("\\/", Or, 2, RIGHT),
+    ("/\\", And, 3, RIGHT),
+    ("=", Eq, 4, NONASSOC),
+    ("<", Lt, 4, NONASSOC),
+    ("<=", Le, 4, NONASSOC),
+    ("in", Mem, 4, NONASSOC),
+    ("::", Cons, 5, RIGHT),
+    ("++", Append, 5, RIGHT),
+    ("+", Add, 6, LEFT),
+    ("-", Sub, 6, LEFT),
+    ("*", Mul, 7, LEFT),
+    ("%", Mod, 7, LEFT),
+)
+
+
+# ---------------------------------------------------------------------------
+# Sorts
+
+# The sort of a formula.  It is not a Sort, so no binder can have it.
+_PROP = "Prop"
+# The sort variable of the polymorphic nodes: every _A in one signature is
+# the same term sort.
+_A = "A"
+
+_INT, _LIST = Sort.INT, Sort.INT_LIST
+
+# Each node class's child sorts, in CHILDREN order, and its own sort.  A
+# variable's sort comes from its binder, and a list literal's elements are
+# all Int.
+_SIGNATURES = _NodeTable({
+    IntLit: ((), _INT),
+    **dict.fromkeys((TrueF, FalseF), ((), _PROP)),
+    **dict.fromkeys((Add, Sub, Mul, Mod), ((_INT, _INT), _INT)),
+    ListLit: ((), _LIST),
+    Cons: ((_INT, _LIST), _LIST),
+    Append: ((_LIST, _LIST), _LIST),
+    Length: ((_LIST,), _INT),
+    Count: ((_LIST, _INT), _INT),
+    IfThenElse: ((_PROP, _A, _A), _A),
+    Eq: ((_A, _A), _PROP),
+    **dict.fromkeys((Lt, Le), ((_INT, _INT), _PROP)),
+    Mem: ((_INT, _LIST), _PROP),
+    Not: ((_PROP,), _PROP),
+    **dict.fromkeys((And, Or, Implies), ((_PROP, _PROP), _PROP)),
+    **dict.fromkeys((Forall, Exists), ((_PROP,), _PROP)),
+})
+
+# How sort errors name a node: its operator symbol or keyword.
+_SPELLING = {cls: symbol for symbol, cls, _, _ in OPERATORS} | {
+    Not: "!", Forall: "forall", Exists: "exists", Length: "len", Count: "count",
+    IfThenElse: "if", ListLit: "[...]",
+}
+
+
+class _IllSorted(Exception):
+    pass
+
+
+def _sort_of(node: Node, scope: dict[str, Sort]):
+    kind = type(node)
+    if kind is Var:
+        if node.name not in scope:
+            raise _IllSorted(f"unbound variable {node.name!r}")
+        return scope[node.name]
+    params, result = _SIGNATURES[kind]
+    children = CHILDREN[kind](node)
+    if kind is ListLit:
+        params = (_INT,) * len(children)
+    elif kind is Forall or kind is Exists:
+        scope = {**scope, node.binder: node.sort}
+    bound = None
+    for param, child in zip(params, children):
+        sort = _sort_of(child, scope)
+        if param is _A:
+            # The first child binds the sort variable, to a term sort only.
+            param = bound = bound or (sort if sort is not _PROP else "a term")
+        if sort is not param:
+            raise _IllSorted(f"sort mismatch: {_SPELLING[kind]!r} expects {param}, got {sort}")
+    return bound if result is _A else result
+
+
+# ---------------------------------------------------------------------------
 # Structural measures and helpers
 
 # Nodes that count one step of logical or domain structure.  Variable
@@ -372,3 +465,14 @@ def statement_key(goal: GoalDecl) -> str:
 
 def alpha_equivalent(a: GoalDecl, b: GoalDecl) -> bool:
     return statement_key(a) == statement_key(b)
+
+
+def sort_error(goal: GoalDecl) -> str | None:
+    """Why the goal is ill-sorted, naming the offending operator, or None
+    when every operator gets operands of its sorts, every variable is
+    bound and the body is a formula."""
+    try:
+        sort = _sort_of(goal.body, dict(goal.binders))
+    except _IllSorted as exc:
+        return str(exc)
+    return None if sort is _PROP else f"sort mismatch: the goal body is {sort}, not a formula"

@@ -7,24 +7,27 @@ One declaration per ``goal`` keyword:
 ASCII spellings are canonical (``/\\``, ``\\/``, ``->``, ``!``, ``in``,
 ``::``, ``++``); the common Unicode aliases are accepted on input.  ``>``,
 ``>=`` and ``!=`` are sugar for the flipped or negated core comparisons.
+
+One precedence-climbing loop over ``ast.OPERATORS`` (Pratt, 1973) parses
+terms and formulas alike; ``ast.sort_error`` then rejects a declaration
+that mixes them up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from ..errors import ParseError
 from .ast import (
-    Add,
-    And,
-    Append,
-    Cons,
+    NONASSOC,
+    OPERATORS,
+    RIGHT,
     Count,
     Eq,
     Exists,
     FalseF,
     Forall,
-    Formula,
     GoalDecl,
     IfThenElse,
     IntLit,
@@ -32,18 +35,13 @@ from .ast import (
     Length,
     ListLit,
     Lt,
-    Mem,
-    Mod,
-    Mul,
     Not,
-    Or,
-    Implies,
+    Node,
     Sort,
     SourceSpan,
-    Sub,
-    Term,
     TrueF,
     Var,
+    sort_error,
 )
 
 KEYWORDS = {
@@ -65,78 +63,78 @@ _UNICODE_ALIASES = {
     "≠": ("SYM", "!="),
 }
 
-# Longest first so maximal munch works with a simple scan.
+# Longest first: the regex alternation takes the first symbol that matches.
 _SYMBOLS = [
     ":=", "::", "<=", ">=", "!=", "++", "->", "/\\", "\\/",
     "(", ")", "[", "]", ",", ":", "=", "<", ">", "!", "+", "-", "*", "%",
 ]
 
+# One alternative per token class.  A word is a run of \w (letters, digits
+# of any script, underscore) and must start with a letter or underscore;
+# integer literals are ASCII digits only.
+_TOKEN = re.compile(
+    "|".join([
+        r"(?P<NL>\n)",
+        r"(?P<WS>[ \t\r]+)",
+        r"(?P<COMMENT>#[^\n]*)",
+        r"(?P<INT>[0-9]+)",
+        r"(?P<WORD>\w+)",
+        f"(?P<ALIAS>[{''.join(_UNICODE_ALIASES)}])",
+        "(?P<SYM>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
+        r"(?P<BAD>.)",
+    ]),
+    re.DOTALL,
+)
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str          # "INT" | "IDENT" | "KW" | "SYM" | "EOF"
     text: str
     line: int
     column: int
 
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.column, max(len(self.text), 1))
-
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
+    line, line_start, end = 1, 0, 0
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        # A comment advances no column, which only shows at end of input.
+        end = match.start() if kind == "COMMENT" else match.end()
+        if kind == "NL":
             line += 1
-            col = 1
-            i += 1
+            line_start = end
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "WS" or kind == "COMMENT":
             continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch in _UNICODE_ALIASES:
-            kind, text = _UNICODE_ALIASES[ch]
-            tokens.append(Token(kind, text, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            tokens.append(Token("INT", source[start:i], line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
-            tokens.append(Token("KW" if text in KEYWORDS else "IDENT", text, line, col))
-            col += i - start
-            continue
-        for sym in _SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(Token("SYM", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+        text = match.group()
+        column = match.start() - line_start + 1
+        if kind == "WORD":
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise ParseError(f"unexpected character {text[0]!r}", line, column)
+            kind = "KW" if text in KEYWORDS else "IDENT"
+        elif kind == "ALIAS":
+            kind, text = _UNICODE_ALIASES[text]
+        elif kind == "BAD":
+            raise ParseError(f"unexpected character {text!r}", line, column)
+        tokens.append(Token(kind, text, line, column))
+    tokens.append(Token("EOF", "", line, end - line_start + 1))
     return tokens
 
 
-_COMPARISON_SYMS = {"=", "<", "<=", ">", ">=", "!="}
+# Infix spellings as (precedence, associativity, node builder): the table's
+# operators plus the comparison sugar.
+_INFIX = {symbol: (prec, assoc, cls) for symbol, cls, prec, assoc in OPERATORS}
+_COMPARISON = _INFIX["="][0]
+_INFIX.update({
+    ">": (_COMPARISON, NONASSOC, lambda left, right: Lt(right, left)),
+    ">=": (_COMPARISON, NONASSOC, lambda left, right: Le(right, left)),
+    "!=": (_COMPARISON, NONASSOC, lambda left, right: Not(Eq(left, right))),
+})
+# The precedence a term position (a list element, an argument of len or
+# count, an if branch) parses at: term operators only.
+_TERM = _COMPARISON + 1
+_SORTS = {"Int": Sort.INT, "IntList": Sort.INT_LIST}
 
 
 class _Parser:
@@ -154,26 +152,19 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def at_sym(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "SYM" and tok.text == text
-
-    def at_kw(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "KW" and tok.text == text
-
-    def expect_sym(self, text: str) -> Token:
-        if not self.at_sym(text):
+    def expect(self, text: str) -> Token:
+        # Symbols and keywords never share their text with another token.
+        if self.peek().text != text:
             self.fail(f"expected {text!r}")
         return self.advance()
 
-    def expect_kw(self, text: str) -> Token:
-        if not self.at_kw(text):
-            self.fail(f"expected {text!r}")
+    def expect_name(self, what: str) -> Token:
+        if self.peek().kind != "IDENT":
+            self.fail(f"expected {what}")
         return self.advance()
 
-    def fail(self, message: str) -> None:
-        tok = self.peek()
+    def fail(self, message: str, tok: Token | None = None) -> None:
+        tok = tok or self.peek()
         shown = tok.text or "end of input"
         raise ParseError(f"{message}, found {shown!r}", tok.line, tok.column, max(len(tok.text), 1))
 
@@ -185,7 +176,7 @@ class _Parser:
         while self.peek().kind != "EOF":
             decl = self.parse_decl()
             if decl.name in seen:
-                span = decl.span or SourceSpan(1, 1)
+                span = decl.span
                 raise ParseError(
                     f"duplicate goal name {decl.name!r}", span.line, span.column, span.length
                 )
@@ -194,275 +185,110 @@ class _Parser:
         return decls
 
     def parse_decl(self) -> GoalDecl:
-        self.expect_kw("goal")
-        name_tok = self.peek()
-        if name_tok.kind != "IDENT":
-            self.fail("expected goal name")
-        self.advance()
-        binders: list[tuple[str, Sort]] = []
-        scope: dict[str, Sort] = {}
-        while self.at_sym("("):
+        self.expect("goal")
+        name_tok = self.expect_name("goal name")
+        binders: dict[str, Sort] = {}
+        while self.peek().text == "(":
             self.advance()
-            btok = self.peek()
-            if btok.kind != "IDENT":
-                self.fail("expected binder name")
-            self.advance()
-            self.expect_sym(":")
+            btok = self.expect_name("binder name")
+            self.expect(":")
             sort = self.parse_sort()
-            self.expect_sym(")")
-            if btok.text in scope:
+            self.expect(")")
+            if btok.text in binders:
                 raise ParseError(
                     f"duplicate binder {btok.text!r}", btok.line, btok.column, len(btok.text)
                 )
-            scope[btok.text] = sort
-            binders.append((btok.text, sort))
-        self.expect_sym(":=")
-        body = self.parse_formula(scope)
-        return GoalDecl(name_tok.text, tuple(binders), body, span=name_tok.span)
+            binders[btok.text] = sort
+        self.expect(":=")
+        body = self.parse_expression(0, frozenset(binders))
+        span = SourceSpan(name_tok.line, name_tok.column, len(name_tok.text))
+        decl = GoalDecl(name_tok.text, tuple(binders.items()), body, span=span)
+        error = sort_error(decl)
+        if error is not None:
+            raise ParseError(error, span.line, span.column, span.length)
+        return decl
 
     def parse_sort(self) -> Sort:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text == "Int":
-            self.advance()
-            return Sort.INT
-        if tok.kind == "IDENT" and tok.text == "IntList":
-            self.advance()
-            return Sort.INT_LIST
-        self.fail("unknown sort (expected Int or IntList)")
-        raise AssertionError  # unreachable
+        tok = self.advance()
+        if tok.kind != "IDENT" or tok.text not in _SORTS:
+            self.fail("unknown sort (expected Int or IntList)", tok)
+        return _SORTS[tok.text]
 
-    # -- formulas ----------------------------------------------------------
+    # -- expressions -------------------------------------------------------
 
-    def parse_formula(self, scope: dict[str, Sort]) -> Formula:
-        return self.parse_implies(scope)
+    def parse_expression(self, min_prec: int, scope: frozenset[str]) -> Node:
+        """Parse a prefix expression, then every infix operator that binds
+        at least as tightly as ``min_prec``.  A non-associative operator
+        ends the run of operators at its own precedence."""
+        left = self.parse_prefix(scope)
+        closed = None  # the precedence of a non-associative operator just applied
+        while True:
+            entry = _INFIX.get(self.tokens[self.pos].text)
+            if entry is None:
+                return left
+            prec, assoc, build = entry
+            if prec < min_prec or prec == closed:
+                return left
+            self.pos += 1
+            right = self.parse_expression(prec if assoc == RIGHT else prec + 1, scope)
+            left = build(left, right)
+            closed = prec if assoc == NONASSOC else None
 
-    def parse_implies(self, scope: dict[str, Sort]) -> Formula:
-        left = self.parse_or(scope)
-        if self.at_sym("->"):
-            self.advance()
-            return Implies(left, self.parse_formula(scope))
-        return left
-
-    def parse_or(self, scope: dict[str, Sort]) -> Formula:
-        left = self.parse_and(scope)
-        if self.at_sym("\\/"):
-            self.advance()
-            return Or(left, self.parse_or(scope))
-        return left
-
-    def parse_and(self, scope: dict[str, Sort]) -> Formula:
-        left = self.parse_not(scope)
-        if self.at_sym("/\\"):
-            self.advance()
-            return And(left, self.parse_and(scope))
-        return left
-
-    def parse_not(self, scope: dict[str, Sort]) -> Formula:
-        if self.at_sym("!"):
-            self.advance()
-            return Not(self.parse_not(scope))
-        return self.parse_atom(scope)
-
-    def parse_quantifier(self, scope: dict[str, Sort]) -> Formula:
-        ctor = Forall if self.peek().text == "forall" else Exists
-        self.advance()
-        btok = self.peek()
-        if btok.kind != "IDENT":
-            self.fail("expected bound variable name")
-        self.advance()
-        self.expect_sym(":")
-        sort = self.parse_sort()
-        self.expect_sym(",")
-        inner = dict(scope)
-        inner[btok.text] = sort
-        return ctor(btok.text, sort, self.parse_formula(inner))
-
-    def parse_atom(self, scope: dict[str, Sort]) -> Formula:
-        tok = self.peek()
-        if tok.kind == "KW" and tok.text in ("forall", "exists"):
-            return self.parse_quantifier(scope)
-        if self.at_kw("true"):
-            self.advance()
-            return TrueF()
-        if self.at_kw("false"):
-            self.advance()
-            return FalseF()
-        if self.at_sym("("):
-            # Could open a parenthesized formula or the left term of a
-            # comparison; try the comparison route first and back off.
-            saved = self.pos
+    def parse_prefix(self, scope: frozenset[str]) -> Node:
+        tok = self.advance()
+        kind, text = tok.kind, tok.text
+        if kind == "IDENT":
+            if text not in scope:
+                raise ParseError(f"unbound variable {text!r}", tok.line, tok.column, len(text))
+            return Var(text)
+        if kind == "INT" or (text == "-" and self.peek().kind == "INT"):
+            lit = tok if kind == "INT" else self.advance()
             try:
-                return self.parse_comparison(scope)
-            except ParseError:
-                self.pos = saved
-            self.advance()
-            inner = self.parse_formula(scope)
-            self.expect_sym(")")
+                value = int(lit.text)
+            except ValueError:  # past the interpreter's limit on integer digits
+                raise ParseError("integer literal too long", lit.line, lit.column, len(lit.text)) from None
+            return IntLit(value if kind == "INT" else -value)
+        if text == "(":
+            inner = self.parse_expression(0, scope)
+            self.expect(")")
             return inner
-        return self.parse_comparison(scope)
-
-    def parse_comparison(self, scope: dict[str, Sort]) -> Formula:
-        op_tok_start = self.peek()
-        left, left_sort = self.parse_term(scope)
-        tok = self.peek()
-        if tok.kind == "KW" and tok.text == "in":
-            self.advance()
-            right, right_sort = self.parse_term(scope)
-            self.check_sort(Sort.INT, left_sort, op_tok_start)
-            self.check_sort(Sort.INT_LIST, right_sort, tok)
-            return Mem(left, right)
-        if tok.kind != "SYM" or tok.text not in _COMPARISON_SYMS:
-            self.fail("expected comparison operator")
-        self.advance()
-        right, right_sort = self.parse_term(scope)
-        if tok.text == "=":
-            if left_sort != right_sort:
-                raise ParseError(
-                    f"sort mismatch: {left_sort} = {right_sort}", tok.line, tok.column
-                )
-            return Eq(left, right)
-        if tok.text == "!=":
-            if left_sort != right_sort:
-                raise ParseError(
-                    f"sort mismatch: {left_sort} != {right_sort}", tok.line, tok.column
-                )
-            return Not(Eq(left, right))
-        self.check_sort(Sort.INT, left_sort, tok)
-        self.check_sort(Sort.INT, right_sort, tok)
-        if tok.text == "<":
-            return Lt(left, right)
-        if tok.text == "<=":
-            return Le(left, right)
-        if tok.text == ">":
-            return Lt(right, left)
-        return Le(right, left)  # ">="
-
-    def check_sort(self, expected: Sort, actual: Sort, tok: Token) -> None:
-        if expected != actual:
-            raise ParseError(
-                f"sort mismatch: expected {expected}, got {actual}",
-                tok.line,
-                tok.column,
-                max(len(tok.text), 1),
-            )
-
-    # -- terms ---------------------------------------------------------------
-
-    def parse_term(self, scope: dict[str, Sort]) -> tuple[Term, Sort]:
-        return self.parse_cons(scope)
-
-    def parse_cons(self, scope: dict[str, Sort]) -> tuple[Term, Sort]:
-        left, left_sort = self.parse_additive(scope)
-        tok = self.peek()
-        if tok.kind == "SYM" and tok.text == "::":
-            self.advance()
-            right, right_sort = self.parse_cons(scope)
-            self.check_sort(Sort.INT, left_sort, tok)
-            self.check_sort(Sort.INT_LIST, right_sort, tok)
-            return Cons(left, right), Sort.INT_LIST
-        if tok.kind == "SYM" and tok.text == "++":
-            self.advance()
-            right, right_sort = self.parse_cons(scope)
-            self.check_sort(Sort.INT_LIST, left_sort, tok)
-            self.check_sort(Sort.INT_LIST, right_sort, tok)
-            return Append(left, right), Sort.INT_LIST
-        return left, left_sort
-
-    def parse_additive(self, scope: dict[str, Sort]) -> tuple[Term, Sort]:
-        left, left_sort = self.parse_multiplicative(scope)
-        while True:
-            tok = self.peek()
-            if tok.kind == "SYM" and tok.text in ("+", "-"):
-                self.advance()
-                right, right_sort = self.parse_multiplicative(scope)
-                self.check_sort(Sort.INT, left_sort, tok)
-                self.check_sort(Sort.INT, right_sort, tok)
-                left = Add(left, right) if tok.text == "+" else Sub(left, right)
-                left_sort = Sort.INT
-            else:
-                return left, left_sort
-
-    def parse_multiplicative(self, scope: dict[str, Sort]) -> tuple[Term, Sort]:
-        left, left_sort = self.parse_primary(scope)
-        while True:
-            tok = self.peek()
-            if tok.kind == "SYM" and tok.text in ("*", "%"):
-                self.advance()
-                right, right_sort = self.parse_primary(scope)
-                self.check_sort(Sort.INT, left_sort, tok)
-                self.check_sort(Sort.INT, right_sort, tok)
-                left = Mul(left, right) if tok.text == "*" else Mod(left, right)
-                left_sort = Sort.INT
-            else:
-                return left, left_sort
-
-    def parse_primary(self, scope: dict[str, Sort]) -> tuple[Term, Sort]:
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.advance()
-            return IntLit(int(tok.text)), Sort.INT
-        if tok.kind == "SYM" and tok.text == "-" and self.tokens[self.pos + 1].kind == "INT":
-            self.advance()
-            lit = self.advance()
-            return IntLit(-int(lit.text)), Sort.INT
-        if tok.kind == "IDENT":
-            self.advance()
-            if tok.text not in scope:
-                raise ParseError(
-                    f"unbound variable {tok.text!r}", tok.line, tok.column, len(tok.text)
-                )
-            return Var(tok.text), scope[tok.text]
-        if tok.kind == "KW" and tok.text == "len":
-            self.advance()
-            self.expect_sym("(")
-            arg, arg_sort = self.parse_term(scope)
-            self.check_sort(Sort.INT_LIST, arg_sort, tok)
-            self.expect_sym(")")
-            return Length(arg), Sort.INT
-        if tok.kind == "KW" and tok.text == "count":
-            self.advance()
-            self.expect_sym("(")
-            arg, arg_sort = self.parse_term(scope)
-            self.check_sort(Sort.INT_LIST, arg_sort, tok)
-            self.expect_sym(",")
-            elem, elem_sort = self.parse_term(scope)
-            self.check_sort(Sort.INT, elem_sort, tok)
-            self.expect_sym(")")
-            return Count(arg, elem), Sort.INT
-        if tok.kind == "KW" and tok.text == "if":
-            self.advance()
-            cond = self.parse_formula(scope)
-            self.expect_kw("then")
-            then, then_sort = self.parse_term(scope)
-            self.expect_kw("else")
-            other, other_sort = self.parse_term(scope)
-            if then_sort != other_sort:
-                raise ParseError(
-                    f"sort mismatch: branches are {then_sort} and {other_sort}",
-                    tok.line,
-                    tok.column,
-                )
-            return IfThenElse(cond, then, other), then_sort
-        if tok.kind == "SYM" and tok.text == "[":
-            self.advance()
-            elements: list[Term] = []
-            if not self.at_sym("]"):
-                while True:
-                    elem, elem_sort = self.parse_term(scope)
-                    self.check_sort(Sort.INT, elem_sort, tok)
-                    elements.append(elem)
-                    if self.at_sym(","):
-                        self.advance()
-                        continue
-                    break
-            self.expect_sym("]")
-            return ListLit(tuple(elements)), Sort.INT_LIST
-        if tok.kind == "SYM" and tok.text == "(":
-            self.advance()
-            term, sort = self.parse_term(scope)
-            self.expect_sym(")")
-            return term, sort
-        self.fail("expected term")
+        if text == "!":
+            return Not(self.parse_expression(_COMPARISON, scope))
+        if text == "forall" or text == "exists":
+            btok = self.expect_name("bound variable name")
+            self.expect(":")
+            sort = self.parse_sort()
+            self.expect(",")
+            ctor = Forall if text == "forall" else Exists
+            return ctor(btok.text, sort, self.parse_expression(0, scope | {btok.text}))
+        if text == "true":
+            return TrueF()
+        if text == "false":
+            return FalseF()
+        if text == "len" or text == "count":
+            self.expect("(")
+            args = [self.parse_expression(_TERM, scope)]
+            if text == "count":
+                self.expect(",")
+                args.append(self.parse_expression(_TERM, scope))
+            self.expect(")")
+            return (Length if text == "len" else Count)(*args)
+        if text == "if":
+            cond = self.parse_expression(0, scope)
+            self.expect("then")
+            then = self.parse_expression(_TERM, scope)
+            self.expect("else")
+            return IfThenElse(cond, then, self.parse_expression(_TERM, scope))
+        if text == "[":
+            elements: list[Node] = []
+            if self.peek().text != "]":
+                elements.append(self.parse_expression(_TERM, scope))
+                while self.peek().text == ",":
+                    self.advance()
+                    elements.append(self.parse_expression(_TERM, scope))
+            self.expect("]")
+            return ListLit(tuple(elements))
+        self.fail("expected term", tok)
         raise AssertionError  # unreachable
 
 

@@ -9,7 +9,9 @@ stats snapshot preserves the conservation identity
 
 at every observable instant.  Timeouts are measured from execution start,
 not from submission; a job that outlives its budget is finalized as a
-timeout and the worker's eventual result is discarded.
+timeout and the worker's eventual result is discarded.  A job is forgotten
+once its verdict has been awaited, and latency quantiles cover the most
+recent jobs only, so the bookkeeping stays bounded however many jobs run.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from dataclasses import dataclass
 from .errors import ContractViolation, QueueFull, UnknownHandle
 from .prover import api
 from .prover.api import Checker, CheckRequest, CheckVerdict
+
+# Latency samples kept for the stats quantiles: the most recent jobs'.
+_LATENCY_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -107,7 +112,7 @@ class VerificationPool:
             "peak_in_flight": 0,
         }
         self._running = 0
-        self._latencies: list[float] = []
+        self._latencies: collections.deque[float] = collections.deque(maxlen=_LATENCY_SAMPLES)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -157,22 +162,23 @@ class VerificationPool:
 
     def await_verdict(self, handle: JobHandle) -> CheckVerdict:
         """Block until the job finishes or its wall budget (measured from
-        execution start) lapses, whichever is first."""
+        execution start) lapses, whichever is first.  The pool then forgets
+        the job, so a second await on its handle raises UnknownHandle."""
         with self._cond:
             job = self._jobs.get(handle.job_id)
             if job is None:
                 raise UnknownHandle(handle.job_id)
-            while True:
-                if job.verdict is not None:
-                    return job.verdict
+            while job.verdict is None:
                 if job.started_at is not None:
                     remaining = job.started_at + job.timeout_ms / 1000.0 - time.monotonic()
                     if remaining <= 0:
                         self._finalize_locked(job, _DONE_TIMED_OUT, api.timeout(job.timeout_ms))
-                        return job.verdict  # type: ignore[return-value]
+                        break
                     self._cond.wait(timeout=remaining)
                 else:
                     self._cond.wait(timeout=0.05)
+            self._jobs.pop(handle.job_id, None)
+            return job.verdict
 
     def cancel_all(self, reason: str = "cancelled") -> int:
         """Cancel everything pending or running; returns how many jobs were

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ContractViolation, PolicyError
 from .evaluator import Domain, Env
-from .lang import GoalDecl, operator_footprint, print_goal
+from .lang import GoalDecl, operator_footprint, print_goal, sort_error
 from .prover import (
     ACCEPTED,
     CHECKER_ERROR,
@@ -79,6 +79,7 @@ REASON_TARGET_QC = "target_qc_failed"
 REASON_POLICY_ERROR = "policy_error"
 REASON_LEMMA_CAP = "lemma_cap_exceeded"
 REASON_DUPLICATE_NAME = "duplicate_lemma_name"
+REASON_ILL_SORTED = "ill_sorted_lemma"
 REASON_ZERO_FOOTPRINT = "zero_footprint_target"
 REASON_QC_FAILED = "qc_failed"
 REASON_RECONSTRUCTION = "reconstruction_failed"
@@ -301,9 +302,10 @@ def evaluate_proposal(
     """Run the acceptance gate for a proposal against ``target`` in ``tree``.
 
     Order matters: the structural checks (a decomposable target, the lemma
-    cap, fresh lemma names) cost nothing and come first; then lemmas are
-    quickchecked, and the reconstruction check is skipped when any lemma
-    already failed, so a falsified lemma never costs a checker call.
+    cap, fresh lemma names, well-sorted lemmas) cost little and come first;
+    then lemmas are quickchecked, and the reconstruction check is skipped
+    when any lemma already failed, so a falsified lemma never costs a
+    checker call.
     """
     footprints = tuple(map(operator_footprint, proposal.lemmas))
     if proposal.k > 0:
@@ -314,6 +316,8 @@ def evaluate_proposal(
             return ProposalEvaluation(footprints, REASON_LEMMA_CAP)
         if len(set(names)) != len(names) or any(name in tree.nodes for name in names):
             return ProposalEvaluation(footprints, REASON_DUPLICATE_NAME)
+    if any(sort_error(lemma) is not None for lemma in proposal.lemmas):
+        return ProposalEvaluation(footprints, REASON_ILL_SORTED)
     qc_ok: list[bool] = []
     for lemma in proposal.lemmas:
         outcome = _gate_quickcheck(lemma, config.qc, config.domain)

@@ -8,6 +8,7 @@ valid and refutable statements is controlled only by the seed.
 from __future__ import annotations
 
 import random
+import re
 
 from provekit.lang import (
     Add,
@@ -36,6 +37,7 @@ from provekit.lang import (
     Sub,
     Term,
     Var,
+    print_goal,
 )
 
 INT_SCOPE = ("x", "y")
@@ -197,3 +199,69 @@ def wide_conjunction_goal(name: str, n: int) -> GoalDecl:
         Eq(Add(Var(f"x{i}"), IntLit(0)), Var(f"x{i}")) for i in range(1, n + 1)
     ]
     return GoalDecl(name=name, binders=binders, body=conjunction_chain(atoms))
+
+
+# ---------------------------------------------------------------------------
+# Token soup: near-miss and garbage goal texts for parser properties
+
+SOUP_HEADS = (
+    "goal g := ",
+    "goal g (x: Int) := ",
+    "goal g (x: Int) (l: IntList) := ",
+    "goal g (x: Int) (y: Int) (l: IntList) := ",
+    "goal g (x: Int) (x: Int) := ",
+    "goal g (b: Bool) := ",
+    "goal ",
+    "",
+)
+
+SOUP_TOKENS = (
+    "x", "y", "l", "q", "zz", "0", "1", "23", "-", "-1", "+", "*", "%", "::", "++",
+    "=", "<", "<=", ">", ">=", "!=", "in", "/\\", "\\/", "->", "!", "(", ")", "(", ")",
+    "[", "]", ",", "len(", "count(", "if", "then", "else", "true", "false",
+    "forall q: Int,", "exists q: IntList,", "forall", ":", "Int", "IntList", ":=",
+    "∀ q: Int,", "∃ w: Int,", "∧", "∨", "→", "⇒", "¬", "∈", "≤", "≥", "≠",
+    "goal", "# note", "\n", "@",
+)
+
+# Digits outside ASCII: decimal ones int() would accept, and superscript or
+# circled ones it would not.
+UNICODE_DIGITS = ("٣", "１", "𝟘", "²", "①", "½")
+
+_PIECES = re.compile(r"(\s+|[()\[\],])")
+
+
+def _mutate(rng: random.Random, text: str, tokens: tuple[str, ...]) -> str:
+    pieces = [p for p in _PIECES.split(text) if p]
+    for _ in range(rng.randrange(1, 4)):
+        i = rng.randrange(len(pieces))
+        move = rng.randrange(5)
+        if move == 0:
+            del pieces[i]
+        elif move == 1:
+            pieces.insert(i, rng.choice(tokens))
+        elif move == 2:
+            pieces[i] = rng.choice(tokens)
+        elif move == 3 and i + 1 < len(pieces):
+            pieces[i], pieces[i + 1] = pieces[i + 1], pieces[i]
+        else:
+            pieces = [p for p in pieces if p not in "()"] or pieces
+        if not pieces:
+            break
+    return "".join(pieces)
+
+
+def token_soup(seed: int, tokens: tuple[str, ...] = SOUP_TOKENS) -> str:
+    """A seeded goal text: a random run of tokens after a goal head, or a
+    printed corpus goal whose body has a few tokens dropped, added,
+    replaced or swapped, or its parentheses stripped."""
+    rng = random.Random(seed)
+    if rng.random() < 0.3:
+        parts = [rng.choice(SOUP_HEADS)]
+        for _ in range(rng.randrange(1, 9)):
+            parts.append(rng.choice(tokens))
+            parts.append(rng.choice((" ", " ", "")))
+        return "".join(parts)
+    goal = random_goal(rng.getrandbits(32), "g", rng.randrange(1, 4))
+    head, body = print_goal(goal).split(" := ")
+    return f"{head} := {_mutate(rng, body, tokens)}"

@@ -241,6 +241,23 @@ def test_policy_rejects_malformed_lemma_payloads(process):
         policy.propose_decomposition(PolicyContext(goal=parse_goal("goal badlemma := 0 = 0")))
 
 
+class _ScriptedTransport:
+    """Answers every request with the same fields, echoing its id."""
+
+    def __init__(self, **fields):
+        self.fields = fields
+
+    def request(self, payload, timeout_s):
+        return {"id": payload["id"], **self.fields}
+
+
+@pytest.mark.parametrize("lemma", ["goal a := ² = 1", "goal a (x: Int) := x < ٣"])
+def test_policy_non_ascii_digit_lemma_is_unparseable(lemma):
+    policy = ExternalPolicy(_ScriptedTransport(lemmas=[lemma]))
+    with pytest.raises(PolicyError, match="unparseable lemma"):
+        policy.propose_decomposition(PolicyContext(goal=parse_goal("goal g := 0 = 0")))
+
+
 def test_policy_completion_full_text(process):
     policy = ExternalPolicy(process)
     ctx = PolicyContext(goal=parse_goal("goal fulltext := 0 = 0"), mode=MODE_COMPLETE)

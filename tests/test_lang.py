@@ -36,12 +36,20 @@ from provekit.lang import (
     parse_goal_file,
     print_goal,
     rename_free,
+    sort_error,
     statement_key,
     substitute,
 )
-from provekit.lang.ast import CHILDREN
+from provekit.lang.ast import _SIGNATURES, CHILDREN
 
-from corpus import random_goal, wide_conjunction_goal
+from corpus import (
+    SOUP_HEADS,
+    SOUP_TOKENS,
+    UNICODE_DIGITS,
+    random_goal,
+    token_soup,
+    wide_conjunction_goal,
+)
 
 
 def roundtrip(goal: GoalDecl) -> GoalDecl:
@@ -137,23 +145,83 @@ def test_and_binds_tighter_than_or_and_implies():
 # Parse errors
 
 
-@pytest.mark.parametrize(
-    "source",
-    [
-        "goal e (x: Bool) := x = x",  # unknown sort
-        "goal e (x: Int) := y = 0",  # unbound variable
-        "goal e (x: Int) (x: Int) := x = x",  # duplicate binder
-        "goal e (x: Int) := x = [1]",  # comparison across sorts
-        "goal e (l: IntList) := l :: l = l",  # cons head must be Int
-        "goal e (x: Int) := x +",  # dangling operator
-        "goal e (x: Int) := (x = x",  # unclosed paren
-        "goal e := iff x then 1 else 2",  # stray identifier
-        "goal e (x: Int) := len(x) = 0",  # len of a non-list
-    ],
-)
+BAD_SOURCES = [
+    "goal e (x: Bool) := x = x",  # unknown sort
+    "goal e (x: Int) := y = 0",  # unbound variable
+    "goal e (x: Int) (x: Int) := x = x",  # duplicate binder
+    "goal e (x: Int) := x = [1]",  # comparison across sorts
+    "goal e (l: IntList) := l :: l = l",  # cons head must be Int
+    "goal e (x: Int) := x +",  # dangling operator
+    "goal e (x: Int) := (x = x",  # unclosed paren
+    "goal e := iff x then 1 else 2",  # stray identifier
+    "goal e (x: Int) := len(x) = 0",  # len of a non-list
+    "goal e (x: Int) := x = x = x",  # comparisons do not chain
+    "goal e (x: Int) := (x < x <= x)",
+    "goal e (l: IntList) := 0 in l in l",
+]
+
+
+@pytest.mark.parametrize("source", BAD_SOURCES)
 def test_parse_errors_raise(source):
     with pytest.raises(ParseError):
         parse_goal(source)
+
+
+@pytest.mark.parametrize("digit", UNICODE_DIGITS)
+def test_non_ascii_digits_are_parse_errors(digit):
+    # Integer literals are ASCII digits: int() would take some of these and
+    # raise a ValueError on the others.
+    for source in (f"goal a := {digit} = 1", f"goal a := 1{digit} = 1", f"goal a := -{digit} = 1"):
+        with pytest.raises(ParseError):
+            parse_goal(source)
+
+
+def test_overlong_integer_literal_is_a_parse_error():
+    with pytest.raises(ParseError, match="too long"):
+        parse_goal(f"goal a := {'9' * 5000} = 1")
+
+
+@pytest.mark.parametrize(
+    "source, operator",
+    [
+        ("goal e (l: IntList) := l < 3", "'<'"),
+        ("goal e (x: Int) := x + (x = x) = x", "'+'"),
+        ("goal e (x: Int) := len(x) = 0", "'len'"),
+        ("goal e (x: Int) := (if x = x then x else [x]) = x", "'if'"),
+        ("goal e (x: Int) := (x = x) = (x = x)", "'='"),
+        ("goal e (x: Int) := !x", "'!'"),
+        ("goal e (x: Int) := x + 1", "not a formula"),
+    ],
+)
+def test_sort_errors_point_at_the_goal_name(source, operator):
+    with pytest.raises(ParseError) as info:
+        parse_goal_file("goal ok := true\n" + source)
+    assert (info.value.line, info.value.column, info.value.length) == (2, 6, 1)
+    assert operator in info.value.message
+
+
+_soup = st.builds(
+    lambda head, tokens, glue: head + glue.join(tokens),
+    st.sampled_from(SOUP_HEADS),
+    st.lists(st.sampled_from(SOUP_TOKENS + UNICODE_DIGITS), max_size=12),
+    st.sampled_from(("", " ")),
+)
+
+
+_mutated = st.integers(0, 10**9).map(lambda seed: token_soup(seed, SOUP_TOKENS + UNICODE_DIGITS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), _soup, _mutated))
+def test_parse_accepts_or_raises_parse_error(text):
+    # Nothing but a ParseError may escape, whatever a peer sends.
+    try:
+        goal = parse_goal(text)
+    except ParseError:
+        return
+    assert isinstance(goal, GoalDecl)
+    assert sort_error(goal) is None
+    assert roundtrip(goal) == goal
 
 
 def test_parse_error_carries_position():
@@ -174,6 +242,24 @@ def test_duplicate_goal_names_rejected():
 def test_parse_goal_requires_exactly_one():
     with pytest.raises(ParseError):
         parse_goal("goal a := true\ngoal b := true")
+
+
+def test_parse_behaviour_is_pinned():
+    # Recorded before the recursive-descent parser was replaced by one
+    # precedence-climbing loop: which texts parse, and to which trees and
+    # goal spans, must stay exactly as they were.
+    texts = [print_goal(random_goal(s, f"g{s}", d)) for s in range(300) for d in (2, 3, 4)]
+    texts += [print_goal(wide_conjunction_goal(f"w{i}", 6)) for i in range(10)]
+    texts += HAND_SOURCES + BAD_SOURCES + [_EVERY_NODE]
+    texts += [token_soup(s) for s in range(20_000)]
+    digest = hashlib.sha256()
+    for text in texts:
+        try:
+            outcome = repr(parse_goal(text))
+        except ParseError:
+            outcome = "ParseError"
+        digest.update(outcome.encode() + b"\n")
+    assert digest.hexdigest() == "ef08c468218726b6519e57d0d85a5d68551f0c204b2d758f8bb5535b30936186"
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +453,12 @@ def test_every_node_class_is_in_every_table():
     assert len(classes) == 24
     assert classes <= set(CHILDREN)
     assert classes <= set(_BUILDERS)
+    assert classes - {Var} == set(_SIGNATURES)  # a variable's sort is its binder's
     # The printer dispatches in code, not through a dict: print a goal that
     # holds every class and read it back.
     goal = parse_goal(_EVERY_NODE)
     assert _classes_in(goal.body) == classes
+    assert sort_error(goal) is None
     assert parse_goal(print_goal(goal)) == goal
 
 
@@ -385,6 +473,7 @@ def test_unregistered_node_class_is_rejected_by_every_walk():
         lambda f: substitute(f, "x", IntLit(1)),
         lambda f: rename_free(f, {"x": "y"}),
         lambda f: statement_key(replace(goal, body=f)),
+        lambda f: sort_error(replace(goal, body=f)),
         format_formula,
     ):
         with pytest.raises(TypeError):

@@ -10,6 +10,7 @@ import pytest
 from provekit.errors import ContractViolation, QueueFull, UnknownHandle
 from provekit.evaluator import Domain
 from provekit.lang import parse_goal
+import provekit.pool as pool_mod
 from provekit.pool import JobHandle, PoolConfig, VerificationPool, _nearest_rank
 from provekit.prover import (
     ACCEPTED,
@@ -259,4 +260,19 @@ def test_empty_pool_reports_no_latencies():
         stats = pool.stats()
     assert stats.latency_ms_p50 is None
     assert stats.submitted == 0
+    assert stats.conserved()
+
+
+def test_bookkeeping_stays_bounded_after_many_jobs(monkeypatch):
+    monkeypatch.setattr(pool_mod, "_LATENCY_SAMPLES", 16)
+    with VerificationPool(RecordingChecker(), PoolConfig(max_concurrent=4)) as pool:
+        handles = [pool.submit(_request(f"j{i}")) for i in range(200)]
+        for handle in handles:
+            assert pool.await_verdict(handle).status == ACCEPTED
+        assert len(pool._jobs) == 0
+        assert len(pool._latencies) == 16
+        stats = pool.stats()
+        with pytest.raises(UnknownHandle):
+            pool.await_verdict(handles[0])
+    assert stats.submitted == stats.completed == 200
     assert stats.conserved()

@@ -19,7 +19,18 @@ import provekit.search as search_mod
 from corpus import random_goal, wide_conjunction_goal
 from provekit.errors import ContractViolation, PolicyError
 from provekit.evaluator import Domain
-from provekit.lang import operator_footprint, parse_goal
+from provekit.lang import (
+    Add,
+    Eq,
+    GoalDecl,
+    IntLit,
+    Length,
+    Lt,
+    Sort,
+    Var,
+    operator_footprint,
+    parse_goal,
+)
 from provekit.pool import PoolConfig, VerificationPool
 from provekit.prover import (
     ACCEPTED,
@@ -46,6 +57,7 @@ from provekit.search import (
     OUTCOME_EXHAUSTED,
     OUTCOME_PROVED,
     REASON_DUPLICATE_NAME,
+    REASON_ILL_SORTED,
     REASON_INFRASTRUCTURE,
     REASON_LEMMA_CAP,
     REASON_QC_FAILED,
@@ -337,6 +349,33 @@ def test_policy_error_is_a_recorded_rejection():
     assert outcome.kind == STEP_REJECTED
     assert "backend down" in outcome.reason
     assert tree.nodes["root"].status == GOAL_OPEN
+
+
+_LIST_BINDER = (("l", Sort.INT_LIST),)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        Lt(Var("l"), IntLit(3)),
+        Length(Var("l")),
+        Eq(Add(Eq(Var("l"), Var("l")), IntLit(0)), IntLit(1)),
+    ],
+    ids=["list_binder_as_int", "term_as_body", "formula_as_operand"],
+)
+def test_ill_sorted_lemma_is_a_recorded_rejection(body):
+    # No parser stands between an in-process policy and the gate, so the
+    # gate checks sorts itself, before quickcheck evaluates the lemma.
+    root = parse_goal("goal root (l: IntList) := 0 <= len(l) /\\ len(l) = len(l)")
+    lemma = GoalDecl("root_1", _LIST_BINDER, body)
+    policy = ScriptedPolicy([DecompositionProposal((lemma,), "entailment")])
+    config = replace(CONFIG, decompose_iters=1, complete_iters=0)
+    result, trace = run_single(root, policy, CHECKER, config)
+    (attempt,) = [e for e in trace.events if e["type"] == "decompose_attempt"]
+    assert attempt["reason"] == REASON_ILL_SORTED
+    assert attempt["outcome"] == STEP_REJECTED
+    assert "gate" not in attempt and "score" not in attempt
+    assert result.outcome == OUTCOME_EXHAUSTED
 
 
 def test_zero_footprint_target_cannot_be_decomposed():

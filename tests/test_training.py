@@ -11,7 +11,7 @@ import pytest
 from corpus import random_goal, wide_conjunction_goal
 from provekit.errors import ContractViolation, FilterViolation, PolicyError
 from provekit.evaluator import Domain
-from provekit.lang import parse_goal
+from provekit.lang import Eq, GoalDecl, IntLit, Sort, Var, parse_goal
 from provekit.prover import (
     ACCEPTED,
     CompletionAttempt,
@@ -24,6 +24,7 @@ from provekit.prover import api
 from provekit.quickcheck import QcConfig
 from provekit.search import (
     REASON_DUPLICATE_NAME,
+    REASON_ILL_SORTED,
     REASON_INFRASTRUCTURE,
     REASON_LEMMA_CAP,
     REASON_POLICY_ERROR,
@@ -57,6 +58,8 @@ LEMMA_L = parse_goal("goal both_l (a: Int) := a + 0 = a")
 LEMMA_R = parse_goal("goal both_r (a: Int) := a * 1 = a")
 SPLIT = DecompositionProposal((LEMMA_L, LEMMA_R), "and-intro")
 DISCHARGE = DecompositionProposal((), "decide")
+# A list binder compared with an integer: no parse yields it, a policy can.
+ILL_SORTED = GoalDecl("both_r", (("a", Sort.INT_LIST),), Eq(Var("a"), IntLit(1)))
 JUNK = DecompositionProposal((parse_goal("goal junk := 0 < 0"),), "entailment")
 
 CONFIG = SearchConfig(qc=QcConfig(trials=150, seed=0), complete_iters=4)
@@ -208,8 +211,12 @@ def _training_reward(goal, policy, config):
         (GOAL_BOTH, (LEMMA_L, replace(LEMMA_R, name=LEMMA_L.name)), CONFIG, REASON_DUPLICATE_NAME),
         (GOAL_BOTH, (replace(LEMMA_L, name=GOAL_BOTH.name), LEMMA_R), CONFIG, REASON_DUPLICATE_NAME),
         (GOAL_BOTH, (LEMMA_L, LEMMA_R), replace(CONFIG, max_open_lemmas=1), REASON_LEMMA_CAP),
+        (GOAL_BOTH, (LEMMA_L, ILL_SORTED), CONFIG, REASON_ILL_SORTED),
     ],
-    ids=["zero_footprint_target", "repeated_lemma_name", "lemma_named_like_goal", "lemma_cap"],
+    ids=[
+        "zero_footprint_target", "repeated_lemma_name", "lemma_named_like_goal", "lemma_cap",
+        "ill_sorted_lemma",
+    ],
 )
 def test_structural_rejections_score_zero_as_in_search(goal, lemmas, config, reason):
     proposal = DecompositionProposal(lemmas, "and-intro")
