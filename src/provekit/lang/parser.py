@@ -294,8 +294,14 @@ class _Parser:
 
 def parse_goal_file(source: str) -> list[GoalDecl]:
     """Parse a goal file into declarations, enforcing well-sortedness,
-    bound variables, and unique goal names."""
-    return _Parser(tokenize(source)).parse_file()
+    bound variables, and unique goal names.  Nesting deeper than the
+    interpreter's recursion limit is a parse error, not a crash."""
+    parser = _Parser(tokenize(source))
+    try:
+        return parser.parse_file()
+    except RecursionError:
+        tok = parser.tokens[min(parser.pos, len(parser.tokens) - 1)]
+        raise ParseError("expression nested too deeply", tok.line, tok.column) from None
 
 
 def parse_goal(source: str) -> GoalDecl:

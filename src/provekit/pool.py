@@ -1,17 +1,18 @@
 """Bounded-concurrency verification pool.
 
-Jobs are admitted FIFO into a capacity-limited queue and executed by at
-most ``max_concurrent`` workers.  Every job ends in exactly one of four
-buckets (completed, timed out, cancelled, or still pending/queued), and the
-stats snapshot preserves the conservation identity
+Jobs are admitted FIFO into a capacity-limited queue.  Every job ends in
+exactly one of four buckets (completed, timed out, cancelled, or still
+pending/queued), and the stats snapshot preserves the conservation identity
 
     submitted == completed + timed_out + cancelled + in_flight + queued
 
-at every observable instant.  Timeouts are measured from execution start,
-not from submission; a job that outlives its budget is finalized as a
-timeout and the worker's eventual result is discarded.  A job is forgotten
-once its verdict has been awaited, and latency quantiles cover the most
-recent jobs only, so the bookkeeping stays bounded however many jobs run.
+at every observable instant.  A job's deadline is its submission time plus
+its timeout; whoever sees it pass first, awaiter or worker, finalizes the
+job as a timeout, and a job still queued past it never starts.  A slot is a
+count, not a thread: a job cut short frees its slot at once, and its thread
+counts as ``stuck`` until the check returns, so a hung check never holds up
+the queue.  The checker still gets the job's full timeout.  Awaited jobs
+are forgotten and latency quantiles cover recent jobs only.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ class PoolStats:
     latency_ms_p50: float | None
     latency_ms_p95: float | None
     latency_ms_p99: float | None
+    stuck: int  # threads still in the check of a job cut short; wall-clock, not traced
 
     def conserved(self) -> bool:
         return self.submitted == (
@@ -68,23 +70,14 @@ class PoolStats:
         )
 
 
-_PENDING = "pending"
-_RUNNING = "running"
-_DONE_COMPLETED = "completed"
-_DONE_TIMED_OUT = "timed_out"
-_DONE_CANCELLED = "cancelled"
-
-
+@dataclass(slots=True, eq=False)
 class _Job:
-    __slots__ = ("job_id", "request", "timeout_ms", "state", "verdict", "started_at")
-
-    def __init__(self, job_id: str, request: CheckRequest, timeout_ms: int):
-        self.job_id = job_id
-        self.request = request
-        self.timeout_ms = timeout_ms
-        self.state = _PENDING
-        self.verdict: CheckVerdict | None = None
-        self.started_at: float | None = None
+    job_id: str
+    request: CheckRequest
+    timeout_ms: int
+    deadline: float
+    verdict: CheckVerdict | None = None
+    started_at: float | None = None  # set when the job takes a slot
 
 
 def _nearest_rank(sorted_samples: list[float], q: float) -> float:
@@ -98,34 +91,27 @@ class VerificationPool:
     def __init__(self, checker: Checker, config: PoolConfig | None = None):
         self.checker = checker
         self.config = config or PoolConfig()
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._done = threading.Condition(self._lock)  # awaiters wait for verdicts
+        self._work = threading.Condition(self._lock)  # idle workers wait for jobs
         self._queue: collections.deque[_Job] = collections.deque()
+        self._ready: collections.deque[_Job] = collections.deque()  # started, not yet picked up
         self._jobs: dict[str, _Job] = {}
-        self._workers: list[threading.Thread] = []
         self._next_id = 0
         self._shutdown = False
-        self._counts = {
-            "submitted": 0,
-            "completed": 0,
-            "timed_out": 0,
-            "cancelled": 0,
-            "peak_in_flight": 0,
-        }
-        self._running = 0
+        self._counts = {"submitted": 0, "completed": 0, "timed_out": 0, "cancelled": 0}
+        self._peak = 0
+        self._running = 0  # jobs holding a slot
+        self._busy = 0  # worker threads given a job whose check has not returned
+        self._idle = 0  # idle worker threads not yet handed a job
         self._latencies: collections.deque[float] = collections.deque(maxlen=_LATENCY_SAMPLES)
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _spawn_worker_locked(self) -> None:
-        if len(self._workers) < self.config.max_concurrent:
-            worker = threading.Thread(target=self._work_loop, daemon=True)
-            self._workers.append(worker)
-            worker.start()
-
     def shutdown(self) -> None:
-        with self._cond:
+        with self._lock:
             self._shutdown = True
-            self._cond.notify_all()
+            self._work.notify_all()
 
     def __enter__(self) -> "VerificationPool":
         return self
@@ -141,128 +127,112 @@ class VerificationPool:
         effective = self.config.check_timeout_ms
         if timeout_ms is not None:
             effective = min(effective, timeout_ms)
-        with self._cond:
+        with self._lock:
             if self._shutdown:
                 raise ContractViolation("pool is shut down")
             if len(self._queue) >= self.config.queue_capacity:
-                raise QueueFull(
-                    f"queue at capacity ({self.config.queue_capacity})"
-                )
+                raise QueueFull(f"queue at capacity ({self.config.queue_capacity})")
             self._next_id += 1
-            job = _Job(f"job-{self._next_id:06d}", request, effective)
+            now = time.monotonic()
+            job = _Job(f"job-{self._next_id:06d}", request, effective, now + effective / 1000.0)
             self._jobs[job.job_id] = job
             self._queue.append(job)
             self._counts["submitted"] += 1
-            if len(self._workers) < min(
-                self.config.max_concurrent, self._running + len(self._queue)
-            ):
-                self._spawn_worker_locked()
-            self._cond.notify()
-            return JobHandle(job_id=job.job_id, submitted_at=time.monotonic())
+            self._dispatch_locked()
+            return JobHandle(job_id=job.job_id, submitted_at=now)
 
     def await_verdict(self, handle: JobHandle) -> CheckVerdict:
-        """Block until the job finishes or its wall budget (measured from
-        execution start) lapses, whichever is first.  The pool then forgets
-        the job, so a second await on its handle raises UnknownHandle."""
-        with self._cond:
+        """Block until the job finishes or its deadline passes; the pool then
+        forgets the job, so a second await on its handle raises UnknownHandle."""
+        with self._lock:
             job = self._jobs.get(handle.job_id)
             if job is None:
                 raise UnknownHandle(handle.job_id)
-            while job.verdict is None:
-                if job.started_at is not None:
-                    remaining = job.started_at + job.timeout_ms / 1000.0 - time.monotonic()
-                    if remaining <= 0:
-                        self._finalize_locked(job, _DONE_TIMED_OUT, api.timeout(job.timeout_ms))
-                        break
-                    self._cond.wait(timeout=remaining)
-                else:
-                    self._cond.wait(timeout=0.05)
+            remaining = job.deadline - time.monotonic()
+            if not self._done.wait_for(lambda: job.verdict is not None, remaining):
+                if job.started_at is None:
+                    self._queue.remove(job)
+                self._finalize_locked(job, "timed_out", api.timeout(job.timeout_ms))
             self._jobs.pop(handle.job_id, None)
             return job.verdict
 
     def cancel_all(self, reason: str = "cancelled") -> int:
         """Cancel everything pending or running; returns how many jobs were
         cut short.  The pool stays usable afterwards."""
-        with self._cond:
-            count = 0
-            while self._queue:
-                job = self._queue.popleft()
-                self._finalize_locked(job, _DONE_CANCELLED, api.checker_error(reason))
-                count += 1
-            for job in self._jobs.values():
-                if job.state == _RUNNING and job.verdict is None:
-                    self._finalize_locked(job, _DONE_CANCELLED, api.checker_error(reason))
-                    count += 1
-            return count
+        with self._lock:
+            self._queue.clear()  # first, so the slots freed below start nothing
+            cut = [job for job in self._jobs.values() if job.verdict is None]
+            for job in cut:
+                self._finalize_locked(job, "cancelled", api.checker_error(reason))
+            return len(cut)
 
     def stats(self) -> PoolStats:
-        with self._cond:
+        with self._lock:
             samples = sorted(self._latencies)
-            queued = len(self._queue)
-            in_flight = self._running
             return PoolStats(
-                submitted=self._counts["submitted"],
-                completed=self._counts["completed"],
-                timed_out=self._counts["timed_out"],
-                cancelled=self._counts["cancelled"],
-                in_flight=in_flight,
-                queued=queued,
-                peak_in_flight=self._counts["peak_in_flight"],
+                **self._counts,
+                in_flight=self._running,
+                queued=len(self._queue),
+                peak_in_flight=self._peak,
                 latency_ms_p50=_nearest_rank(samples, 0.50) if samples else None,
                 latency_ms_p95=_nearest_rank(samples, 0.95) if samples else None,
                 latency_ms_p99=_nearest_rank(samples, 0.99) if samples else None,
+                stuck=self._busy - self._running,
             )
 
     # -- internals -------------------------------------------------------------
 
     def _finalize_locked(self, job: _Job, bucket: str, verdict: CheckVerdict) -> None:
-        """Single writer of a job's outcome; later writers are ignored."""
-        if job.verdict is not None:
-            return
+        """Record the outcome of a job that has none yet.  A running job
+        frees its slot here, whether or not its check returned."""
         job.verdict = verdict
-        was_running = job.state == _RUNNING
-        job.state = bucket
-        if bucket == _DONE_COMPLETED:
-            self._counts["completed"] += 1
-        elif bucket == _DONE_TIMED_OUT:
-            self._counts["timed_out"] += 1
-        else:
-            self._counts["cancelled"] += 1
-        if was_running:
-            self._running -= 1
+        self._counts[bucket] += 1
         if job.started_at is not None:
+            self._running -= 1
             self._latencies.append((time.monotonic() - job.started_at) * 1000.0)
-        self._cond.notify_all()
+            self._dispatch_locked()
+        self._done.notify_all()
+
+    def _dispatch_locked(self) -> None:
+        """Start queued jobs while a slot is free, each on an idle worker or
+        else a new one; a job past its deadline times out without starting."""
+        while self._queue and self._running < self.config.max_concurrent:
+            job = self._queue.popleft()
+            now = time.monotonic()
+            if now >= job.deadline:
+                self._finalize_locked(job, "timed_out", api.timeout(job.timeout_ms))
+                continue
+            job.started_at = now
+            self._running += 1
+            self._busy += 1
+            self._peak = max(self._peak, self._running)
+            self._ready.append(job)
+            if self._idle:
+                self._idle -= 1
+                self._work.notify()
+            else:
+                threading.Thread(target=self._work_loop, daemon=True).start()
 
     def _work_loop(self) -> None:
+        job = verdict = None
         while True:
-            with self._cond:
-                while not self._queue and not self._shutdown:
-                    self._cond.wait()
-                if self._shutdown and not self._queue:
+            with self._lock:
+                if job is not None:
+                    # Idle before finalizing, so the freed slot can hand this thread a job.
+                    self._busy -= 1
+                    self._idle += 1
+                    if job.verdict is None:  # nobody cut the job short
+                        late = time.monotonic() > job.deadline
+                        self._finalize_locked(job, "timed_out" if late else "completed",
+                                              api.timeout(job.timeout_ms) if late else verdict)
+                self._work.wait_for(lambda: self._ready or self._shutdown)
+                if not self._ready:
+                    self._idle -= 1
                     return
-                job = self._queue.popleft()
+                job = self._ready.popleft()
                 if job.verdict is not None:
-                    continue  # cancelled while queued
-                job.state = _RUNNING
-                job.started_at = time.monotonic()
-                self._running += 1
-                if self._running > self._counts["peak_in_flight"]:
-                    self._counts["peak_in_flight"] = self._running
-                timeout_ms = job.timeout_ms
-                request = job.request
+                    continue  # cut short before this thread picked it up
             try:
-                verdict = self.checker.check(request, timeout_ms)
+                verdict = self.checker.check(job.request, job.timeout_ms)
             except Exception as exc:  # checker bugs are infrastructure errors
                 verdict = api.checker_error(f"{type(exc).__name__}: {exc}")
-            with self._cond:
-                if job.verdict is not None:
-                    # Timeout or cancellation already owns the outcome; the
-                    # late result is dropped (no job both completes and
-                    # times out).
-                    continue
-                elapsed_ms = (time.monotonic() - (job.started_at or 0.0)) * 1000.0
-                if elapsed_ms > job.timeout_ms:
-                    self._finalize_locked(job, _DONE_TIMED_OUT, api.timeout(job.timeout_ms))
-                else:
-                    self._finalize_locked(job, _DONE_COMPLETED, verdict)

@@ -88,11 +88,12 @@ def decomposition_score(
     """Combine the validity gate with the structural reduction ratio.
 
     A direct discharge (no children) is all-or-nothing: r = 1 and the score
-    equals the gate value.  Otherwise S = r * v, so gate failure forces a
-    zero score no matter how good the reduction looks.
+    equals the gate value, even for a parent of footprint 0.  Otherwise
+    S = r * v, so gate failure forces a zero score no matter how good the
+    reduction looks.
     """
     config = config or ScoreConfig()
-    if d_parent <= 0:
+    if d_parent < 0 or (d_parent == 0 and d_children):
         raise ContractViolation("parent footprint must be positive")
     if len(gate.qc_ok_per_lemma) != len(d_children):
         raise ContractViolation("gate arity disagrees with child count")

@@ -197,9 +197,13 @@ class GoalNode:
 
 
 class GoalTree:
-    """The root goal plus every lemma ever accepted, in insertion order."""
+    """The root goal plus every lemma ever accepted, in insertion order.
+    The root must be well sorted; the gate checks every lemma."""
 
     def __init__(self, root: GoalDecl) -> None:
+        error = sort_error(root)
+        if error is not None:
+            raise ContractViolation(f"goal {root.name!r} is ill sorted: {error}")
         self.nodes: dict[str, GoalNode] = {}
         self.order: list[str] = []
         self._insert(GoalNode(
@@ -342,14 +346,7 @@ def evaluate_proposal(
         reason = REASON_QC_FAILED
     recon_ok = verdict is not None and verdict.is_accepted
     gate = ValidityGate(reconstruction_ok=recon_ok, qc_ok_per_lemma=tuple(qc_ok))
-    if proposal.k == 0 and target.footprint == 0:
-        # Degenerate goal with no weighted operators: treat a direct
-        # discharge as full reduction rather than dividing by zero.
-        breakdown = ScoreBreakdown(
-            v=gate.value, d_parent=0, d_children=(), d_bar=0.0, r=1.0, S=float(gate.value),
-        )
-    else:
-        breakdown = decomposition_score(gate, target.footprint, footprints, config.score)
+    breakdown = decomposition_score(gate, target.footprint, footprints, config.score)
     if breakdown.v == 1:
         reason = None
     return ProposalEvaluation(footprints, reason, tuple(qc_ok), verdict, gate, breakdown)

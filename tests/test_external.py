@@ -258,6 +258,13 @@ def test_policy_non_ascii_digit_lemma_is_unparseable(lemma):
         policy.propose_decomposition(PolicyContext(goal=parse_goal("goal g := 0 = 0")))
 
 
+def test_policy_deeply_nested_lemma_is_unparseable():
+    lemma = "goal a := " + "(" * 1000 + "0 = 0" + ")" * 1000
+    policy = ExternalPolicy(_ScriptedTransport(lemmas=[lemma]))
+    with pytest.raises(PolicyError, match="unparseable lemma.*nested too deeply"):
+        policy.propose_decomposition(PolicyContext(goal=parse_goal("goal g := 0 = 0")))
+
+
 def test_policy_completion_full_text(process):
     policy = ExternalPolicy(process)
     ctx = PolicyContext(goal=parse_goal("goal fulltext := 0 = 0"), mode=MODE_COMPLETE)

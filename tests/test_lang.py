@@ -161,7 +161,15 @@ BAD_SOURCES = [
 ]
 
 
-@pytest.mark.parametrize("source", BAD_SOURCES)
+# Nesting past the interpreter's recursion limit (each level is a few frames).
+DEEP_SOURCES = [
+    pytest.param("goal a := " + "(" * 1000 + "0 = 0" + ")" * 1000, id="nested_parens"),
+    pytest.param("goal a := " + r" /\ ".join(["0 = 0"] * 1000), id="conjunct_chain"),
+    pytest.param("goal a := " + "!(" * 500 + "0 = 0" + ")" * 500, id="nested_negations"),
+]
+
+
+@pytest.mark.parametrize("source", BAD_SOURCES + DEEP_SOURCES)
 def test_parse_errors_raise(source):
     with pytest.raises(ParseError):
         parse_goal(source)

@@ -51,9 +51,11 @@ class RecordingChecker:
 
 
 class GatedChecker:
-    """Parks every check until released; lets tests pin in-flight counts."""
+    """Parks every check of a goal named with ``prefix`` until released;
+    lets tests pin in-flight counts."""
 
-    def __init__(self):
+    def __init__(self, prefix: str = ""):
+        self.prefix = prefix
         self.release = threading.Event()
         self.entered = 0
         self._lock = threading.Lock()
@@ -61,7 +63,8 @@ class GatedChecker:
     def check(self, request, timeout_ms):
         with self._lock:
             self.entered += 1
-        self.release.wait(timeout=10)
+        if request.goal.name.startswith(self.prefix):
+            self.release.wait(timeout=10)
         return api.accepted()
 
 
@@ -129,7 +132,7 @@ def test_checker_exceptions_become_checker_error_verdicts():
         assert stats.conserved()
 
 
-def test_timeout_is_measured_from_execution_start():
+def test_timeout_is_measured_from_submission():
     checker = RecordingChecker(delay_s=0.5)
     config = PoolConfig(max_concurrent=1, check_timeout_ms=100)
     with VerificationPool(checker, config) as pool:
@@ -143,6 +146,72 @@ def test_timeout_is_measured_from_execution_start():
         stats = pool.stats()
         assert stats.timed_out == 1 and stats.completed == 0
         assert stats.conserved()
+
+    # A job whose deadline passes while it waits in the queue never starts.
+    checker = RecordingChecker(delay_s=0.5)
+    with VerificationPool(checker, config) as pool:
+        slow = pool.submit(_request("slow"))
+        start = time.monotonic()
+        queued = pool.submit(_request("queued"), timeout_ms=50)
+        assert pool.await_verdict(queued).status == TIMEOUT
+        assert time.monotonic() - start < 0.45
+        assert pool.await_verdict(slow).status == TIMEOUT
+        assert checker.seen == ["slow"]
+        stats = pool.stats()
+        assert stats.timed_out == 2 and stats.queued == 0
+        assert stats.conserved()
+
+
+def test_a_stuck_check_does_not_block_the_queue():
+    checker = GatedChecker(prefix="parked")
+    config = PoolConfig(max_concurrent=1, check_timeout_ms=5_000)
+    with VerificationPool(checker, config) as pool:
+        first = pool.submit(_request("parked1"), timeout_ms=100)
+        second_at = time.monotonic()
+        second = pool.submit(_request("parked2"), timeout_ms=100)
+        third = pool.submit(_request("free"))
+        assert pool.await_verdict(first).status == TIMEOUT
+        assert pool.await_verdict(second).status == TIMEOUT
+        assert time.monotonic() - second_at < 0.5
+        assert pool.await_verdict(third).status == ACCEPTED
+        assert pool.stats().stuck >= 1  # served while a parked check holds its thread
+        checker.release.set()
+        stats = pool.stats()
+        assert (stats.timed_out, stats.completed) == (2, 1)
+        assert stats.conserved()
+
+
+def test_stuck_counts_threads_left_in_a_cut_short_check():
+    checker = GatedChecker()
+    config = PoolConfig(max_concurrent=1, check_timeout_ms=100)
+    samples = []
+
+    def sample(pool):
+        stats = pool.stats()
+        samples.append(stats)
+        return stats
+
+    with VerificationPool(checker, config) as pool:
+        assert pool.await_verdict(pool.submit(_request())).status == TIMEOUT
+        assert sample(pool).stuck >= 1
+        assert sample(pool).in_flight == 0
+        checker.release.set()
+        assert wait_until(lambda: sample(pool).stuck == 0)
+        # The returned thread serves the next job.
+        assert pool.await_verdict(pool.submit(_request())).status == ACCEPTED
+        assert sample(pool).stuck == 0
+    assert all(stats.conserved() for stats in samples)
+
+
+def test_worker_threads_exit_after_shutdown():
+    # Threads left by earlier tests may exit meanwhile, so compare sets.
+    baseline = set(threading.enumerate())
+    for _ in range(200):
+        with VerificationPool(RecordingChecker(), PoolConfig(max_concurrent=4)) as pool:
+            handles = [pool.submit(_request(f"j{i}")) for i in range(4)]
+            for handle in handles:
+                assert pool.await_verdict(handle).status == ACCEPTED
+    assert wait_until(lambda: set(threading.enumerate()) <= baseline)
 
 
 def test_submit_timeout_merges_with_config_minimum():

@@ -178,6 +178,10 @@ def test_direct_discharge_convention():
     assert ok == ScoreBreakdown(v=1, d_parent=7, d_children=(), d_bar=0.0, r=1.0, S=1.0)
     bad = decomposition_score(ValidityGate(False, ()), 7, [])
     assert bad.S == 0.0 and bad.r == 1.0
+    # An operator-free parent (footprint 0) can still be discharged whole.
+    free = decomposition_score(ValidityGate(True, ()), 0, [])
+    assert free == ScoreBreakdown(v=1, d_parent=0, d_children=(), d_bar=0.0, r=1.0, S=1.0)
+    assert decomposition_score(ValidityGate(False, ()), 0, []).S == 0.0
 
 
 def test_gate_arity_must_match_children():

@@ -378,6 +378,15 @@ def test_ill_sorted_lemma_is_a_recorded_rejection(body):
     assert result.outcome == OUTCOME_EXHAUSTED
 
 
+def test_ill_sorted_root_is_a_contract_violation():
+    # Search, rollout scoring and policy-first completion all start from a
+    # GoalTree, so its constructor is the one place the root is checked.
+    root = GoalDecl("r", _LIST_BINDER, Lt(Var("l"), IntLit(0)))
+    config = SearchConfig(decompose_iters=1, complete_iters=0)
+    with pytest.raises(ContractViolation, match="goal 'r' is ill sorted: .*'<'"):
+        run_single(root, DirectSubmit(), BuiltinChecker(Domain()), config)
+
+
 def test_zero_footprint_target_cannot_be_decomposed():
     tree = _tree("goal root := true")
     policy = ScriptedPolicy([_proposal("goal root_1_1 := true")])
