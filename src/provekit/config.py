@@ -68,25 +68,21 @@ def pool_config_from_sections(data: dict) -> PoolConfig:
 def apply_flag_overrides(config: SearchConfig, overrides: dict) -> SearchConfig:
     """Overlay non-None flag values onto a SearchConfig.
 
-    Keys use dotted paths for the nested sections (``qc.trials``,
-    ``domain.int_hi``); everything else lands on the search section.
+    ``qc.<field>`` keys land on the quickcheck section; every other key
+    names a field of the search section.  Any other dotted key raises.
     """
     direct = {}
-    nested: dict[str, dict] = {"qc": {}, "score": {}, "domain": {}}
+    qc = {}
     for key, value in overrides.items():
         if value is None:
             continue
-        if "." in key:
-            section, field_name = key.split(".", 1)
-            if section not in nested:
-                raise ContractViolation(f"unknown override section {section!r}")
-            nested[section][field_name] = value
-        else:
+        section, dotted, field_name = key.partition(".")
+        if not dotted:
             direct[key] = value
-    if nested["qc"]:
-        direct["qc"] = replace(config.qc, **nested["qc"])
-    if nested["score"]:
-        direct["score"] = replace(config.score, **nested["score"])
-    if nested["domain"]:
-        direct["domain"] = replace(config.domain, **nested["domain"])
+        elif section == "qc":
+            qc[field_name] = value
+        else:
+            raise ContractViolation(f"unknown override section {section!r}")
+    if qc:
+        direct["qc"] = replace(config.qc, **qc)
     return replace(config, **direct) if direct else config

@@ -47,7 +47,6 @@ class PoolConfig:
 @dataclass(frozen=True)
 class JobHandle:
     job_id: str
-    submitted_at: float
 
 
 @dataclass(frozen=True)
@@ -133,13 +132,13 @@ class VerificationPool:
             if len(self._queue) >= self.config.queue_capacity:
                 raise QueueFull(f"queue at capacity ({self.config.queue_capacity})")
             self._next_id += 1
-            now = time.monotonic()
-            job = _Job(f"job-{self._next_id:06d}", request, effective, now + effective / 1000.0)
+            deadline = time.monotonic() + effective / 1000.0
+            job = _Job(f"job-{self._next_id:06d}", request, effective, deadline)
             self._jobs[job.job_id] = job
             self._queue.append(job)
             self._counts["submitted"] += 1
             self._dispatch_locked()
-            return JobHandle(job_id=job.job_id, submitted_at=now)
+            return JobHandle(job_id=job.job_id)
 
     def await_verdict(self, handle: JobHandle) -> CheckVerdict:
         """Block until the job finishes or its deadline passes; the pool then
@@ -152,7 +151,7 @@ class VerificationPool:
             if not self._done.wait_for(lambda: job.verdict is not None, remaining):
                 if job.started_at is None:
                     self._queue.remove(job)
-                self._finalize_locked(job, "timed_out", api.timeout(job.timeout_ms))
+                self._finalize_locked(job, "timed_out", api.timeout())
             self._jobs.pop(handle.job_id, None)
             return job.verdict
 
@@ -200,7 +199,7 @@ class VerificationPool:
             job = self._queue.popleft()
             now = time.monotonic()
             if now >= job.deadline:
-                self._finalize_locked(job, "timed_out", api.timeout(job.timeout_ms))
+                self._finalize_locked(job, "timed_out", api.timeout())
                 continue
             job.started_at = now
             self._running += 1
@@ -224,7 +223,7 @@ class VerificationPool:
                     if job.verdict is None:  # nobody cut the job short
                         late = time.monotonic() > job.deadline
                         self._finalize_locked(job, "timed_out" if late else "completed",
-                                              api.timeout(job.timeout_ms) if late else verdict)
+                                              api.timeout() if late else verdict)
                 self._work.wait_for(lambda: self._ready or self._shutdown)
                 if not self._ready:
                     self._idle -= 1

@@ -19,7 +19,6 @@ from .api import (
     Checker,
     CheckRequest,
     CheckVerdict,
-    CompletionAttempt,
     DecompositionProposal,
     FeedbackEntry,
     Policy,
@@ -48,8 +47,8 @@ __all__ = [
     "KIND_RECONSTRUCTION", "MODE_COMPLETE", "MODE_DECOMPOSE",
     "RECON_AND_INTRO", "RECON_DIRECT", "RECON_ENTAILMENT", "RECON_GROUND",
     "REJECTED", "TIMEOUT",
-    "Checker", "CheckRequest", "CheckVerdict", "CompletionAttempt",
-    "DecompositionProposal", "FeedbackEntry", "Policy", "PolicyContext",
+    "Checker", "CheckRequest", "CheckVerdict", "DecompositionProposal",
+    "FeedbackEntry", "Policy", "PolicyContext",
     "axiom_audit", "fresh_lemma_name",
     "BuiltinChecker", "ConjunctionSplitter", "DirectSubmit",
     "QuantifierGrounder", "StochasticPolicy",

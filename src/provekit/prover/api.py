@@ -24,7 +24,7 @@ REJECTED = "rejected"
 TIMEOUT = "timeout"
 CHECKER_ERROR = "checker_error"
 
-# Proposal modes.
+# Proposal modes: the ``mode`` field of an external policy request.
 MODE_DECOMPOSE = "decompose"
 MODE_COMPLETE = "complete"
 
@@ -59,7 +59,6 @@ class CheckVerdict:
     status: str
     diagnostics: str = ""
     axioms_used: tuple[str, ...] = ()
-    wall_time_ms: int = 0
 
     def __post_init__(self) -> None:
         if self.status != ACCEPTED and self.axioms_used:
@@ -70,20 +69,20 @@ class CheckVerdict:
         return self.status == ACCEPTED
 
 
-def accepted(axioms: tuple[str, ...] = (), wall_time_ms: int = 0) -> CheckVerdict:
-    return CheckVerdict(ACCEPTED, axioms_used=axioms, wall_time_ms=wall_time_ms)
+def accepted(axioms: tuple[str, ...] = ()) -> CheckVerdict:
+    return CheckVerdict(ACCEPTED, axioms_used=axioms)
 
 
-def rejected(diagnostics: str, wall_time_ms: int = 0) -> CheckVerdict:
-    return CheckVerdict(REJECTED, diagnostics=diagnostics, wall_time_ms=wall_time_ms)
+def rejected(diagnostics: str) -> CheckVerdict:
+    return CheckVerdict(REJECTED, diagnostics=diagnostics)
 
 
-def timeout(wall_time_ms: int = 0) -> CheckVerdict:
-    return CheckVerdict(TIMEOUT, diagnostics="check budget exhausted", wall_time_ms=wall_time_ms)
+def timeout() -> CheckVerdict:
+    return CheckVerdict(TIMEOUT, diagnostics="check budget exhausted")
 
 
-def checker_error(diagnostics: str, wall_time_ms: int = 0) -> CheckVerdict:
-    return CheckVerdict(CHECKER_ERROR, diagnostics=diagnostics, wall_time_ms=wall_time_ms)
+def checker_error(diagnostics: str) -> CheckVerdict:
+    return CheckVerdict(CHECKER_ERROR, diagnostics=diagnostics)
 
 
 @dataclass(frozen=True)
@@ -102,16 +101,6 @@ class DecompositionProposal:
 
 
 @dataclass(frozen=True)
-class CompletionAttempt:
-    proof_text: str
-    attempt_index: int
-
-    def __post_init__(self) -> None:
-        if self.attempt_index < 1:
-            raise ContractViolation("attempt_index is 1-based")
-
-
-@dataclass(frozen=True)
 class FeedbackEntry:
     proof_text: str
     verdict: CheckVerdict
@@ -119,9 +108,12 @@ class FeedbackEntry:
 
 @dataclass(frozen=True)
 class PolicyContext:
-    """Everything a proposal source may condition on.
+    """Everything a proposal source may condition on: the goal, the other
+    open goals, the failed attempts on this goal and its depth in the tree.
 
-    feedback_history is nonempty only in completion mode, after failures.
+    The method it is passed to says whether a decomposition or a completion
+    is wanted.  feedback_history holds this goal's failed completions, in
+    order; search leaves it empty when asking for a decomposition.
     target_depth lets policies mint canonical fresh lemma names
     (``<parent>_<depth>_<ordinal>``) without seeing the goal tree.
     """
@@ -129,14 +121,7 @@ class PolicyContext:
     goal: GoalDecl
     sibling_goals: tuple[GoalDecl, ...] = ()
     feedback_history: tuple[FeedbackEntry, ...] = ()
-    mode: str = MODE_DECOMPOSE
     target_depth: int = 0
-
-    def __post_init__(self) -> None:
-        if self.mode not in (MODE_DECOMPOSE, MODE_COMPLETE):
-            raise ContractViolation(f"unknown mode {self.mode!r}")
-        if self.feedback_history and self.mode != MODE_COMPLETE:
-            raise ContractViolation("feedback only accompanies completion")
 
 
 @runtime_checkable
@@ -153,7 +138,8 @@ class Policy(Protocol):
     def propose_decomposition(self, context: PolicyContext) -> DecompositionProposal:
         ...
 
-    def propose_completion(self, context: PolicyContext) -> CompletionAttempt:
+    def propose_completion(self, context: PolicyContext) -> str:
+        """The proof text to check for ``context.goal``."""
         ...
 
     def fork(self, seed: int) -> "Policy":

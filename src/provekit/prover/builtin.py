@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import random
-import time
 from dataclasses import replace
 
 from ..errors import BudgetExceeded
@@ -33,7 +32,6 @@ from . import api
 from .api import (
     CheckRequest,
     CheckVerdict,
-    CompletionAttempt,
     DecompositionProposal,
     PolicyContext,
     fresh_lemma_name,
@@ -103,16 +101,12 @@ class BuiltinChecker:
         return replace(self.domain, node_budget=budget)
 
     def check(self, request: CheckRequest, timeout_ms: int) -> CheckVerdict:
-        start = time.perf_counter()
-        domain = self._domain_for(timeout_ms)
         try:
-            verdict = self._dispatch(request, domain)
+            return self._dispatch(request, self._domain_for(timeout_ms))
         except BudgetExceeded:
-            verdict = api.timeout()
+            return api.timeout()
         except Exception as exc:  # infrastructure failure, not falsity
-            verdict = api.checker_error(f"{type(exc).__name__}: {exc}")
-        elapsed_ms = int((time.perf_counter() - start) * 1000)
-        return replace(verdict, wall_time_ms=elapsed_ms)
+            return api.checker_error(f"{type(exc).__name__}: {exc}")
 
     # -- dispatch ------------------------------------------------------------
 
@@ -202,27 +196,25 @@ def _direct_proposal() -> DecompositionProposal:
     return DecompositionProposal(lemmas=(), reconstruction=api.RECON_DIRECT)
 
 
-def _completion(context: PolicyContext) -> CompletionAttempt:
-    return CompletionAttempt(
-        proof_text=api.DIRECT_PROOF_DIRECTIVE,
-        attempt_index=len(context.feedback_history) + 1,
-    )
+class _BuiltinPolicy:
+    """What the built-in policies share: every completion is the direct-proof
+    directive, and a policy with no per-run state forks to itself."""
+
+    def propose_completion(self, context: PolicyContext) -> str:
+        return api.DIRECT_PROOF_DIRECTIVE
+
+    def fork(self, seed: int) -> "_BuiltinPolicy":
+        return self
 
 
-class DirectSubmit:
+class DirectSubmit(_BuiltinPolicy):
     """Always asks for the target to be discharged outright."""
 
     def propose_decomposition(self, context: PolicyContext) -> DecompositionProposal:
         return _direct_proposal()
 
-    def propose_completion(self, context: PolicyContext) -> CompletionAttempt:
-        return _completion(context)
 
-    def fork(self, seed: int) -> "DirectSubmit":
-        return self
-
-
-class ConjunctionSplitter:
+class ConjunctionSplitter(_BuiltinPolicy):
     """Split a conjunction into its conjuncts, recursing to a depth limit.
 
     Each lemma keeps only the parent binders its body mentions.  Non-
@@ -252,14 +244,8 @@ class ConjunctionSplitter:
             rationale="split the conjunction into independent pieces",
         )
 
-    def propose_completion(self, context: PolicyContext) -> CompletionAttempt:
-        return _completion(context)
 
-    def fork(self, seed: int) -> "ConjunctionSplitter":
-        return self
-
-
-class QuantifierGrounder:
+class QuantifierGrounder(_BuiltinPolicy):
     """Replace the first binder by one lemma per domain value when the
     enumeration is small enough to be worth spelling out."""
 
@@ -290,12 +276,6 @@ class QuantifierGrounder:
             rationale=f"ground {name0} over its {len(lemmas)}-point carrier",
         )
 
-    def propose_completion(self, context: PolicyContext) -> CompletionAttempt:
-        return _completion(context)
-
-    def fork(self, seed: int) -> "QuantifierGrounder":
-        return self
-
 
 def _junk_proposal(context: PolicyContext) -> DecompositionProposal:
     """A deliberately worthless proposal: one unsatisfiable closed lemma.
@@ -318,7 +298,7 @@ def _junk_proposal(context: PolicyContext) -> DecompositionProposal:
 DEFAULT_WEIGHTS = {"split": 0.45, "direct": 0.25, "ground": 0.15, "junk": 0.15}
 
 
-class StochasticPolicy:
+class StochasticPolicy(_BuiltinPolicy):
     """Seeded mixture over the built-in proposal strategies.
 
     One generator drives all draws, so a single-threaded run replays
@@ -352,9 +332,6 @@ class StochasticPolicy:
         if action == "junk":
             return _junk_proposal(context)
         return self._direct.propose_decomposition(context)
-
-    def propose_completion(self, context: PolicyContext) -> CompletionAttempt:
-        return _completion(context)
 
     def fork(self, seed: int) -> "StochasticPolicy":
         return StochasticPolicy(

@@ -23,13 +23,7 @@ from ..errors import CheckerProtocolError, ParseError, PolicyError
 from ..lang.parser import parse_goal
 from ..lang.printer import print_goal
 from . import api, prompts
-from .api import (
-    CheckRequest,
-    CheckVerdict,
-    CompletionAttempt,
-    DecompositionProposal,
-    PolicyContext,
-)
+from .api import CheckRequest, CheckVerdict, DecompositionProposal, PolicyContext
 
 _WIRE_STATUS = {
     "accepted": api.ACCEPTED,
@@ -100,19 +94,16 @@ class JsonLineProcess:
                     raise CheckerProtocolError("peer process is gone")
                 self._proc.stdin.write(encoded)
                 self._proc.stdin.flush()
-            deadline = threading.TIMEOUT_MAX if timeout_s is None else timeout_s
             with self._cond:
-                got = self._cond.wait_for(
+                self._cond.wait_for(
                     lambda: key in self._responses or self._broken is not None,
-                    timeout=deadline,
+                    timeout=timeout_s,
                 )
                 if key in self._responses:
                     return self._responses.pop(key)
                 if self._broken is not None:
                     raise CheckerProtocolError(self._broken)
-                if not got:
-                    raise CheckerProtocolError(f"no response for {key} within {timeout_s}s")
-                raise CheckerProtocolError("transport failure")
+                raise CheckerProtocolError(f"no response for {key} within {timeout_s}s")
         finally:
             # Also drops a reply that slipped in after the wait gave up.
             with self._cond:
@@ -184,6 +175,19 @@ class _IdSource:
             return f"{self.prefix}-{next(self._counter)}"
 
 
+def _id_checked_roundtrip(transport, payload: dict, timeout_s: float) -> dict:
+    """Send one request and return its reply, which must be a JSON object
+    that echoes the request's id; anything else is a CheckerProtocolError."""
+    response = transport.request(payload, timeout_s=timeout_s)
+    if not isinstance(response, dict):
+        raise CheckerProtocolError(f"reply is not a JSON object: {str(response)[:200]!r}")
+    if str(response.get("id")) != payload["id"]:
+        raise CheckerProtocolError(
+            f"response id {response.get('id')!r} does not echo request id {payload['id']!r}"
+        )
+    return response
+
+
 class ExternalChecker:
     """Checker contract over a wire transport."""
 
@@ -195,9 +199,8 @@ class ExternalChecker:
         self._ids = _IdSource("chk")
 
     def check(self, request: CheckRequest, timeout_ms: int) -> CheckVerdict:
-        req_id = self._ids.next()
         payload = {
-            "id": req_id,
+            "id": self._ids.next(),
             "kind": request.kind,
             "goal": print_goal(request.goal),
             "lemmas": [print_goal(lemma) for lemma in request.lemmas],
@@ -205,58 +208,46 @@ class ExternalChecker:
             "timeout_ms": timeout_ms,
         }
         try:
-            response = self.transport.request(
-                payload, timeout_s=timeout_ms / 1000.0 + self.TRANSPORT_GRACE_S
+            response = _id_checked_roundtrip(
+                self.transport, payload, timeout_ms / 1000.0 + self.TRANSPORT_GRACE_S
             )
         except CheckerProtocolError as exc:
             return api.checker_error(str(exc))
-        if str(response.get("id")) != req_id:
-            return api.checker_error(
-                f"response id {response.get('id')!r} does not echo request id {req_id!r}"
-            )
         status = _WIRE_STATUS.get(response.get("status"))
         if status is None:
             return api.checker_error(f"unknown status {response.get('status')!r}")
-        diagnostics = str(response.get("diagnostics", ""))
-        wall = int(response.get("wall_time_ms", 0))
         if status == api.ACCEPTED:
-            axioms = tuple(str(a) for a in response.get("axioms", []))
-            return CheckVerdict(status, axioms_used=axioms, wall_time_ms=wall)
-        return CheckVerdict(status, diagnostics=diagnostics, wall_time_ms=wall)
+            axioms = response.get("axioms", [])
+            if not isinstance(axioms, list):
+                return api.checker_error(f"axioms must be a list, got {axioms!r}")
+            return api.accepted(tuple(str(a) for a in axioms))
+        return CheckVerdict(status, diagnostics=str(response.get("diagnostics", "")))
 
 
 class ExternalPolicy:
     """Policy contract over a wire transport.
 
-    Requests additionally carry a rendered prompt (templates are plain text
-    files, editable without touching code); peers free to ignore it get the
-    structured fields either way.  Completion responses may be full proof
-    text or search/replace edits against the previous attempt.
+    Each request names its ``mode`` (decompose or complete) and carries the
+    goal, the other open goals and, for a completion, the feedback on
+    earlier attempts.  It also carries a prompt rendered from the packaged
+    templates; peers free to ignore it get the structured fields either
+    way.  A completion reply is the proof text, either in full or as
+    search/replace edits against the previous attempt.
     """
 
     REQUEST_TIMEOUT_S = 120.0
 
-    def __init__(
-        self,
-        transport,
-        decompose_template: str | None = None,
-        complete_template: str | None = None,
-    ):
+    def __init__(self, transport):
         self.transport = transport
-        self.decompose_template = decompose_template or prompts.load_default("decompose")
-        self.complete_template = complete_template or prompts.load_default("complete")
+        self.decompose_template = prompts.load_default("decompose")
+        self.complete_template = prompts.load_default("complete")
         self._ids = _IdSource("pol")
 
     def _roundtrip(self, payload: dict) -> dict:
         try:
-            response = self.transport.request(payload, timeout_s=self.REQUEST_TIMEOUT_S)
+            return _id_checked_roundtrip(self.transport, payload, self.REQUEST_TIMEOUT_S)
         except CheckerProtocolError as exc:
             raise PolicyError(str(exc)) from exc
-        if str(response.get("id")) != payload["id"]:
-            raise PolicyError(
-                f"response id {response.get('id')!r} does not echo {payload['id']!r}"
-            )
-        return response
 
     def propose_decomposition(self, context: PolicyContext) -> DecompositionProposal:
         payload = {
@@ -285,7 +276,7 @@ class ExternalPolicy:
             rationale=None if rationale is None else str(rationale),
         )
 
-    def propose_completion(self, context: PolicyContext) -> CompletionAttempt:
+    def propose_completion(self, context: PolicyContext) -> str:
         base = context.feedback_history[-1].proof_text if context.feedback_history else ""
         payload = {
             "id": self._ids.next(),
@@ -305,10 +296,7 @@ class ExternalPolicy:
         if not isinstance(proof, str):
             raise PolicyError("complete response must carry a 'proof' string")
         edits = prompts.parse_search_replace(proof)
-        proof_text = prompts.apply_search_replace(base, edits) if edits else proof
-        return CompletionAttempt(
-            proof_text=proof_text, attempt_index=len(context.feedback_history) + 1
-        )
+        return prompts.apply_search_replace(base, edits) if edits else proof
 
     def fork(self, seed: int) -> "ExternalPolicy":
         return self

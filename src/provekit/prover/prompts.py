@@ -1,7 +1,8 @@
 """Prompt rendering for external proposal sources.
 
-Templates are plain text files with ``str.format`` placeholders; which file
-is used is configuration, not code.  Completion responses may edit the
+Templates are the plain text files packaged under ``templates/``, with
+``str.format`` placeholders.  They are not configuration: an external policy
+always renders the packaged pair.  Completion responses may edit the
 previous attempt with conflict-marker style search/replace blocks:
 
     <<<<<<< SEARCH
@@ -34,11 +35,6 @@ def load_default(kind: str) -> str:
     return (
         resources.files("provekit.prover").joinpath("templates", filename).read_text()
     )
-
-
-def load_template(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
 
 
 def render_decompose_prompt(goal: GoalDecl, template: str) -> str:

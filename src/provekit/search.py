@@ -35,13 +35,10 @@ from .prover import (
     KIND_COMPLETION,
     KIND_DIRECT,
     KIND_RECONSTRUCTION,
-    MODE_COMPLETE,
-    MODE_DECOMPOSE,
     TIMEOUT,
     CheckRequest,
     CheckVerdict,
     Checker,
-    CompletionAttempt,
     DecompositionProposal,
     FeedbackEntry,
     Policy,
@@ -366,7 +363,7 @@ def propose_and_gate(
     evaluation (``policy_error: ...``).
     """
     siblings = tuple(n.goal for n in tree.open_nodes() if n.name != target.name)
-    context = PolicyContext(target.goal, siblings, mode=MODE_DECOMPOSE, target_depth=target.depth)
+    context = PolicyContext(target.goal, siblings, target_depth=target.depth)
     try:
         proposal = policy.propose_decomposition(context)
     except PolicyError as exc:
@@ -531,18 +528,17 @@ def completion_stage(
         if not open_leaves or time.monotonic() > deadline:
             break
         sweeps_used = sweep
-        attempts: list[tuple[GoalNode, CompletionAttempt]] = []
+        attempts: list[tuple[GoalNode, str]] = []
         for node in open_leaves:
             siblings = tuple(n.goal for n in open_leaves if n.name != node.name)
             context = PolicyContext(
                 goal=node.goal,
                 sibling_goals=siblings,
-                mode=MODE_COMPLETE,
                 feedback_history=tuple(node.feedback),
                 target_depth=node.depth,
             )
             try:
-                attempt = policy.propose_completion(context)
+                proof_text = policy.propose_completion(context)
             except PolicyError as exc:
                 trace.emit(
                     "complete_attempt",
@@ -554,21 +550,17 @@ def completion_stage(
                     audit_ok=None,
                 )
                 continue
-            attempts.append((node, attempt))
+            attempts.append((node, proof_text))
         requests = [
-            CheckRequest(
-                kind=KIND_COMPLETION,
-                goal=node.goal,
-                proof_text=attempt.proof_text,
-            )
-            for node, attempt in attempts
+            CheckRequest(kind=KIND_COMPLETION, goal=node.goal, proof_text=proof_text)
+            for node, proof_text in attempts
         ]
         verdicts = _dispatch_checks(requests, checker, pool, config.check_timeout_ms)
-        for (node, attempt), verdict in zip(attempts, verdicts):
+        for (node, proof_text), verdict in zip(attempts, verdicts):
             audit_ok = not axiom_audit(verdict) if verdict.status == ACCEPTED else None
             if audit_ok:
                 node.status = GOAL_PROVED
-                node.closing_proof = attempt.proof_text
+                node.closing_proof = proof_text
                 node.closing_attempt = sweep
                 node.closing_verdict = verdict
             else:
@@ -576,7 +568,7 @@ def completion_stage(
                 # lemma unproved and goes back to the policy as feedback like
                 # any other failure.
                 audit_failures += audit_ok is False
-                node.feedback.append(FeedbackEntry(attempt.proof_text, verdict))
+                node.feedback.append(FeedbackEntry(proof_text, verdict))
             trace.emit(
                 "complete_attempt",
                 sweep=sweep,
@@ -588,7 +580,7 @@ def completion_stage(
                     "axioms": list(verdict.axioms_used),
                 },
                 audit_ok=audit_ok,
-                proof_lines=len(attempt.proof_text.splitlines()),
+                proof_lines=len(proof_text.splitlines()),
             )
     return sweeps_used, audit_failures
 

@@ -34,7 +34,7 @@ from .search import (
     completion_stage,
     propose_and_gate,
 )
-from .trace import RunTrace
+from .trace import RunTrace, canonical_json
 
 RECORD_DECOMPOSITION = "decomposition"
 RECORD_COMPLETION = "completion"
@@ -311,9 +311,8 @@ def export_trajectories(records: list[TrajectoryRecord], path: str | Path) -> in
         "format_version": TRAJECTORY_FORMAT_VERSION,
         "count": len(records),
     }
-    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
-    for record in records:
-        lines.append(json.dumps(record.to_json(), sort_keys=True, separators=(",", ":")))
+    lines = [canonical_json(header)]
+    lines.extend(canonical_json(record.to_json()) for record in records)
     Path(path).write_text("\n".join(lines) + "\n")
     return len(records)
 

@@ -44,7 +44,6 @@ from provekit.prover import (
     RECON_ENTAILMENT,
     RECON_GROUND,
     BuiltinChecker,
-    CompletionAttempt,
     DecompositionProposal,
 )
 from provekit.quickcheck import QcConfig
@@ -78,8 +77,8 @@ class Adversary:
         lemmas = tuple(self._lemma(goal, i) for i in range(rng.randrange(4)))
         return DecompositionProposal(lemmas, rng.choice(MARKERS))
 
-    def propose_completion(self, context) -> CompletionAttempt:
-        return CompletionAttempt(self.rng.choice(PROOF_TEXTS), len(context.feedback_history) + 1)
+    def propose_completion(self, context) -> str:
+        return self.rng.choice(PROOF_TEXTS)
 
     def _lemma(self, goal: GoalDecl, index: int) -> GoalDecl:
         rng = self.rng

@@ -26,7 +26,7 @@ from provekit.analytics import (
 from provekit.errors import ContractViolation, MixedConfigError, UndefinedMetric
 from provekit.evaluator import Domain
 from provekit.lang import parse_goal
-from provekit.prover import BuiltinChecker, CompletionAttempt, DecompositionProposal
+from provekit.prover import BuiltinChecker
 from provekit.quickcheck import QcConfig
 from provekit.search import SearchConfig, run_single
 from provekit.trace import RunTrace
@@ -312,9 +312,7 @@ class _LateCloser:
         raise AssertionError("decomposition stage should be disabled")
 
     def propose_completion(self, context):
-        attempt = len(context.feedback_history) + 1
-        text = "decide" if attempt >= 3 else "sorry"
-        return CompletionAttempt(text, attempt)
+        return "decide" if len(context.feedback_history) >= 2 else "sorry"
 
     def fork(self, seed):
         return self

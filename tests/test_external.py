@@ -29,13 +29,7 @@ from provekit.prover import (
     make_transport,
 )
 from provekit.prover import prompts
-from provekit.prover.api import (
-    KIND_COMPLETION,
-    KIND_DIRECT,
-    MODE_COMPLETE,
-    CheckVerdict,
-    PolicyContext,
-)
+from provekit.prover.api import KIND_DIRECT, CheckVerdict, PolicyContext
 
 # A scriptable peer: behavior is keyed on substrings of the goal text, so
 # one server covers every scenario without a config channel.
@@ -140,6 +134,16 @@ def _direct(name: str) -> CheckRequest:
     return CheckRequest(KIND_DIRECT, parse_goal(f"goal {name} := 0 = 0"))
 
 
+class _ScriptedTransport:
+    """Answers every request with the same fields, echoing its id."""
+
+    def __init__(self, **fields):
+        self.fields = fields
+
+    def request(self, payload, timeout_s):
+        return {"id": payload["id"], **self.fields}
+
+
 # --- stdio transport ----------------------------------------------------------
 
 
@@ -148,7 +152,6 @@ def test_checker_roundtrip_with_axioms(process):
     verdict = checker.check(_direct("axioms"), 1000)
     assert verdict.status == ACCEPTED
     assert verdict.axioms_used == ("propext", "Quot.sound")
-    assert verdict.wall_time_ms == 12
 
 
 @pytest.mark.parametrize(
@@ -169,6 +172,19 @@ def test_unknown_wire_status_is_a_checker_error(process):
     verdict = ExternalChecker(process).check(_direct("weird"), 1000)
     assert verdict.status == CHECKER_ERROR
     assert "maybe" in verdict.diagnostics
+
+
+@pytest.mark.parametrize("axioms", [5, "propext", None])
+def test_axioms_that_are_not_a_list_are_a_checker_error(axioms):
+    checker = ExternalChecker(_ScriptedTransport(status="accepted", axioms=axioms))
+    verdict = checker.check(_direct("anything"), 1000)
+    assert verdict.status == CHECKER_ERROR
+    assert "axioms must be a list" in verdict.diagnostics
+
+
+def test_reported_wall_time_is_not_read():
+    checker = ExternalChecker(_ScriptedTransport(status="accepted", wall_time_ms="soon"))
+    assert checker.check(_direct("anything"), 1000).status == ACCEPTED
 
 
 def test_out_of_order_responses_are_routed_by_id(process):
@@ -241,16 +257,6 @@ def test_policy_rejects_malformed_lemma_payloads(process):
         policy.propose_decomposition(PolicyContext(goal=parse_goal("goal badlemma := 0 = 0")))
 
 
-class _ScriptedTransport:
-    """Answers every request with the same fields, echoing its id."""
-
-    def __init__(self, **fields):
-        self.fields = fields
-
-    def request(self, payload, timeout_s):
-        return {"id": payload["id"], **self.fields}
-
-
 @pytest.mark.parametrize("lemma", ["goal a := ² = 1", "goal a (x: Int) := x < ٣"])
 def test_policy_non_ascii_digit_lemma_is_unparseable(lemma):
     policy = ExternalPolicy(_ScriptedTransport(lemmas=[lemma]))
@@ -267,10 +273,8 @@ def test_policy_deeply_nested_lemma_is_unparseable():
 
 def test_policy_completion_full_text(process):
     policy = ExternalPolicy(process)
-    ctx = PolicyContext(goal=parse_goal("goal fulltext := 0 = 0"), mode=MODE_COMPLETE)
-    attempt = policy.propose_completion(ctx)
-    assert attempt.proof_text == "decide"
-    assert attempt.attempt_index == 1
+    ctx = PolicyContext(goal=parse_goal("goal fulltext := 0 = 0"))
+    assert policy.propose_completion(ctx) == "decide"
 
 
 def test_policy_completion_applies_edits_to_previous_attempt(process):
@@ -278,19 +282,13 @@ def test_policy_completion_applies_edits_to_previous_attempt(process):
     history = (
         FeedbackEntry("line one\nline two", CheckVerdict(REJECTED, diagnostics="bad")),
     )
-    ctx = PolicyContext(
-        goal=parse_goal("goal editor := 0 = 0"),
-        feedback_history=history,
-        mode=MODE_COMPLETE,
-    )
-    attempt = policy.propose_completion(ctx)
-    assert attempt.proof_text == "line one\nline 2"
-    assert attempt.attempt_index == 2
+    ctx = PolicyContext(goal=parse_goal("goal editor := 0 = 0"), feedback_history=history)
+    assert policy.propose_completion(ctx) == "line one\nline 2"
 
 
 def test_policy_completion_rejects_stray_markers(process):
     policy = ExternalPolicy(process)
-    ctx = PolicyContext(goal=parse_goal("goal straymark := 0 = 0"), mode=MODE_COMPLETE)
+    ctx = PolicyContext(goal=parse_goal("goal straymark := 0 = 0"))
     with pytest.raises(PolicyError, match="stray marker"):
         policy.propose_completion(ctx)
 
@@ -313,6 +311,8 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         elif self.path == "/garbage":
             self._send(200, b"<html>oops</html>")
             return
+        elif self.path == "/array":
+            body = [1, 2]
         else:
             body = {"id": req["id"], "status": "accepted", "axioms": ["propext"]}
         self._send(200, json.dumps(body).encode())
@@ -355,6 +355,25 @@ def test_http_garbage_body_is_checker_error(http_base):
     checker = ExternalChecker(JsonHttpEndpoint(f"{http_base}/garbage"))
     verdict = checker.check(_direct("anything"), 1000)
     assert verdict.status == CHECKER_ERROR
+
+
+def test_http_id_mismatch_is_policy_error(http_base):
+    policy = ExternalPolicy(JsonHttpEndpoint(f"{http_base}/wrongid"))
+    with pytest.raises(PolicyError, match="echo"):
+        policy.propose_decomposition(PolicyContext(goal=parse_goal("goal g := 0 = 0")))
+
+
+def test_http_non_object_body_is_checker_error(http_base):
+    checker = ExternalChecker(JsonHttpEndpoint(f"{http_base}/array"))
+    verdict = checker.check(_direct("anything"), 1000)
+    assert verdict.status == CHECKER_ERROR
+    assert "not a JSON object" in verdict.diagnostics
+
+
+def test_http_non_object_body_is_policy_error(http_base):
+    policy = ExternalPolicy(JsonHttpEndpoint(f"{http_base}/array"))
+    with pytest.raises(PolicyError, match="not a JSON object"):
+        policy.propose_decomposition(PolicyContext(goal=parse_goal("goal g := 0 = 0")))
 
 
 def test_http_connection_failure_is_checker_error():
@@ -406,12 +425,6 @@ def test_completion_template_includes_feedback():
     assert "line 3 bad" in text
     empty = prompts.render_completion_prompt(goal, (), prompts.load_default("complete"))
     assert "0 = 0" in empty
-
-
-def test_load_template_reads_files(tmp_path):
-    path = tmp_path / "tpl.txt"
-    path.write_text("prove {goal_name} now")
-    assert prompts.load_template(str(path)) == "prove {goal_name} now"
 
 
 def test_parse_search_replace_roundtrip():

@@ -1,11 +1,11 @@
 """Static scans of the package source.
 
-Every name a package module imports is used in that module.  No linter
-ships with the project, and code moves between modules, so an import its
-last user left behind is caught here.  Package ``__init__`` modules are
-skipped: their imports are the re-exports.  Elsewhere a re-export is
-spelled ``from m import name as name``, the explicit form type checkers
-also read as one.
+Every name a package module or a test module imports is used in that
+module.  No linter ships with the project, and code moves between modules,
+so an import its last user left behind is caught here.  Package
+``__init__`` modules are skipped: their imports are the re-exports.
+Elsewhere a re-export is spelled ``from m import name as name``, the
+explicit form type checkers also read as one.
 
 Outside the prover package and the verification pool, only the search
 module asks a policy for a proposal, calls a checker or audits axioms, so
@@ -23,6 +23,8 @@ import provekit
 
 PACKAGE = Path(provekit.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 # Calls that only search.py may make, outside prover/ and pool.py.
@@ -71,12 +73,19 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["Encoder", "os", "osp", "parse"]
 
 
+def _scan_id(path: Path) -> str:
+    if path.is_relative_to(PACKAGE):
+        return path.relative_to(PACKAGE).as_posix()
+    return path.relative_to(TESTS.parent).as_posix()
+
+
 def test_the_scan_covers_the_package():
-    names = {p.relative_to(PACKAGE).as_posix() for p in MODULES}
+    names = {_scan_id(p) for p in MODULES + TEST_MODULES}
     assert {"search.py", "training.py", "cli.py", "lang/ast.py", "prover/builtin.py"} <= names
+    assert {"tests/test_imports.py", "tests/test_search.py", "tests/corpus.py"} <= names
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(PACKAGE).as_posix())
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=_scan_id)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

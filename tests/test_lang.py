@@ -13,7 +13,6 @@ import provekit.lang
 from provekit.errors import EvalError, ParseError
 from provekit.evaluator import _BUILDERS, Domain, eval_formula
 from provekit.lang import (
-    Add,
     And,
     Eq,
     Forall,
@@ -22,7 +21,6 @@ from provekit.lang import (
     IntLit,
     Le,
     Lt,
-    Mem,
     Not,
     Sort,
     Term,

@@ -119,7 +119,7 @@ def test_queue_capacity_gives_backpressure():
 def test_unknown_handle_is_rejected():
     with VerificationPool(BuiltinChecker(Domain())) as pool:
         with pytest.raises(UnknownHandle):
-            pool.await_verdict(JobHandle(job_id="job-999999", submitted_at=0.0))
+            pool.await_verdict(JobHandle(job_id="job-999999"))
 
 
 def test_checker_exceptions_become_checker_error_verdicts():

@@ -16,17 +16,14 @@ from provekit.prover import (
     KIND_COMPLETION,
     KIND_DIRECT,
     KIND_RECONSTRUCTION,
-    MODE_COMPLETE,
     REJECTED,
     TIMEOUT,
     BuiltinChecker,
     CheckRequest,
     CheckVerdict,
     Checker,
-    CompletionAttempt,
     ConjunctionSplitter,
     DirectSubmit,
-    FeedbackEntry,
     Policy,
     PolicyContext,
     QuantifierGrounder,
@@ -53,7 +50,6 @@ def test_direct_valid_goal_is_accepted():
     goal = parse_goal("goal t (x: Int) := x + 0 = x")
     verdict = _check(CheckRequest(KIND_DIRECT, goal))
     assert verdict.status == ACCEPTED
-    assert verdict.wall_time_ms >= 0
 
 
 def test_direct_refutable_goal_is_rejected_with_witness():
@@ -307,16 +303,8 @@ def test_direct_submit_policy():
     proposal = policy.propose_decomposition(_ctx(goal))
     assert proposal.k == 0
     assert proposal.reconstruction == RECON_DIRECT
-    attempt = policy.propose_completion(PolicyContext(goal=goal, mode=MODE_COMPLETE))
-    assert attempt == CompletionAttempt(proof_text=DIRECT_PROOF_DIRECTIVE, attempt_index=1)
+    assert policy.propose_completion(_ctx(goal)) == DIRECT_PROOF_DIRECTIVE
     assert policy.fork(99) is policy
-
-
-def test_completion_attempt_index_tracks_feedback():
-    goal = parse_goal("goal t := 0 = 0")
-    fb = (FeedbackEntry("decide", CheckVerdict(TIMEOUT, diagnostics="slow")),)
-    ctx = PolicyContext(goal=goal, feedback_history=fb, mode=MODE_COMPLETE)
-    assert DirectSubmit().propose_completion(ctx).attempt_index == 2
 
 
 def test_splitter_depth_controls_fringe_flattening():
@@ -454,13 +442,6 @@ def test_contract_validation_on_wire_types():
         CheckRequest("prove", goal)
     with pytest.raises(ContractViolation):
         CheckVerdict(REJECTED, axioms_used=("propext",))
-    with pytest.raises(ContractViolation):
-        CompletionAttempt(proof_text="decide", attempt_index=0)
-    with pytest.raises(ContractViolation):
-        PolicyContext(goal=goal, mode="ponder")
-    fb = (FeedbackEntry("decide", CheckVerdict(REJECTED, diagnostics="no")),)
-    with pytest.raises(ContractViolation):
-        PolicyContext(goal=goal, feedback_history=fb)
 
 
 def test_fresh_lemma_name_format():

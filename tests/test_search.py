@@ -33,14 +33,12 @@ from provekit.lang import (
 )
 from provekit.pool import PoolConfig, VerificationPool
 from provekit.prover import (
-    ACCEPTED,
     DIRECT_PROOF_DIRECTIVE,
     KIND_DIRECT,
     KIND_RECONSTRUCTION,
     RECON_DIRECT,
     BuiltinChecker,
     CheckRequest,
-    CompletionAttempt,
     ConjunctionSplitter,
     DecompositionProposal,
     DirectSubmit,
@@ -123,10 +121,7 @@ class ScriptedPolicy:
         self.completion_contexts.append(context)
         if isinstance(self.completion_proof, Exception):
             raise self.completion_proof
-        return CompletionAttempt(
-            proof_text=self.completion_proof,
-            attempt_index=len(context.feedback_history) + 1,
-        )
+        return self.completion_proof
 
     def fork(self, seed):
         self.fork_seeds.append(seed)
@@ -663,9 +658,7 @@ class JunkPolicy:
         return DecompositionProposal(lemmas=(lemma,), reconstruction="entailment")
 
     def propose_completion(self, context):
-        return CompletionAttempt(
-            proof_text="sorry", attempt_index=len(context.feedback_history) + 1
-        )
+        return "sorry"
 
     def fork(self, seed):
         return self

@@ -14,7 +14,6 @@ from provekit.evaluator import Domain
 from provekit.lang import Eq, GoalDecl, IntLit, Sort, Var, parse_goal
 from provekit.prover import (
     ACCEPTED,
-    CompletionAttempt,
     DecompositionProposal,
     BuiltinChecker,
     DirectSubmit,
@@ -82,7 +81,7 @@ class ScriptedDecomposer:
         return item
 
     def propose_completion(self, context):
-        return CompletionAttempt("decide", len(context.feedback_history) + 1)
+        return "decide"
 
     def fork(self, seed):
         return self
@@ -102,7 +101,7 @@ class ScriptedCompleter:
         self.seen_history_lengths.append(len(context.feedback_history))
         if not self.texts:
             raise PolicyError("out of ideas")
-        return CompletionAttempt(self.texts.pop(0), len(context.feedback_history) + 1)
+        return self.texts.pop(0)
 
     def fork(self, seed):
         return self
@@ -610,8 +609,7 @@ class SlowCompleter:
     def propose_completion(self, context):
         failed = len(context.feedback_history)
         patience = sum(map(ord, context.goal.name)) % 4
-        text = "decide" if failed >= patience else f"sorry {failed}"
-        return CompletionAttempt(text, failed + 1)
+        return "decide" if failed >= patience else f"sorry {failed}"
 
     def fork(self, seed):
         return SlowCompleter(self.inner.fork(seed))
