@@ -25,8 +25,6 @@ from .evaluator import (
     decide_bounded,
     entailment_check,
     eval_formula,
-    eval_term,
-    leave_one_out_necessity,
 )
 from .lang import GoalDecl, Sort, operator_footprint, parse_goal, parse_goal_file, print_goal
 from .pool import JobHandle, PoolConfig, PoolStats, VerificationPool
@@ -55,7 +53,7 @@ __all__ = [
     "FilterViolation", "MixedConfigError", "ParseError", "PolicyError",
     "ProvekitError", "QueueFull", "UndefinedMetric", "UnknownHandle",
     "DecisionVerdict", "Domain", "decide_bounded", "entailment_check",
-    "eval_formula", "eval_term", "leave_one_out_necessity",
+    "eval_formula",
     "GoalDecl", "Sort", "operator_footprint", "parse_goal", "parse_goal_file",
     "print_goal",
     "JobHandle", "PoolConfig", "PoolStats", "VerificationPool",

@@ -60,7 +60,6 @@ from .lang.ast import (
     Implies,
     Sort,
     Sub,
-    Term,
     TrueF,
     Var,
     rename_free,
@@ -359,10 +358,6 @@ def compile_formula(formula: Formula, domain: Domain, budget: Budget) -> Formula
     return _Compiler(domain, budget).compile(formula)
 
 
-def eval_term(term: Term, env: Env, domain: Domain, budget: Budget) -> Value:
-    return _Compiler(domain, budget).compile(term)(env)
-
-
 def eval_formula(formula: Formula, env: Env, domain: Domain, budget: Budget | None = None) -> bool:
     """Evaluate under one assignment; quantifiers enumerate the domain."""
     if budget is None:
@@ -481,19 +476,3 @@ def entailment_check(lemmas: list[GoalDecl], goal: GoalDecl, domain: Domain) -> 
         except EvalError:
             return False
     return True
-
-
-def leave_one_out_necessity(lemmas: list[GoalDecl], goal: GoalDecl, domain: Domain) -> list[bool]:
-    """For each lemma: does dropping it break the entailment?
-
-    Advisory diagnostics only: the flags are returned, and nothing in the
-    package records them or gates on them.
-    Precondition: the full set entails the goal.
-    """
-    if not entailment_check(lemmas, goal, domain):
-        raise ContractViolation("necessity probe requires an entailing lemma set")
-    flags: list[bool] = []
-    for i in range(len(lemmas)):
-        rest = lemmas[:i] + lemmas[i + 1 :]
-        flags.append(not entailment_check(rest, goal, domain))
-    return flags

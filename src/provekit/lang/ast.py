@@ -463,10 +463,6 @@ def statement_key(goal: GoalDecl) -> str:
     return f"({sorts})|{_canon(goal.body, env, len(goal.binders))}"
 
 
-def alpha_equivalent(a: GoalDecl, b: GoalDecl) -> bool:
-    return statement_key(a) == statement_key(b)
-
-
 def sort_error(goal: GoalDecl) -> str | None:
     """Why the goal is ill-sorted, naming the offending operator, or None
     when every operator gets operands of its sorts, every variable is

@@ -9,10 +9,11 @@ pending/queued), and the stats snapshot preserves the conservation identity
 at every observable instant.  A job's deadline is its submission time plus
 its timeout; whoever sees it pass first, awaiter or worker, finalizes the
 job as a timeout, and a job still queued past it never starts.  A slot is a
-count, not a thread: a job cut short frees its slot at once, and its thread
-counts as ``stuck`` until the check returns, so a hung check never holds up
-the queue.  The checker still gets the job's full timeout.  Awaited jobs
-are forgotten and latency quantiles cover recent jobs only.
+place in the running set, not a thread: a job cut short frees its slot at
+once, and its thread counts as ``stuck`` until the check returns, so a hung
+check never holds up the queue.  The checker still gets the job's full
+timeout.  A handle carries its job, so the pool keeps only queued and
+running jobs, and latency quantiles cover recent jobs only.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import collections
 import math
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ContractViolation, QueueFull, UnknownHandle
 from .prover import api
@@ -47,6 +48,7 @@ class PoolConfig:
 @dataclass(frozen=True)
 class JobHandle:
     job_id: str
+    _job: _Job | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -71,6 +73,7 @@ class PoolStats:
 
 @dataclass(slots=True, eq=False)
 class _Job:
+    pool: VerificationPool
     job_id: str
     request: CheckRequest
     timeout_ms: int
@@ -95,12 +98,11 @@ class VerificationPool:
         self._work = threading.Condition(self._lock)  # idle workers wait for jobs
         self._queue: collections.deque[_Job] = collections.deque()
         self._ready: collections.deque[_Job] = collections.deque()  # started, not yet picked up
-        self._jobs: dict[str, _Job] = {}
+        self._running: set[_Job] = set()  # jobs holding a slot
         self._next_id = 0
         self._shutdown = False
         self._counts = {"submitted": 0, "completed": 0, "timed_out": 0, "cancelled": 0}
         self._peak = 0
-        self._running = 0  # jobs holding a slot
         self._busy = 0  # worker threads given a job whose check has not returned
         self._idle = 0  # idle worker threads not yet handed a job
         self._latencies: collections.deque[float] = collections.deque(maxlen=_LATENCY_SAMPLES)
@@ -133,34 +135,32 @@ class VerificationPool:
                 raise QueueFull(f"queue at capacity ({self.config.queue_capacity})")
             self._next_id += 1
             deadline = time.monotonic() + effective / 1000.0
-            job = _Job(f"job-{self._next_id:06d}", request, effective, deadline)
-            self._jobs[job.job_id] = job
+            job = _Job(self, f"job-{self._next_id:06d}", request, effective, deadline)
             self._queue.append(job)
             self._counts["submitted"] += 1
             self._dispatch_locked()
-            return JobHandle(job_id=job.job_id)
+            return JobHandle(job.job_id, job)
 
     def await_verdict(self, handle: JobHandle) -> CheckVerdict:
-        """Block until the job finishes or its deadline passes; the pool then
-        forgets the job, so a second await on its handle raises UnknownHandle."""
+        """Block until the job finishes or its deadline passes; a second
+        await on the same handle returns the same verdict."""
+        job = handle._job
+        if job is None or job.pool is not self:
+            raise UnknownHandle(handle.job_id)
         with self._lock:
-            job = self._jobs.get(handle.job_id)
-            if job is None:
-                raise UnknownHandle(handle.job_id)
             remaining = job.deadline - time.monotonic()
             if not self._done.wait_for(lambda: job.verdict is not None, remaining):
                 if job.started_at is None:
                     self._queue.remove(job)
                 self._finalize_locked(job, "timed_out", api.timeout())
-            self._jobs.pop(handle.job_id, None)
             return job.verdict
 
     def cancel_all(self, reason: str = "cancelled") -> int:
         """Cancel everything pending or running; returns how many jobs were
         cut short.  The pool stays usable afterwards."""
         with self._lock:
+            cut = [*self._queue, *self._running]
             self._queue.clear()  # first, so the slots freed below start nothing
-            cut = [job for job in self._jobs.values() if job.verdict is None]
             for job in cut:
                 self._finalize_locked(job, "cancelled", api.checker_error(reason))
             return len(cut)
@@ -170,13 +170,13 @@ class VerificationPool:
             samples = sorted(self._latencies)
             return PoolStats(
                 **self._counts,
-                in_flight=self._running,
+                in_flight=len(self._running),
                 queued=len(self._queue),
                 peak_in_flight=self._peak,
                 latency_ms_p50=_nearest_rank(samples, 0.50) if samples else None,
                 latency_ms_p95=_nearest_rank(samples, 0.95) if samples else None,
                 latency_ms_p99=_nearest_rank(samples, 0.99) if samples else None,
-                stuck=self._busy - self._running,
+                stuck=self._busy - len(self._running),
             )
 
     # -- internals -------------------------------------------------------------
@@ -187,7 +187,7 @@ class VerificationPool:
         job.verdict = verdict
         self._counts[bucket] += 1
         if job.started_at is not None:
-            self._running -= 1
+            self._running.remove(job)
             self._latencies.append((time.monotonic() - job.started_at) * 1000.0)
             self._dispatch_locked()
         self._done.notify_all()
@@ -195,16 +195,16 @@ class VerificationPool:
     def _dispatch_locked(self) -> None:
         """Start queued jobs while a slot is free, each on an idle worker or
         else a new one; a job past its deadline times out without starting."""
-        while self._queue and self._running < self.config.max_concurrent:
+        while self._queue and len(self._running) < self.config.max_concurrent:
             job = self._queue.popleft()
             now = time.monotonic()
             if now >= job.deadline:
                 self._finalize_locked(job, "timed_out", api.timeout())
                 continue
             job.started_at = now
-            self._running += 1
+            self._running.add(job)
             self._busy += 1
-            self._peak = max(self._peak, self._running)
+            self._peak = max(self._peak, len(self._running))
             self._ready.append(job)
             if self._idle:
                 self._idle -= 1
@@ -224,6 +224,7 @@ class VerificationPool:
                         late = time.monotonic() > job.deadline
                         self._finalize_locked(job, "timed_out" if late else "completed",
                                               api.timeout() if late else verdict)
+                    job = verdict = None  # from here on only its handle keeps the job
                 self._work.wait_for(lambda: self._ready or self._shutdown)
                 if not self._ready:
                     self._idle -= 1

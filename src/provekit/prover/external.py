@@ -1,9 +1,12 @@
 """Adapters for out-of-process checkers and policies.
 
-Wire format: one JSON object per line (or per HTTP POST).  Every request
-carries an ``id`` the peer must echo; responses may arrive out of order on
-the stdio transport and are matched back by that id.  Unknown fields are
-ignored in both directions, so either side can extend the protocol.
+Wire format: one JSON object per line (or per HTTP POST).  As in JSON-RPC
+2.0, the client assigns request ids and the peer echoes them: each
+transport numbers its own requests 1, 2, 3, ..., overwriting any ``id`` the
+caller passed, and returns only a JSON object that echoes the id sent.
+Responses may arrive out of order on the stdio transport and are matched
+back by that id.  Unknown fields are ignored in both directions, so either
+side can extend the protocol.
 
 Transport or protocol failures surface as ``checker_error`` verdicts on the
 checker side (infrastructure must never masquerade as falsity) and as
@@ -38,8 +41,11 @@ class JsonLineProcess:
 
     A background reader routes responses by id, so slow answers to earlier
     requests cannot starve later ones.  It keeps only replies that a request
-    is still waiting for: a reply that arrives after its request timed out
-    is dropped, so late answers cannot pile up."""
+    is still waiting for: a reply to an id that was sent but is no longer
+    awaited (a late or duplicate answer) is dropped, so such replies cannot
+    pile up.  A line that is not a JSON object with an id, or a reply to an
+    id never sent, breaks the connection: every waiting request, and every
+    later one, fails at once with ``CheckerProtocolError``."""
 
     def __init__(self, argv: list[str] | str):
         if isinstance(argv, str):
@@ -53,42 +59,50 @@ class JsonLineProcess:
         )
         self._write_lock = threading.Lock()
         self._cond = threading.Condition()
-        self._responses: dict[str, dict] = {}
-        self._awaited: set[str] = set()
+        self._replies: dict[int, dict | None] = {}  # awaited id -> its reply once read
+        self._last_id = 0  # ids 1..last_id have been sent
         self._broken: str | None = None
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
 
     def _read_loop(self) -> None:
         assert self._proc.stdout is not None
-        for line in self._proc.stdout:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-                key = str(payload["id"])
-            except (json.JSONDecodeError, KeyError, TypeError):
+        # The reader owns the stream: it closes it when it stops reading.
+        with self._proc.stdout as lines:
+            for line in lines:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    reply = json.loads(line)
+                    key = reply["id"]
+                except (json.JSONDecodeError, KeyError, TypeError):
+                    return self._break(f"peer sent an unparseable line: {line[:200]!r}")
                 with self._cond:
-                    self._broken = f"peer sent an unparseable line: {line[:200]!r}"
-                    self._cond.notify_all()
-                return
-            with self._cond:
-                if key in self._awaited:
-                    self._responses[key] = payload
-                    self._cond.notify_all()
+                    if type(key) is not int or not 0 < key <= self._last_id:
+                        return self._break(f"peer replied to id {key!r}, which was never sent")
+                    if key in self._replies and self._replies[key] is None:
+                        self._replies[key] = reply
+                        self._cond.notify_all()
+        self._break("peer closed its output stream")
+
+    def _break(self, reason: str) -> None:
+        """Fail every waiting and every later request with ``reason``."""
         with self._cond:
             if self._broken is None:
-                self._broken = "peer closed its output stream"
+                self._broken = reason
             self._cond.notify_all()
 
     def request(self, payload: dict, timeout_s: float) -> dict:
-        key = str(payload["id"])
-        encoded = json.dumps(payload) + "\n"
         # Registered before the write, so even an instant reply is kept.
         with self._cond:
-            self._awaited.add(key)
+            if self._broken is not None:
+                raise CheckerProtocolError(self._broken)
+            self._last_id += 1
+            key = self._last_id
+            self._replies[key] = None
         try:
+            encoded = json.dumps({**payload, "id": key}) + "\n"
             with self._write_lock:
                 if self._proc.stdin is None or self._proc.poll() is not None:
                     raise CheckerProtocolError("peer process is gone")
@@ -96,21 +110,22 @@ class JsonLineProcess:
                 self._proc.stdin.flush()
             with self._cond:
                 self._cond.wait_for(
-                    lambda: key in self._responses or self._broken is not None,
+                    lambda: self._replies[key] is not None or self._broken is not None,
                     timeout=timeout_s,
                 )
-                if key in self._responses:
-                    return self._responses.pop(key)
+                if self._replies[key] is not None:
+                    return self._replies[key]
                 if self._broken is not None:
                     raise CheckerProtocolError(self._broken)
-                raise CheckerProtocolError(f"no response for {key} within {timeout_s}s")
+                raise CheckerProtocolError(f"no response for request {key} within {timeout_s}s")
         finally:
             # Also drops a reply that slipped in after the wait gave up.
             with self._cond:
-                self._awaited.discard(key)
-                self._responses.pop(key, None)
+                del self._replies[key]
 
     def close(self) -> None:
+        """Stop the child and the reader; later requests fail at once."""
+        self._break("transport is closed")
         try:
             if self._proc.stdin is not None:
                 self._proc.stdin.close()
@@ -118,6 +133,8 @@ class JsonLineProcess:
             self._proc.wait(timeout=5)
         except Exception:
             self._proc.kill()
+            self._proc.wait()
+        self._reader.join(timeout=5)
 
     def __enter__(self) -> "JsonLineProcess":
         return self
@@ -127,10 +144,12 @@ class JsonLineProcess:
 
 
 class JsonHttpEndpoint:
-    """Same payloads, one POST per request."""
+    """Same payloads, one POST per request; the reply must be a JSON object
+    that echoes the request's id."""
 
     def __init__(self, url: str):
         self.url = url
+        self._ids = itertools.count(1)
 
     def request(self, payload: dict, timeout_s: float) -> dict:
         # Imported here: urllib.request pulls in ssl, http and email, which
@@ -138,7 +157,8 @@ class JsonHttpEndpoint:
         import urllib.error
         import urllib.request
 
-        body = json.dumps(payload).encode()
+        key = next(self._ids)
+        body = json.dumps({**payload, "id": key}).encode()
         req = urllib.request.Request(
             self.url, data=body, headers={"Content-Type": "application/json"}
         )
@@ -148,9 +168,16 @@ class JsonHttpEndpoint:
         except (urllib.error.URLError, OSError) as exc:
             raise CheckerProtocolError(f"http transport failure: {exc}") from exc
         try:
-            return json.loads(raw)
+            reply = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise CheckerProtocolError(f"unparseable http response: {raw[:200]!r}") from exc
+        if not isinstance(reply, dict):
+            raise CheckerProtocolError(f"reply is not a JSON object: {raw[:200]!r}")
+        if type(reply.get("id")) is not int or reply["id"] != key:
+            raise CheckerProtocolError(
+                f"response id {reply.get('id')!r} does not echo request id {key!r}"
+            )
+        return reply
 
     def close(self) -> None:
         pass
@@ -164,30 +191,6 @@ def make_transport(endpoint: str) -> JsonLineProcess | JsonHttpEndpoint:
     return JsonLineProcess(endpoint)
 
 
-class _IdSource:
-    def __init__(self, prefix: str):
-        self._counter = itertools.count(1)
-        self._lock = threading.Lock()
-        self.prefix = prefix
-
-    def next(self) -> str:
-        with self._lock:
-            return f"{self.prefix}-{next(self._counter)}"
-
-
-def _id_checked_roundtrip(transport, payload: dict, timeout_s: float) -> dict:
-    """Send one request and return its reply, which must be a JSON object
-    that echoes the request's id; anything else is a CheckerProtocolError."""
-    response = transport.request(payload, timeout_s=timeout_s)
-    if not isinstance(response, dict):
-        raise CheckerProtocolError(f"reply is not a JSON object: {str(response)[:200]!r}")
-    if str(response.get("id")) != payload["id"]:
-        raise CheckerProtocolError(
-            f"response id {response.get('id')!r} does not echo request id {payload['id']!r}"
-        )
-    return response
-
-
 class ExternalChecker:
     """Checker contract over a wire transport."""
 
@@ -196,11 +199,9 @@ class ExternalChecker:
 
     def __init__(self, transport):
         self.transport = transport
-        self._ids = _IdSource("chk")
 
     def check(self, request: CheckRequest, timeout_ms: int) -> CheckVerdict:
         payload = {
-            "id": self._ids.next(),
             "kind": request.kind,
             "goal": print_goal(request.goal),
             "lemmas": [print_goal(lemma) for lemma in request.lemmas],
@@ -208,9 +209,7 @@ class ExternalChecker:
             "timeout_ms": timeout_ms,
         }
         try:
-            response = _id_checked_roundtrip(
-                self.transport, payload, timeout_ms / 1000.0 + self.TRANSPORT_GRACE_S
-            )
+            response = self.transport.request(payload, timeout_ms / 1000.0 + self.TRANSPORT_GRACE_S)
         except CheckerProtocolError as exc:
             return api.checker_error(str(exc))
         status = _WIRE_STATUS.get(response.get("status"))
@@ -241,17 +240,15 @@ class ExternalPolicy:
         self.transport = transport
         self.decompose_template = prompts.load_default("decompose")
         self.complete_template = prompts.load_default("complete")
-        self._ids = _IdSource("pol")
 
     def _roundtrip(self, payload: dict) -> dict:
         try:
-            return _id_checked_roundtrip(self.transport, payload, self.REQUEST_TIMEOUT_S)
+            return self.transport.request(payload, self.REQUEST_TIMEOUT_S)
         except CheckerProtocolError as exc:
             raise PolicyError(str(exc)) from exc
 
     def propose_decomposition(self, context: PolicyContext) -> DecompositionProposal:
         payload = {
-            "id": self._ids.next(),
             "mode": api.MODE_DECOMPOSE,
             "goal": print_goal(context.goal),
             "siblings": [print_goal(g) for g in context.sibling_goals],
@@ -279,7 +276,6 @@ class ExternalPolicy:
     def propose_completion(self, context: PolicyContext) -> str:
         base = context.feedback_history[-1].proof_text if context.feedback_history else ""
         payload = {
-            "id": self._ids.next(),
             "mode": api.MODE_COMPLETE,
             "goal": print_goal(context.goal),
             "siblings": [print_goal(g) for g in context.sibling_goals],

@@ -140,35 +140,10 @@ class SearchConfig:
             raise ContractViolation(f"unknown target strategy {self.target_strategy!r}")
 
     def snapshot(self) -> dict:
-        """Flat JSON-friendly form used as the trace header."""
-        return {
-            "decompose_iters": self.decompose_iters,
-            "max_open_lemmas": self.max_open_lemmas,
-            "complete_iters": self.complete_iters,
-            "wall_budget_secs": self.wall_budget_secs,
-            "k_parallel": self.k_parallel,
-            "check_timeout_ms": self.check_timeout_ms,
-            "seed": self.seed,
-            "target_strategy": self.target_strategy,
-            "qc": {
-                "trials": self.qc.trials,
-                "seed": self.qc.seed,
-                "gen_int_lo": self.qc.gen_int_lo,
-                "gen_int_hi": self.qc.gen_int_hi,
-                "gen_max_list_len": self.qc.gen_max_list_len,
-                "gen_elem_lo": self.qc.elem_lo,
-                "gen_elem_hi": self.qc.elem_hi,
-            },
-            "score": {"temperature": self.score.temperature},
-            "domain": {
-                "int_lo": self.domain.int_lo,
-                "int_hi": self.domain.int_hi,
-                "max_list_len": self.domain.max_list_len,
-                "elem_lo": self.domain.elem_lo,
-                "elem_hi": self.domain.elem_hi,
-                "node_budget": self.domain.node_budget,
-            },
-        }
+        """Flat JSON-friendly form used as the trace header: every field of
+        this config and of its qc, score and domain parts."""
+        qc = dict(vars(self.qc), gen_elem_lo=self.qc.elem_lo, gen_elem_hi=self.qc.elem_hi)
+        return dict(vars(self), qc=qc, score=dict(vars(self.score)), domain=dict(vars(self.domain)))
 
 
 @dataclass

@@ -1,51 +1,30 @@
-"""Soundness against an adversarial policy.
+"""Soundness against an adversarial policy, in process and over the wire.
 
 The gate is the only thing between a policy and a false proof.  The policy
-here proposes what a hostile peer might: conjuncts of its target, the
-target itself, unrelated formulas, capture bait, ill-sorted lemmas, lemmas
-with shuffled, dropped, renamed or extra binders, reused names, random
-reconstruction markers (a bogus one included) and random completion
-texts.  On a domain small enough that quickcheck's single trial barely
-helps, a run may still reach ``proved`` only when the root is valid over
-the domain.
+here (``adversary.Adversary``) proposes what a hostile peer might.  On a
+domain small enough that quickcheck's single trial barely helps, a run may
+still reach ``proved`` only when the root is valid over the domain.  Over
+the wire the same adversary sits behind a stdio peer that also misbehaves
+at the reply level, and no request may wait out its transport timeout.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import random_formula, random_goal
-from provekit.errors import ParseError, PolicyError
+from adversary import Adversary
+from corpus import random_goal
+from provekit.errors import CheckerProtocolError
 from provekit.evaluator import DecisionVerdict, Domain, decide_bounded
-from provekit.lang import (
-    Add,
-    Eq,
-    Exists,
-    GoalDecl,
-    IntLit,
-    Length,
-    Lt,
-    Not,
-    Sort,
-    Var,
-    conjunct_fringe,
-    parse_goal,
-    print_goal,
-    rename_free,
-)
-from provekit.prover import (
-    DIRECT_PROOF_DIRECTIVE,
-    RECON_AND_INTRO,
-    RECON_DIRECT,
-    RECON_ENTAILMENT,
-    RECON_GROUND,
-    BuiltinChecker,
-    DecompositionProposal,
-)
+from provekit.lang import GoalDecl
+from provekit.prover import BuiltinChecker, ExternalPolicy, JsonLineProcess
 from provekit.quickcheck import QcConfig
 from provekit.search import OUTCOME_PROVED, SearchConfig, run_single
 
@@ -58,79 +37,6 @@ CONFIG = SearchConfig(
     domain=DOMAIN,
 )
 CHECKER = BuiltinChecker(DOMAIN)
-MARKERS = (RECON_ENTAILMENT, RECON_AND_INTRO, RECON_GROUND, RECON_DIRECT, "bogus-marker")
-PROOF_TEXTS = (DIRECT_PROOF_DIRECTIVE, "sorry", "", RECON_ENTAILMENT, "by simp")
-
-
-class Adversary:
-    """A seeded policy that proposes anything a peer could send."""
-
-    def __init__(self, seed: int):
-        self.rng = random.Random(seed)
-
-    def fork(self, seed: int) -> "Adversary":
-        return Adversary(seed)
-
-    def propose_decomposition(self, context) -> DecompositionProposal:
-        rng = self.rng
-        goal = context.goal
-        lemmas = tuple(self._lemma(goal, i) for i in range(rng.randrange(4)))
-        return DecompositionProposal(lemmas, rng.choice(MARKERS))
-
-    def propose_completion(self, context) -> str:
-        return self.rng.choice(PROOF_TEXTS)
-
-    def _lemma(self, goal: GoalDecl, index: int) -> GoalDecl:
-        rng = self.rng
-        ints = tuple(name for name, sort in goal.binders if sort is Sort.INT)
-        lists = tuple(name for name, sort in goal.binders if sort is Sort.INT_LIST)
-        binders = list(goal.binders)
-        name = f"{goal.name}_{index}_{rng.randrange(10**6)}" if rng.random() < 0.8 else goal.name
-        move = rng.randrange(5)
-        if move == 4:
-            # Ill-sorted, handed over as a tree: no parser sees it.
-            body = self._ill_sorted(goal, binders, ints, lists)
-            return GoalDecl(name, tuple(binders), body)
-        if move == 0:
-            body = rng.choice(conjunct_fringe(goal.body))
-        elif move == 1:
-            body = goal.body
-        elif move == 2:
-            body = random_formula(rng, 2, ints, lists)
-        else:
-            # Capture bait: valid, but false once a renaming lets the
-            # quantifier capture the other name.
-            other = rng.choice(ints) if ints else "v"
-            bound = rng.choice([n for n in ints + ("v", "w") if n != other])
-            body = Exists(bound, Sort.INT, Not(Eq(Var(bound), Var(other))))
-        edit = rng.randrange(6)
-        if edit == 0:
-            rng.shuffle(binders)
-        elif edit == 1 and binders:
-            del binders[rng.randrange(len(binders)):]
-        elif edit == 2 and binders:
-            names = rng.sample(("x", "y", "l", "v", "w", "z"), len(binders))
-            body = rename_free(body, {old: new for (old, _), new in zip(binders, names)})
-            binders = [(new, sort) for (_, sort), new in zip(binders, names)]
-        elif edit == 3:
-            binders.append((rng.choice(("z", "v")), rng.choice((Sort.INT, Sort.INT_LIST))))
-        # Through the wire format, as an external policy's lemma would come.
-        try:
-            return parse_goal(print_goal(GoalDecl(name, tuple(binders), body)))
-        except ParseError as exc:
-            raise PolicyError(f"unparseable lemma: {exc}") from exc
-
-    def _ill_sorted(self, goal, binders, ints, lists):
-        rng = self.rng
-        pick = rng.randrange(3)
-        if pick == 0 and ints:
-            # An Int binder retyped as a list, then compared as an int.
-            i = next(i for i, (name, _) in enumerate(binders) if name == ints[0])
-            binders[i] = (ints[0], Sort.INT_LIST)
-            return Lt(Var(ints[0]), IntLit(rng.randint(-2, 2)))
-        if pick == 1:
-            return Length(Var(lists[0])) if lists else Add(IntLit(1), IntLit(1))
-        return Eq(Add(goal.body, IntLit(0)), IntLit(1))
 
 
 def _root(seed: int) -> GoalDecl:
@@ -161,3 +67,66 @@ def test_adversary_proves_some_valid_roots():
     valid = sorted(set(range(40)) - set(INVALID_ROOTS))
     proved = [s for s in valid if _outcome(s, s) == OUTCOME_PROVED]
     assert len(proved) >= len(valid) // 2
+
+
+# --- over the wire ---------------------------------------------------------------
+
+PEER = [sys.executable, str(Path(__file__).with_name("adversary.py"))]
+WIRE_TIMEOUT_S = 10.0
+WIRE_EXAMPLES = 300
+
+
+class _Reconnecting:
+    """A transport to the adversary peer.  It stamps each request with a
+    seed for the peer, opens a new peer once a connection broke, and
+    records how long each request took and why one failed."""
+
+    def __init__(self):
+        self.peer: JsonLineProcess | None = None
+        self.rng = random.Random(0)
+        self.seconds: list[float] = []
+        self.failures: list[str] = []
+
+    def request(self, payload, timeout_s):
+        if self.peer is None:
+            self.peer = JsonLineProcess(PEER)
+        start = time.monotonic()
+        try:
+            return self.peer.request({**payload, "seed": self.rng.getrandbits(64)}, timeout_s)
+        except CheckerProtocolError as exc:
+            self.failures.append(str(exc))
+            self.close()
+            raise
+        finally:
+            self.seconds.append(time.monotonic() - start)
+
+    def close(self):
+        if self.peer is not None:
+            self.peer.close()
+            self.peer = None
+
+
+def test_wire_adversary_never_proves_an_invalid_root_and_never_waits_out_a_timeout():
+    transport = _Reconnecting()
+    policy = ExternalPolicy(transport)
+    policy.REQUEST_TIMEOUT_S = WIRE_TIMEOUT_S
+    invalid = set(INVALID_ROOTS)
+    proved_valid = 0
+    try:
+        for example in range(WIRE_EXAMPLES):
+            goal_seed = random.Random(example).randrange(400)
+            transport.rng = random.Random(example)
+            result, _ = run_single(_root(goal_seed), policy, CHECKER, replace(CONFIG, seed=example))
+            if goal_seed in invalid:
+                assert result.outcome != OUTCOME_PROVED, (goal_seed, example)
+            else:
+                proved_valid += result.outcome == OUTCOME_PROVED
+    finally:
+        transport.close()
+    # The peer is never silent, and a reply it breaks the connection with
+    # fails its request at once; none of them is a timeout or a crash.
+    assert max(transport.seconds) < WIRE_TIMEOUT_S / 2
+    assert transport.failures
+    assert all("never sent" in f or "unparseable" in f for f in transport.failures), transport.failures
+    # Lemmas do cross the wire and get through the gate.
+    assert proved_valid > 0

@@ -25,9 +25,8 @@ from provekit.evaluator import (
     Domain,
     decide_bounded,
     entailment_check,
+    _Compiler,
     eval_formula,
-    eval_term,
-    leave_one_out_necessity,
 )
 from provekit.lang import (
     Add,
@@ -275,8 +274,12 @@ def test_degenerate_domains_are_rejected(kwargs):
 # --- term and formula evaluation --------------------------------------------
 
 
+def _eval_term(term, env, budget):
+    return _Compiler(TINY, budget).compile(term)(env)
+
+
 def _run_term(term, env=None):
-    return eval_term(term, env or {}, TINY, Budget(10_000))
+    return _eval_term(term, env or {}, Budget(10_000))
 
 
 @pytest.mark.parametrize(
@@ -310,8 +313,8 @@ def test_list_operations():
 
 def test_conditional_term_branches_on_formula():
     t = IfThenElse(Lt(Var("x"), IntLit(0)), IntLit(-1), IntLit(1))
-    assert eval_term(t, {"x": -2}, TINY, Budget(100)) == -1
-    assert eval_term(t, {"x": 2}, TINY, Budget(100)) == 1
+    assert _eval_term(t, {"x": -2}, Budget(100)) == -1
+    assert _eval_term(t, {"x": 2}, Budget(100)) == 1
 
 
 def test_unbound_variable_is_an_eval_error():
@@ -520,21 +523,3 @@ def test_entailment_budget_exhaustion_propagates():
     goal = _decl("goal g (x: Int) := forall q: Int, q + x = x + q")
     with pytest.raises(BudgetExceeded):
         entailment_check([], goal, d)
-
-
-# --- necessity probe --------------------------------------------------------
-
-
-def test_necessity_flags_redundant_lemma():
-    goal = _decl("goal g (x: Int) := x = 3")
-    lo = _decl("goal lo (a: Int) := 3 <= a")
-    hi = _decl("goal hi (b: Int) := b <= 3")
-    padding = _decl("goal p (w: Int) := w <= 5")
-    flags = leave_one_out_necessity([lo, hi, padding], goal, Domain())
-    assert flags == [True, True, False]
-
-
-def test_necessity_requires_entailing_set():
-    goal = _decl("goal g (x: Int) := x = 3")
-    with pytest.raises(ContractViolation):
-        leave_one_out_necessity([], goal, Domain())

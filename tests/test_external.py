@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 from concurrent.futures import ThreadPoolExecutor
 
@@ -50,6 +51,8 @@ def check_response(req):
         return {"id": rid, "status": "accepted"}
     if "wrongid" in goal:
         return {"id": "nope", "status": "accepted"}
+    if "unsentid" in goal:
+        return {"id": rid + 1000, "status": "accepted"}
     if "axioms" in goal:
         return {"id": rid, "status": "accepted",
                 "axioms": ["propext", "Quot.sound"], "wall_time_ms": 12}
@@ -61,11 +64,13 @@ def check_response(req):
         return {"id": rid, "status": "error", "diagnostics": "kernel panic"}
     if "weird" in goal:
         return {"id": rid, "status": "maybe"}
-    return {"id": rid, "status": "accepted"}
+    return {"id": rid, "status": "accepted", "goal": goal}
 
 def policy_response(req):
     goal = req.get("goal", "")
     rid = req["id"]
+    if "wrongid" in goal:
+        return {"id": "nope", "lemmas": [], "proof": "decide"}
     if req["mode"] == "decompose":
         if "notalist" in goal:
             return {"id": rid, "lemmas": "oops"}
@@ -111,6 +116,8 @@ for line in sys.stdin:
         continue
     resp = policy_response(req) if "mode" in req else check_response(req)
     reply(resp)
+    if "dupreply" in goal:
+        reply(resp)
     if held is not None:
         reply(held)
         held = None
@@ -135,13 +142,13 @@ def _direct(name: str) -> CheckRequest:
 
 
 class _ScriptedTransport:
-    """Answers every request with the same fields, echoing its id."""
+    """Answers every request with the same fields."""
 
     def __init__(self, **fields):
         self.fields = fields
 
     def request(self, payload, timeout_s):
-        return {"id": payload["id"], **self.fields}
+        return dict(self.fields)
 
 
 # --- stdio transport ----------------------------------------------------------
@@ -187,41 +194,98 @@ def test_reported_wall_time_is_not_read():
     assert checker.check(_direct("anything"), 1000).status == ACCEPTED
 
 
+def test_the_transport_numbers_its_requests(process):
+    # Any id the caller passed is overwritten.
+    assert process.request({"id": "mine", "goal": "goal plain := 0 = 0"}, 5.0)["id"] == 1
+    assert process.request({"goal": "goal plain := 0 = 0"}, 5.0)["id"] == 2
+
+
 def test_out_of_order_responses_are_routed_by_id(process):
     # The peer holds its answer to the first request until the second
     # arrives, then answers in reverse order.
-    first = {"id": "a1", "goal": "goal pairfirst := 0 = 0"}
-    second = {"id": "a2", "goal": "goal plain := 0 = 0"}
+    first = {"goal": "goal pairfirst := 0 = 0"}
+    second = {"goal": "goal plain := 0 = 0"}
     with ThreadPoolExecutor(max_workers=1) as pool:
         fut = pool.submit(process.request, first, 5.0)
         got_second = process.request(second, 5.0)
         got_first = fut.result(timeout=5.0)
-    assert got_first["id"] == "a1"
-    assert got_second["id"] == "a2"
+    assert got_first["goal"] == first["goal"]
+    assert got_second["goal"] == second["goal"]
 
 
 def test_transport_timeout_raises(process):
     with pytest.raises(CheckerProtocolError, match="no response"):
-        process.request({"id": "t1", "goal": "goal slowreply := 0 = 0"}, 0.25)
+        process.request({"goal": "goal slowreply := 0 = 0"}, 0.25)
 
 
 def test_late_reply_after_timeout_is_dropped(process):
     with pytest.raises(CheckerProtocolError, match="no response"):
-        process.request({"id": "late1", "goal": "goal slowreply := 0 = 0"}, 0.25)
+        process.request({"goal": "goal slowreply := 0 = 0"}, 0.25)
     # The peer answers in order, so by the time this reply is in, the late
-    # answer to late1 has been read as well.
-    assert process.request({"id": "after1", "goal": "goal plain := 0 = 0"}, 5.0)["id"] == "after1"
-    assert process._responses == {}
+    # answer to the first request has been read as well.
+    plain = {"goal": "goal plain := 0 = 0"}
+    assert process.request(plain, 5.0)["goal"] == plain["goal"]
+    assert process._replies == {}
+
+
+def test_duplicate_reply_is_dropped(process):
+    assert process.request({"goal": "goal dupreply := 0 = 0"}, 5.0)["id"] == 1
+    assert process.request({"goal": "goal plain := 0 = 0"}, 5.0)["id"] == 2
+    assert process._replies == {}
+
+
+@pytest.mark.parametrize("name", ["wrongid", "unsentid"])
+def test_reply_to_an_id_never_sent_fails_at_once(process, name):
+    process.request({"goal": "goal plain := 0 = 0"}, 5.0)  # the peer is up
+    start = time.monotonic()
+    with pytest.raises(CheckerProtocolError, match="never sent"):
+        process.request({"goal": f"goal {name} := 0 = 0"}, 30.0)
+    assert time.monotonic() - start < 1.0
+    # The connection is broken: a later request fails at once as well.
+    with pytest.raises(CheckerProtocolError, match="never sent"):
+        process.request({"goal": "goal plain := 0 = 0"}, 30.0)
+    assert time.monotonic() - start < 1.0
+
+
+def test_reply_to_an_id_never_sent_is_a_checker_error_at_once(process):
+    checker = ExternalChecker(process)
+    assert checker.check(_direct("plain"), 30_000).status == ACCEPTED
+    start = time.monotonic()
+    verdict = checker.check(_direct("wrongid"), 30_000)
+    assert time.monotonic() - start < 1.0
+    assert verdict.status == CHECKER_ERROR
+    assert "never sent" in verdict.diagnostics
+
+
+def test_reply_to_an_id_never_sent_is_a_policy_error_at_once(process):
+    policy = ExternalPolicy(process)
+    assert policy.propose_completion(PolicyContext(goal=parse_goal("goal fulltext := 0 = 0")))
+    start = time.monotonic()
+    with pytest.raises(PolicyError, match="never sent"):
+        policy.propose_decomposition(PolicyContext(goal=parse_goal("goal wrongid := 0 = 0")))
+    assert time.monotonic() - start < 1.0
 
 
 def test_peer_exit_surfaces_as_protocol_error(process):
     with pytest.raises(CheckerProtocolError):
-        process.request({"id": "d1", "goal": "goal dropdead := 0 = 0"}, 2.0)
+        process.request({"goal": "goal dropdead := 0 = 0"}, 2.0)
 
 
 def test_unparseable_peer_line_surfaces_as_protocol_error(process):
     with pytest.raises(CheckerProtocolError, match="unparseable"):
-        process.request({"id": "g1", "goal": "goal garbage := 0 = 0"}, 2.0)
+        process.request({"goal": "goal garbage := 0 = 0"}, 2.0)
+
+
+def test_close_stops_the_peer_and_the_reader(server_script):
+    proc = JsonLineProcess([sys.executable, server_script])
+    assert proc.request({"goal": "goal plain := 0 = 0"}, 5.0)["status"] == "accepted"
+    proc.close()
+    assert proc._proc.poll() is not None
+    assert not proc._reader.is_alive()
+    start = time.monotonic()
+    with pytest.raises(CheckerProtocolError, match="closed"):
+        proc.request({"goal": "goal plain := 0 = 0"}, 30.0)
+    assert time.monotonic() - start < 1.0
 
 
 def test_transport_failure_becomes_checker_error_verdict(process):
@@ -335,6 +399,7 @@ def http_base():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 def test_http_roundtrip(http_base):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -338,10 +339,31 @@ def test_bookkeeping_stays_bounded_after_many_jobs(monkeypatch):
         handles = [pool.submit(_request(f"j{i}")) for i in range(200)]
         for handle in handles:
             assert pool.await_verdict(handle).status == ACCEPTED
-        assert len(pool._jobs) == 0
+        assert not pool._queue and not pool._running
         assert len(pool._latencies) == 16
         stats = pool.stats()
-        with pytest.raises(UnknownHandle):
-            pool.await_verdict(handles[0])
+        assert pool.await_verdict(handles[0]).status == ACCEPTED  # a second await
     assert stats.submitted == stats.completed == 200
     assert stats.conserved()
+
+
+def test_a_finished_job_nobody_awaits_is_not_kept():
+    requests = [_request(f"j{i}") for i in range(50)]
+    refs = [weakref.ref(request) for request in requests]
+    with VerificationPool(RecordingChecker(), PoolConfig(max_concurrent=4)) as pool:
+        handles = [pool.submit(request) for request in requests]
+        del requests
+        assert wait_until(lambda: pool.stats().completed == 50)
+        del handles
+        assert all(ref() is None for ref in refs)
+        assert pool.stats().conserved()
+
+
+def test_a_handle_from_another_pool_is_unknown():
+    with VerificationPool(RecordingChecker()) as first, VerificationPool(RecordingChecker()) as second:
+        handle = first.submit(_request())
+        with pytest.raises(UnknownHandle):
+            second.await_verdict(handle)
+        verdict = first.await_verdict(handle)
+        assert verdict.status == ACCEPTED
+        assert first.await_verdict(handle) is verdict
