@@ -2,8 +2,9 @@
 
 Subcommands: run (two-stage search), qc (counterexample hunting), collect
 (training data), pool-stats (verification pool exercise), analyze (trace
-post-processing).  A JSON config file supplies any setting; explicit flags
-beat the file, the file beats the defaults.
+post-processing).  A JSON config file supplies any setting; each command
+reads it once and writes its flags into it (``_FLAG_KEYS``), so explicit
+flags beat the file and the file beats the defaults.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ from .analytics import (
     write_csv,
 )
 from .config import (
-    apply_flag_overrides,
     load_config_file,
     pool_config_from_sections,
     search_config_from_sections,
 )
 from .errors import ProvekitError
 from .lang import GoalDecl, parse_goal_file
-from .pool import PoolConfig, VerificationPool
+from .pool import VerificationPool
 from .prover import (
     KIND_DIRECT,
     BuiltinChecker,
@@ -83,41 +83,36 @@ def _make_policy(spec: str, config: SearchConfig):
     return ExternalPolicy(make_transport(spec))
 
 
-def _base_config(args) -> SearchConfig:
-    if args.config:
-        sections = load_config_file(args.config)
-        config = search_config_from_sections(sections)
-    else:
-        config = SearchConfig()
-    overrides = {
-        "seed": getattr(args, "seed", None),
-        "k_parallel": getattr(args, "k", None),
-        "decompose_iters": getattr(args, "decompose_iters", None),
-        "complete_iters": getattr(args, "complete_iters", None),
-        "max_open_lemmas": getattr(args, "max_open_lemmas", None),
-        "wall_budget_secs": getattr(args, "wall_budget_secs", None),
-        "check_timeout_ms": getattr(args, "check_timeout", None),
-        "target_strategy": getattr(args, "strategy", None),
-        "qc.trials": getattr(args, "qc_trials", None),
-        "qc.seed": getattr(args, "qc_seed", None),
-    }
-    return apply_flag_overrides(config, overrides)
+# Each flag's (section, key) in the config document.
+_FLAG_KEYS = {
+    "seed": ("search", "seed"),
+    "k": ("search", "k_parallel"),
+    "decompose_iters": ("search", "decompose_iters"),
+    "complete_iters": ("search", "complete_iters"),
+    "max_open_lemmas": ("search", "max_open_lemmas"),
+    "wall_budget_secs": ("search", "wall_budget_secs"),
+    "check_timeout": ("search", "check_timeout_ms"),
+    "strategy": ("search", "target_strategy"),
+    "qc_trials": ("qc", "trials"),
+    "qc_seed": ("qc", "seed"),
+    "workers": ("pool", "max_concurrent"),
+}
 
 
-def _pool_config(args) -> PoolConfig:
-    sections = load_config_file(args.config) if args.config else {}
-    config = pool_config_from_sections(sections)
-    workers = getattr(args, "workers", None)
-    if workers is not None:
-        config = replace(config, max_concurrent=workers)
-    timeout = getattr(args, "check_timeout", None)
-    if timeout is not None:
-        config = replace(config, check_timeout_ms=timeout)
-    return config
+def _config_document(args) -> dict:
+    """The config file, read once, with every given flag written into its
+    (section, key): the one source a command builds its configs from."""
+    data = load_config_file(args.config) if args.config else {}
+    for flag, (section, key) in _FLAG_KEYS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            data.setdefault(section, {})[key] = value
+    return data
 
 
 def cmd_run(args) -> int:
-    base = _base_config(args)
+    document = _config_document(args)
+    base = search_config_from_sections(document)
     goals = _load_goals(args.goals, args.goal)
     checker = _make_checker(args.checker, base)
     policy = _make_policy(args.policy, base)
@@ -127,7 +122,7 @@ def cmd_run(args) -> int:
 
     pool_factory = None
     if args.workers:
-        pool_cfg = _pool_config(args)
+        pool_cfg = pool_config_from_sections(document)
 
         def pool_factory():
             return VerificationPool(checker, pool_cfg)
@@ -159,7 +154,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_qc(args) -> int:
-    config = _base_config(args)
+    config = search_config_from_sections(_config_document(args))
     goals = _load_goals(args.goals, args.goal)
     found = False
     for goal in goals:
@@ -173,7 +168,7 @@ def cmd_qc(args) -> int:
 
 
 def cmd_collect(args) -> int:
-    config = _base_config(args)
+    config = search_config_from_sections(_config_document(args))
     goals = _load_goals(args.goals, args.goal)
     checker = _make_checker(args.checker, config)
     policy = _make_policy(args.policy, config)
@@ -199,15 +194,16 @@ def cmd_collect(args) -> int:
 
 
 def cmd_pool_stats(args) -> int:
-    config = _base_config(args)
+    document = _config_document(args)
+    config = search_config_from_sections(document)
     goals = _load_goals(args.goals, args.goal)
     checker = _make_checker(args.checker, config)
-    pool_cfg = _pool_config(args)
-    with VerificationPool(checker, pool_cfg) as pool:
+    with VerificationPool(checker, pool_config_from_sections(document)) as pool:
         handles = []
         for _ in range(args.repeat):
             for goal in goals:
-                handles.append(pool.submit(CheckRequest(kind=KIND_DIRECT, goal=goal)))
+                request = CheckRequest(kind=KIND_DIRECT, goal=goal)
+                handles.append(pool.submit(request, config.check_timeout_ms))
         for handle in handles:
             pool.await_verdict(handle)
         stats = pool.stats()
@@ -340,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ProvekitError as exc:
+    except (ProvekitError, OSError) as exc:  # OSError: a missing or unreadable input file
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -2,8 +2,12 @@
 
 One JSON document configures everything; sections mirror the config
 dataclasses (``search``, ``qc``, ``score``, ``domain``, ``pool``) and any
-section or key may be omitted to take its default.  Precedence is fixed:
-built-in defaults, then the file, then explicit command-line flags.
+section or key may be omitted to take its default.  The check budget is
+``search.check_timeout_ms``, for in-line and pooled checks alike; the
+``pool`` section holds only ``max_concurrent`` and ``queue_capacity``.
+Precedence is fixed: built-in defaults, then the file, then explicit
+command-line flags, which the front end writes into the document's
+sections before any config is built from it.
 """
 
 from __future__ import annotations
@@ -20,6 +24,10 @@ from .scoring import ScoreConfig
 from .search import SearchConfig
 
 _SECTIONS = ("search", "qc", "score", "domain", "pool")
+
+# The JSON types a field admits, by the type of its default; no field takes
+# a bool, and a field whose default is None takes an int.
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), type(None): (int, type(None))}
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -39,10 +47,17 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def _build(cls, section: dict, name: str):
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(section) - known)
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = sorted(set(section) - set(defaults))
     if unknown:
         raise ContractViolation(f"unknown keys in config section {name!r}: {unknown}")
+    for key, value in section.items():
+        accepted = _JSON_TYPES[type(defaults[key])]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            expected = " or ".join("null" if t is type(None) else t.__name__ for t in accepted)
+            raise ContractViolation(
+                f"config key {name}.{key} must be {expected}, not {type(value).__name__}"
+            )
     return cls(**section)
 
 
@@ -63,26 +78,3 @@ def search_config_from_sections(data: dict) -> SearchConfig:
 
 def pool_config_from_sections(data: dict) -> PoolConfig:
     return _build(PoolConfig, data.get("pool", {}), "pool")
-
-
-def apply_flag_overrides(config: SearchConfig, overrides: dict) -> SearchConfig:
-    """Overlay non-None flag values onto a SearchConfig.
-
-    ``qc.<field>`` keys land on the quickcheck section; every other key
-    names a field of the search section.  Any other dotted key raises.
-    """
-    direct = {}
-    qc = {}
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        section, dotted, field_name = key.partition(".")
-        if not dotted:
-            direct[key] = value
-        elif section == "qc":
-            qc[field_name] = value
-        else:
-            raise ContractViolation(f"unknown override section {section!r}")
-    if qc:
-        direct["qc"] = replace(config.qc, **qc)
-    return replace(config, **direct) if direct else config

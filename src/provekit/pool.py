@@ -6,14 +6,16 @@ pending/queued), and the stats snapshot preserves the conservation identity
 
     submitted == completed + timed_out + cancelled + in_flight + queued
 
-at every observable instant.  A job's deadline is its submission time plus
-its timeout; whoever sees it pass first, awaiter or worker, finalizes the
-job as a timeout, and a job still queued past it never starts.  A slot is a
-place in the running set, not a thread: a job cut short frees its slot at
-once, and its thread counts as ``stuck`` until the check returns, so a hung
-check never holds up the queue.  The checker still gets the job's full
-timeout.  A handle carries its job, so the pool keeps only queued and
-running jobs, and latency quantiles cover recent jobs only.
+at every observable instant.  Each job is submitted with its timeout (the
+search passes its ``check_timeout_ms``); the pool has no timeout setting of
+its own.  A job's deadline is its submission time plus its timeout; whoever
+sees it pass first, awaiter or worker, finalizes the job as a timeout, and
+a job still queued past it never starts.  A slot is a place in the running
+set, not a thread: a job cut short frees its slot at once, and its thread
+counts as ``stuck`` until the check returns, so a hung check never holds up
+the queue.  The checker still gets the job's full timeout.  A handle
+carries its job, so the pool keeps only queued and running jobs, and
+latency quantiles cover recent jobs only.
 """
 
 from __future__ import annotations
@@ -35,14 +37,11 @@ _LATENCY_SAMPLES = 4096
 @dataclass(frozen=True)
 class PoolConfig:
     max_concurrent: int = 512
-    check_timeout_ms: int = 300_000
     queue_capacity: int = 4096
 
     def __post_init__(self) -> None:
         if self.max_concurrent < 1 or self.queue_capacity < 1:
             raise ContractViolation("pool needs positive capacity")
-        if self.check_timeout_ms < 1:
-            raise ContractViolation("timeout must be positive")
 
 
 @dataclass(frozen=True)
@@ -122,20 +121,19 @@ class VerificationPool:
 
     # -- submission and retrieval ---------------------------------------------
 
-    def submit(self, request: CheckRequest, timeout_ms: int | None = None) -> JobHandle:
-        """Admit one obligation; raises QueueFull instead of blocking, so
-        producers feel backpressure immediately."""
-        effective = self.config.check_timeout_ms
-        if timeout_ms is not None:
-            effective = min(effective, timeout_ms)
+    def submit(self, request: CheckRequest, timeout_ms: int) -> JobHandle:
+        """Admit one obligation with its check budget; raises QueueFull
+        instead of blocking, so producers feel backpressure immediately."""
+        if timeout_ms < 1:
+            raise ContractViolation("timeout must be positive")
         with self._lock:
             if self._shutdown:
                 raise ContractViolation("pool is shut down")
             if len(self._queue) >= self.config.queue_capacity:
                 raise QueueFull(f"queue at capacity ({self.config.queue_capacity})")
             self._next_id += 1
-            deadline = time.monotonic() + effective / 1000.0
-            job = _Job(self, f"job-{self._next_id:06d}", request, effective, deadline)
+            deadline = time.monotonic() + timeout_ms / 1000.0
+            job = _Job(self, f"job-{self._next_id:06d}", request, timeout_ms, deadline)
             self._queue.append(job)
             self._counts["submitted"] += 1
             self._dispatch_locked()

@@ -462,9 +462,9 @@ def test_criterion_08_pool_discipline():
             release.wait(timeout=60)
             return api.accepted()
 
-    config = PoolConfig(max_concurrent=16, queue_capacity=2048, check_timeout_ms=120_000)
+    config = PoolConfig(max_concurrent=16, queue_capacity=2048)
     with VerificationPool(Parked(), config) as pool:
-        handles = [pool.submit(request) for _ in range(2000)]
+        handles = [pool.submit(request, timeout_ms=120_000) for _ in range(2000)]
         deadline = time.monotonic() + 30
         while pool.stats().in_flight < 16 and time.monotonic() < deadline:
             time.sleep(0.002)
@@ -483,8 +483,8 @@ def test_criterion_08_pool_discipline():
 
     timeout_ok = True
     measured = []
-    with VerificationPool(Sleepy(), PoolConfig(max_concurrent=4, check_timeout_ms=1000)) as pool:
-        submitted = [(pool.submit(request), time.monotonic()) for _ in range(3)]
+    with VerificationPool(Sleepy(), PoolConfig(max_concurrent=4)) as pool:
+        submitted = [(pool.submit(request, timeout_ms=1000), time.monotonic()) for _ in range(3)]
         for handle, t0 in submitted:
             verdict = pool.await_verdict(handle)
             elapsed = time.monotonic() - t0
@@ -502,9 +502,9 @@ def test_criterion_08_pool_discipline():
 
     samples = []
     with VerificationPool(
-        Jitter(), PoolConfig(max_concurrent=8, queue_capacity=4096, check_timeout_ms=60_000)
+        Jitter(), PoolConfig(max_concurrent=8, queue_capacity=4096)
     ) as pool:
-        handles = [pool.submit(request) for _ in range(400)]
+        handles = [pool.submit(request, timeout_ms=60_000) for _ in range(400)]
         while len(samples) < 100:
             samples.append(pool.stats().conserved())
             time.sleep(0.001)

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+import provekit.cli as cli_mod
 from provekit.cli import main
 from provekit.search import mix_seed
 from provekit.trace import read_trace_dir
@@ -148,6 +149,105 @@ def test_engine_errors_exit_three(goals_file, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_flag_k_overrides_the_file(goals_file, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"search": {"k_parallel": 3}}))
+    argv = ["--config", str(config), "run", str(goals_file), "--goal", "add_zero",
+            "--policy", "direct", "--qc-trials", "200"]
+    assert main(argv) == 0
+    assert "add_zero: proved on run 1/3" in capsys.readouterr().out
+    assert main([*argv, "--k", "2"]) == 0
+    assert "add_zero: proved on run 1/2" in capsys.readouterr().out
+
+
+def test_run_flag_workers_overrides_the_file(goals_file, tmp_path, monkeypatch, capsys):
+    widths = []
+    real_pool = cli_mod.VerificationPool
+
+    def recording_pool(checker, config):
+        widths.append(config.max_concurrent)
+        return real_pool(checker, config)
+
+    monkeypatch.setattr(cli_mod, "VerificationPool", recording_pool)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"pool": {"max_concurrent": 7, "queue_capacity": 64}}))
+    code = main(["--config", str(config), "run", str(goals_file), "--goal", "mul_one",
+                 "--policy", "direct", "--workers", "2", "--qc-trials", "200"])
+    assert code == 0
+    assert "mul_one: proved" in capsys.readouterr().out
+    assert widths and set(widths) == {2}
+
+
+def test_a_flag_overrides_an_invalid_value_in_the_file(goals_file, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"search": {"k_parallel": 0}}))
+    argv = ["--config", str(config), "run", str(goals_file), "--goal", "add_zero",
+            "--policy", "direct", "--qc-trials", "200"]
+    assert main(argv) == 3
+    assert "k_parallel" in capsys.readouterr().err
+    assert main([*argv, "--k", "1"]) == 0
+
+
+@pytest.mark.parametrize("command", ["run", "pool-stats"])
+def test_a_pool_check_timeout_in_the_file_is_an_error(goals_file, tmp_path, capsys, command):
+    # The check budget is search.check_timeout_ms; the pool has none of its own.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"pool": {"check_timeout_ms": 5}}))
+    code = main(["--config", str(config), command, str(goals_file), "--goal", "mul_one",
+                 "--workers", "2", "--qc-trials", "100"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "error:" in err and "check_timeout_ms" in err
+
+
+def test_missing_input_files_are_engine_errors(goals_file, tmp_path, capsys):
+    # qc's exit 1 means "counterexample found", so a missing file must not end with it.
+    missing = tmp_path / "missing.json"
+    code = main(["--config", str(missing), "qc", str(goals_file)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "missing.json" in err
+
+    code = main(["qc", str(tmp_path / "missing_goals.txt")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and "missing_goals.txt" in err
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("search", "k_parallel", "4"),
+        ("search", "decompose_iters", True),
+        ("search", "complete_iters", 2.0),
+        ("search", "wall_budget_secs", "60"),
+        ("search", "target_strategy", 1),
+        ("qc", "gen_elem_lo", 1.5),
+        ("domain", "int_lo", None),
+        ("pool", "max_concurrent", [4]),
+    ],
+)
+def test_config_values_of_the_wrong_json_type_are_engine_errors(
+    goals_file, tmp_path, capsys, section, key, value
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({section: {key: value}}))
+    code = main(["--config", str(config), "pool-stats", str(goals_file), "--qc-trials", "100"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and f"{section}.{key}" in err
+
+
+def test_config_values_of_the_right_json_type_are_taken(goals_file, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "search": {"wall_budget_secs": 60, "target_strategy": "highest-score"},
+        "qc": {"trials": 9, "gen_elem_lo": None, "gen_elem_hi": 2},
+        "score": {"temperature": 2},
+    }))
+    code = main(["--config", str(config), "qc", str(goals_file), "--goal", "add_zero"])
+    assert code == 0
+    assert "no counterexample in 9 trials" in capsys.readouterr().out
 def test_pool_stats_prints_conserved_json(goals_file, capsys):
     code = main(["pool-stats", str(goals_file), "--workers", "4", "--repeat", "3",
                  "--qc-trials", "100"])

@@ -10,11 +10,19 @@ explicit form type checkers also read as one.
 Outside the prover package and the verification pool, only the search
 module asks a policy for a proposal, calls a checker or audits axioms, so
 search and training share one gate and one completion loop.
+
+The language and prover packages sit at the bottom of the package: they
+import only from each other (the prover also from the evaluator) and from
+the errors module.  A checker or policy peer that imports them then starts
+without loading search, the pool or quickcheck.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -111,3 +119,70 @@ def test_only_search_calls_the_policy_the_checker_and_the_audit():
         if gated_calls(path.read_text()):
             callers.add(name)
     assert callers == {"search.py"}
+
+
+# What each low layer may import from the package, by its directory.
+LAYERS = {
+    "lang": ("provekit.lang", "provekit.errors"),
+    "prover": ("provekit.lang", "provekit.errors", "provekit.evaluator", "provekit.prover"),
+}
+
+
+def package_imports(path: Path) -> list[str]:
+    """The package modules a module of this package imports, relative
+    imports resolved; ``from provekit import x`` counts as ``provekit.x``."""
+    # The package a module (or an __init__.py) sits in: its path minus the file.
+    package = ["provekit", *path.relative_to(PACKAGE).parent.parts]
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = package[: len(package) - node.level + 1]
+                module = ".".join(base + ([node.module] if node.module else []))
+            else:
+                module = node.module
+            if module == "provekit":
+                found.extend(f"provekit.{alias.name}" for alias in node.names)
+            else:
+                found.append(module)
+    return sorted(name for name in found if name.split(".")[0] == "provekit")
+
+
+def _outside(imports: list[str], allowed: tuple[str, ...]) -> list[str]:
+    return [name for name in imports if not any(
+        name == prefix or name.startswith(prefix + ".") for prefix in allowed
+    )]
+
+
+def test_package_imports_resolve_relative_imports():
+    assert package_imports(PACKAGE / "prover" / "builtin.py")[:3] == [
+        "provekit.errors", "provekit.evaluator", "provekit.lang.ast",
+    ]
+    assert "provekit.lang.ast" in package_imports(PACKAGE / "lang" / "__init__.py")
+    assert "provekit.pool" in package_imports(PACKAGE / "config.py")
+
+
+@pytest.mark.parametrize("layer", sorted(LAYERS))
+def test_low_layers_import_only_from_below(layer):
+    paths = sorted((PACKAGE / layer).rglob("*.py"))
+    assert paths
+    leaks = {_scan_id(path): _outside(package_imports(path), LAYERS[layer]) for path in paths}
+    assert {name: leak for name, leak in leaks.items() if leak} == {}
+
+
+@pytest.mark.parametrize(
+    "module, absent",
+    [
+        ("provekit.lang", ("provekit.evaluator", "provekit.search", "provekit.pool")),
+        ("provekit.prover", ("provekit.search", "provekit.pool", "provekit.quickcheck")),
+    ],
+)
+def test_a_low_layer_loads_without_the_engine(module, absent):
+    code = f"import sys, {module}; print(sorted(set({list(absent)!r}) & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
+    )
+    assert out.stdout.strip() == "[]"

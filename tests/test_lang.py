@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import provekit
 import provekit.lang
+import provekit.prover
 from provekit.errors import EvalError, ParseError
 from provekit.evaluator import _BUILDERS, Domain, eval_formula
 from provekit.lang import (
@@ -487,5 +487,5 @@ def test_unregistered_node_class_is_rejected_by_every_walk():
 
 
 def test_every_exported_name_resolves():
-    for module in (provekit, provekit.lang):
+    for module in (provekit.lang, provekit.prover):
         assert [name for name in module.__all__ if not hasattr(module, name)] == []

@@ -24,6 +24,10 @@ from provekit.prover import (
 from provekit.prover import api
 
 
+# The search's default check budget.
+TIMEOUT_MS = 300_000
+
+
 def _request(name: str = "t") -> CheckRequest:
     return CheckRequest(KIND_DIRECT, parse_goal(f"goal {name} (x: Int) := x + 0 = x"))
 
@@ -41,11 +45,13 @@ class RecordingChecker:
     def __init__(self, delay_s: float = 0.0):
         self.delay_s = delay_s
         self.seen: list[str] = []
+        self.timeouts: list[int] = []
         self._lock = threading.Lock()
 
     def check(self, request, timeout_ms):
         with self._lock:
             self.seen.append(request.goal.name)
+            self.timeouts.append(timeout_ms)
         if self.delay_s:
             time.sleep(self.delay_s)
         return api.accepted()
@@ -74,18 +80,22 @@ class RaisingChecker:
         raise RuntimeError("backend fell over")
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [{"max_concurrent": 0}, {"queue_capacity": 0}, {"check_timeout_ms": 0}],
-)
+@pytest.mark.parametrize("kwargs", [{"max_concurrent": 0}, {"queue_capacity": 0}])
 def test_config_validation(kwargs):
     with pytest.raises(ContractViolation):
         PoolConfig(**kwargs)
 
 
+def test_submit_rejects_a_timeout_below_one():
+    with VerificationPool(RecordingChecker()) as pool:
+        with pytest.raises(ContractViolation):
+            pool.submit(_request(), timeout_ms=0)
+        assert pool.stats().submitted == 0
+
+
 def test_submit_await_roundtrip():
     with VerificationPool(BuiltinChecker(Domain())) as pool:
-        handle = pool.submit(_request())
+        handle = pool.submit(_request(), TIMEOUT_MS)
         verdict = pool.await_verdict(handle)
         assert verdict.status == ACCEPTED
         stats = pool.stats()
@@ -96,7 +106,7 @@ def test_submit_await_roundtrip():
 def test_single_worker_executes_fifo():
     checker = RecordingChecker()
     with VerificationPool(checker, PoolConfig(max_concurrent=1)) as pool:
-        handles = [pool.submit(_request(f"g{i}")) for i in range(6)]
+        handles = [pool.submit(_request(f"g{i}"), TIMEOUT_MS) for i in range(6)]
         for handle in handles:
             pool.await_verdict(handle)
     assert checker.seen == [f"g{i}" for i in range(6)]
@@ -106,11 +116,11 @@ def test_queue_capacity_gives_backpressure():
     checker = GatedChecker()
     config = PoolConfig(max_concurrent=1, queue_capacity=2)
     with VerificationPool(checker, config) as pool:
-        first = pool.submit(_request("running"))
+        first = pool.submit(_request("running"), TIMEOUT_MS)
         assert wait_until(lambda: checker.entered == 1)
-        queued = [pool.submit(_request(f"q{i}")) for i in range(2)]
+        queued = [pool.submit(_request(f"q{i}"), TIMEOUT_MS) for i in range(2)]
         with pytest.raises(QueueFull):
-            pool.submit(_request("overflow"))
+            pool.submit(_request("overflow"), TIMEOUT_MS)
         checker.release.set()
         for handle in [first, *queued]:
             assert pool.await_verdict(handle).status == ACCEPTED
@@ -125,7 +135,7 @@ def test_unknown_handle_is_rejected():
 
 def test_checker_exceptions_become_checker_error_verdicts():
     with VerificationPool(RaisingChecker()) as pool:
-        verdict = pool.await_verdict(pool.submit(_request()))
+        verdict = pool.await_verdict(pool.submit(_request(), TIMEOUT_MS))
         assert verdict.status == CHECKER_ERROR
         assert "RuntimeError" in verdict.diagnostics
         stats = pool.stats()
@@ -135,10 +145,10 @@ def test_checker_exceptions_become_checker_error_verdicts():
 
 def test_timeout_is_measured_from_submission():
     checker = RecordingChecker(delay_s=0.5)
-    config = PoolConfig(max_concurrent=1, check_timeout_ms=100)
+    config = PoolConfig(max_concurrent=1)
     with VerificationPool(checker, config) as pool:
         start = time.monotonic()
-        verdict = pool.await_verdict(pool.submit(_request()))
+        verdict = pool.await_verdict(pool.submit(_request(), timeout_ms=100))
         elapsed = time.monotonic() - start
         assert verdict.status == TIMEOUT
         assert elapsed < 0.45  # did not wait for the slow checker
@@ -151,7 +161,7 @@ def test_timeout_is_measured_from_submission():
     # A job whose deadline passes while it waits in the queue never starts.
     checker = RecordingChecker(delay_s=0.5)
     with VerificationPool(checker, config) as pool:
-        slow = pool.submit(_request("slow"))
+        slow = pool.submit(_request("slow"), timeout_ms=100)
         start = time.monotonic()
         queued = pool.submit(_request("queued"), timeout_ms=50)
         assert pool.await_verdict(queued).status == TIMEOUT
@@ -165,12 +175,12 @@ def test_timeout_is_measured_from_submission():
 
 def test_a_stuck_check_does_not_block_the_queue():
     checker = GatedChecker(prefix="parked")
-    config = PoolConfig(max_concurrent=1, check_timeout_ms=5_000)
+    config = PoolConfig(max_concurrent=1)
     with VerificationPool(checker, config) as pool:
         first = pool.submit(_request("parked1"), timeout_ms=100)
         second_at = time.monotonic()
         second = pool.submit(_request("parked2"), timeout_ms=100)
-        third = pool.submit(_request("free"))
+        third = pool.submit(_request("free"), timeout_ms=5_000)
         assert pool.await_verdict(first).status == TIMEOUT
         assert pool.await_verdict(second).status == TIMEOUT
         assert time.monotonic() - second_at < 0.5
@@ -184,7 +194,7 @@ def test_a_stuck_check_does_not_block_the_queue():
 
 def test_stuck_counts_threads_left_in_a_cut_short_check():
     checker = GatedChecker()
-    config = PoolConfig(max_concurrent=1, check_timeout_ms=100)
+    config = PoolConfig(max_concurrent=1)
     samples = []
 
     def sample(pool):
@@ -193,13 +203,13 @@ def test_stuck_counts_threads_left_in_a_cut_short_check():
         return stats
 
     with VerificationPool(checker, config) as pool:
-        assert pool.await_verdict(pool.submit(_request())).status == TIMEOUT
+        assert pool.await_verdict(pool.submit(_request(), timeout_ms=100)).status == TIMEOUT
         assert sample(pool).stuck >= 1
         assert sample(pool).in_flight == 0
         checker.release.set()
         assert wait_until(lambda: sample(pool).stuck == 0)
         # The returned thread serves the next job.
-        assert pool.await_verdict(pool.submit(_request())).status == ACCEPTED
+        assert pool.await_verdict(pool.submit(_request(), timeout_ms=100)).status == ACCEPTED
         assert sample(pool).stuck == 0
     assert all(stats.conserved() for stats in samples)
 
@@ -209,33 +219,29 @@ def test_worker_threads_exit_after_shutdown():
     baseline = set(threading.enumerate())
     for _ in range(200):
         with VerificationPool(RecordingChecker(), PoolConfig(max_concurrent=4)) as pool:
-            handles = [pool.submit(_request(f"j{i}")) for i in range(4)]
+            handles = [pool.submit(_request(f"j{i}"), TIMEOUT_MS) for i in range(4)]
             for handle in handles:
                 assert pool.await_verdict(handle).status == ACCEPTED
     assert wait_until(lambda: set(threading.enumerate()) <= baseline)
 
 
-def test_submit_timeout_merges_with_config_minimum():
+def test_each_job_gets_the_timeout_it_was_submitted_with():
     checker = RecordingChecker(delay_s=0.5)
-    tight_config = PoolConfig(max_concurrent=1, check_timeout_ms=80)
-    with VerificationPool(checker, tight_config) as pool:
-        verdict = pool.await_verdict(pool.submit(_request(), timeout_ms=60_000))
-        assert verdict.status == TIMEOUT  # config cap wins
-
-    loose_config = PoolConfig(max_concurrent=1, check_timeout_ms=60_000)
-    checker2 = RecordingChecker(delay_s=0.5)
-    with VerificationPool(checker2, loose_config) as pool:
-        verdict = pool.await_verdict(pool.submit(_request(), timeout_ms=80))
-        assert verdict.status == TIMEOUT  # per-job budget wins
+    with VerificationPool(checker, PoolConfig(max_concurrent=2)) as pool:
+        slow = pool.submit(_request("slow"), timeout_ms=60_000)
+        tight = pool.submit(_request("tight"), timeout_ms=80)
+        assert pool.await_verdict(tight).status == TIMEOUT  # its own budget, not a pool cap
+        assert pool.await_verdict(slow).status == ACCEPTED
+    assert sorted(checker.timeouts) == [80, 60_000]  # the checker gets the job's budget
 
 
 def test_cancel_all_cuts_queued_and_running_jobs():
     checker = GatedChecker()
     config = PoolConfig(max_concurrent=1, queue_capacity=8)
     with VerificationPool(checker, config) as pool:
-        running = pool.submit(_request("running"))
+        running = pool.submit(_request("running"), TIMEOUT_MS)
         assert wait_until(lambda: checker.entered == 1)
-        queued = [pool.submit(_request(f"q{i}")) for i in range(3)]
+        queued = [pool.submit(_request(f"q{i}"), TIMEOUT_MS) for i in range(3)]
         cancelled = pool.cancel_all(reason="shutting down")
         assert cancelled == 4
         for handle in [running, *queued]:
@@ -250,7 +256,7 @@ def test_cancel_all_cuts_queued_and_running_jobs():
         assert stats.conserved()
 
         # The pool remains usable after a cancellation storm.
-        verdict = pool.await_verdict(pool.submit(_request("again")))
+        verdict = pool.await_verdict(pool.submit(_request("again"), TIMEOUT_MS))
         assert verdict.status == ACCEPTED
 
 
@@ -258,7 +264,7 @@ def test_parked_jobs_pin_peak_in_flight_to_the_cap():
     checker = GatedChecker()
     config = PoolConfig(max_concurrent=3, queue_capacity=16)
     with VerificationPool(checker, config) as pool:
-        handles = [pool.submit(_request(f"g{i}")) for i in range(7)]
+        handles = [pool.submit(_request(f"g{i}"), TIMEOUT_MS) for i in range(7)]
         assert wait_until(lambda: pool.stats().in_flight == 3)
         assert pool.stats().peak_in_flight == 3
         checker.release.set()
@@ -285,7 +291,7 @@ def test_conservation_under_concurrent_snapshots():
     with VerificationPool(checker, config) as pool:
         thread = threading.Thread(target=sampler, args=(pool,))
         thread.start()
-        handles = [pool.submit(_request(f"g{i}")) for i in range(60)]
+        handles = [pool.submit(_request(f"g{i}"), TIMEOUT_MS) for i in range(60)]
         for handle in handles:
             pool.await_verdict(handle)
         stop.set()
@@ -297,14 +303,14 @@ def test_submit_after_shutdown_is_refused():
     pool = VerificationPool(BuiltinChecker(Domain()))
     pool.shutdown()
     with pytest.raises(ContractViolation):
-        pool.submit(_request())
+        pool.submit(_request(), TIMEOUT_MS)
 
 
 def test_latency_quantiles_reported_after_completions():
     checker = RecordingChecker(delay_s=0.002)
     with VerificationPool(checker, PoolConfig(max_concurrent=2)) as pool:
         for _ in range(10):
-            pool.await_verdict(pool.submit(_request()))
+            pool.await_verdict(pool.submit(_request(), TIMEOUT_MS))
         stats = pool.stats()
     assert stats.latency_ms_p50 is not None
     assert stats.latency_ms_p50 <= stats.latency_ms_p95 <= stats.latency_ms_p99
@@ -336,7 +342,7 @@ def test_empty_pool_reports_no_latencies():
 def test_bookkeeping_stays_bounded_after_many_jobs(monkeypatch):
     monkeypatch.setattr(pool_mod, "_LATENCY_SAMPLES", 16)
     with VerificationPool(RecordingChecker(), PoolConfig(max_concurrent=4)) as pool:
-        handles = [pool.submit(_request(f"j{i}")) for i in range(200)]
+        handles = [pool.submit(_request(f"j{i}"), TIMEOUT_MS) for i in range(200)]
         for handle in handles:
             assert pool.await_verdict(handle).status == ACCEPTED
         assert not pool._queue and not pool._running
@@ -351,7 +357,7 @@ def test_a_finished_job_nobody_awaits_is_not_kept():
     requests = [_request(f"j{i}") for i in range(50)]
     refs = [weakref.ref(request) for request in requests]
     with VerificationPool(RecordingChecker(), PoolConfig(max_concurrent=4)) as pool:
-        handles = [pool.submit(request) for request in requests]
+        handles = [pool.submit(request, TIMEOUT_MS) for request in requests]
         del requests
         assert wait_until(lambda: pool.stats().completed == 50)
         del handles
@@ -361,7 +367,7 @@ def test_a_finished_job_nobody_awaits_is_not_kept():
 
 def test_a_handle_from_another_pool_is_unknown():
     with VerificationPool(RecordingChecker()) as first, VerificationPool(RecordingChecker()) as second:
-        handle = first.submit(_request())
+        handle = first.submit(_request(), TIMEOUT_MS)
         with pytest.raises(UnknownHandle):
             second.await_verdict(handle)
         verdict = first.await_verdict(handle)

@@ -34,6 +34,7 @@ from provekit.lang import (
 from provekit.pool import PoolConfig, VerificationPool
 from provekit.prover import (
     DIRECT_PROOF_DIRECTIVE,
+    KIND_COMPLETION,
     KIND_DIRECT,
     KIND_RECONSTRUCTION,
     RECON_DIRECT,
@@ -810,6 +811,37 @@ def test_pass_k_builds_and_shuts_down_one_pool_per_run():
     assert closed == factory_calls  # every pool shut down, in run order
     assert all(r.proved for r in result.runs)
     assert all(t.events[-1]["pool"]["submitted"] == 1 for t in result.traces)
+
+
+class _BudgetRecorder:
+    """The builtin checker, recording the kind and budget of every check."""
+
+    def __init__(self, domain: Domain):
+        self.inner = BuiltinChecker(domain)
+        self.seen: list[tuple[str, int]] = []
+        self._lock = threading.Lock()
+
+    def check(self, request, timeout_ms):
+        with self._lock:
+            self.seen.append((request.kind, timeout_ms))
+        return self.inner.check(request, timeout_ms)
+
+
+def test_pooled_completion_checks_get_the_search_check_budget():
+    # The budget differs from the 300,000 ms default, so a pool that capped
+    # or replaced a job's timeout with one of its own would show here.
+    config = SearchConfig(
+        decompose_iters=1, complete_iters=2, check_timeout_ms=400_000, qc=QcConfig(trials=50)
+    )
+    goal = parse_goal("goal g (x: Int) (y: Int) (z: Int) := x + y + z = z + y + x /\\ x * y = y * x")
+    checker = _BudgetRecorder(config.domain)
+    with VerificationPool(checker, PoolConfig()) as pool:
+        result, _ = run_single(goal, ConjunctionSplitter(), checker, config, pool=pool)
+    kinds = [kind for kind, _ in checker.seen]
+    assert KIND_RECONSTRUCTION in kinds and KIND_COMPLETION in kinds
+    assert {budget for _, budget in checker.seen} == {config.check_timeout_ms}
+    assert pool.stats().submitted == kinds.count(KIND_COMPLETION)
+    assert result.proved
 
 
 # --- gate quickcheck memo ------------------------------------------------------------
