@@ -29,7 +29,7 @@ from .config import (
     pool_config_from_sections,
     search_config_from_sections,
 )
-from .errors import ProvekitError
+from .errors import ContractViolation, ProvekitError
 from .lang import GoalDecl, parse_goal_file
 from .pool import VerificationPool
 from .prover import (
@@ -56,10 +56,10 @@ def _load_goals(path: str, only: list[str] | None) -> list[GoalDecl]:
         by_name = {g.name: g for g in goals}
         missing = [name for name in only if name not in by_name]
         if missing:
-            raise SystemExit(f"no such goal(s) in {path}: {', '.join(missing)}")
+            raise ContractViolation(f"no such goal(s) in {path}: {', '.join(missing)}")
         goals = [by_name[name] for name in only]
     if not goals:
-        raise SystemExit(f"{path} declares no goals")
+        raise ContractViolation(f"{path} declares no goals")
     return goals
 
 
@@ -121,7 +121,7 @@ def cmd_run(args) -> int:
         trace_dir.mkdir(parents=True, exist_ok=True)
 
     pool_factory = None
-    if args.workers:
+    if "pool" in document:  # from the file or from --workers
         pool_cfg = pool_config_from_sections(document)
 
         def pool_factory():

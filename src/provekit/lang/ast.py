@@ -2,12 +2,15 @@
 
 Two sorts only: integers and integer lists.  Terms and formulas are frozen
 dataclasses, so structural equality and hashing come for free; that is what
-the dedup and trace machinery rely on.
+the dedup and trace machinery rely on.  Every walk over a tree recurses,
+so a tree that enters the engine must first pass ``GoalDecl.sort_error``,
+which also bounds its depth by ``MAX_DEPTH``.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -189,14 +192,37 @@ class Exists(Formula):
     body: Formula
 
 
+# The deepest goal body, in nodes along its longest path (``x = 0`` is 2
+# deep); far below the depth at which the interpreter stops a walk.
+MAX_DEPTH = 128
+
+
 @dataclass(frozen=True)
 class GoalDecl:
-    """A named, implicitly universally quantified statement."""
+    """A named, implicitly universally quantified statement.  Its two
+    cached properties stay out of equality, hashing and repr."""
 
     name: str
     binders: tuple[tuple[str, Sort], ...]
     body: Formula
     span: SourceSpan | None = field(default=None, compare=False)
+
+    @functools.cached_property
+    def sort_error(self) -> str | None:
+        """Why the goal may not enter the engine, or None: it is too deep,
+        an operator gets an operand of the wrong sort (named in the
+        message), a variable is unbound or the body is not a formula."""
+        try:
+            sort = _sort_of(self.body, dict(self.binders), 1)
+        except _IllSorted as exc:
+            return str(exc)
+        return None if sort is _PROP else f"sort mismatch: the goal body is {sort}, not a formula"
+
+    @functools.cached_property
+    def footprint(self) -> int:
+        """Count of operator nodes in the body, by which the decomposition
+        score compares parents and children; read after ``sort_error``."""
+        return formula_footprint(self.body)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +338,9 @@ class _IllSorted(Exception):
     pass
 
 
-def _sort_of(node: Node, scope: dict[str, Sort]):
+def _sort_of(node: Node, scope: dict[str, Sort], depth: int):
+    if depth > MAX_DEPTH:
+        raise _IllSorted(f"nested more than {MAX_DEPTH} deep")
     kind = type(node)
     if kind is Var:
         if node.name not in scope:
@@ -326,7 +354,7 @@ def _sort_of(node: Node, scope: dict[str, Sort]):
         scope = {**scope, node.binder: node.sort}
     bound = None
     for param, child in zip(params, children):
-        sort = _sort_of(child, scope)
+        sort = _sort_of(child, scope, depth + 1)
         if param is _A:
             # The first child binds the sort variable, to a term sort only.
             param = bound = bound or (sort if sort is not _PROP else "a term")
@@ -347,12 +375,6 @@ def formula_footprint(node: Node) -> int:
     """Count of operator nodes in a formula or term."""
     kind = type(node)
     return (1 if kind in _COUNTED else 0) + sum(map(formula_footprint, CHILDREN[kind](node)))
-
-
-def operator_footprint(goal: GoalDecl) -> int:
-    """Count of operator nodes in the goal body; the size measure the
-    decomposition score compares parents and children by."""
-    return formula_footprint(goal.body)
 
 
 def _collect_free(node: Node, acc: set[str]) -> None:
@@ -462,13 +484,3 @@ def statement_key(goal: GoalDecl) -> str:
     sorts = ",".join(sort.value for _, sort in goal.binders)
     return f"({sorts})|{_canon(goal.body, env, len(goal.binders))}"
 
-
-def sort_error(goal: GoalDecl) -> str | None:
-    """Why the goal is ill-sorted, naming the offending operator, or None
-    when every operator gets operands of its sorts, every variable is
-    bound and the body is a formula."""
-    try:
-        sort = _sort_of(goal.body, dict(goal.binders))
-    except _IllSorted as exc:
-        return str(exc)
-    return None if sort is _PROP else f"sort mismatch: the goal body is {sort}, not a formula"

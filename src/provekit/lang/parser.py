@@ -9,8 +9,10 @@ ASCII spellings are canonical (``/\\``, ``\\/``, ``->``, ``!``, ``in``,
 ``>=`` and ``!=`` are sugar for the flipped or negated core comparisons.
 
 One precedence-climbing loop over ``ast.OPERATORS`` (Pratt, 1973) parses
-terms and formulas alike; ``ast.sort_error`` then rejects a declaration
-that mixes them up.
+terms and formulas alike; ``GoalDecl.sort_error`` then rejects a
+declaration that mixes them up or is nested more than ``ast.MAX_DEPTH``
+deep.  The loop itself stops at twice that nesting, so text of any depth
+is a parse error, never a crash.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import NamedTuple
 
 from ..errors import ParseError
 from .ast import (
+    MAX_DEPTH,
     NONASSOC,
     OPERATORS,
     RIGHT,
@@ -41,7 +44,6 @@ from .ast import (
     SourceSpan,
     TrueF,
     Var,
-    sort_error,
 )
 
 KEYWORDS = {
@@ -134,6 +136,9 @@ _INFIX.update({
 # The precedence a term position (a list element, an argument of len or
 # count, an if branch) parses at: term operators only.
 _TERM = _COMPARISON + 1
+# How deep ``parse_expression`` may nest.  Printing a tree nests it at most
+# twice per tree level, so every tree within MAX_DEPTH reads back.
+_MAX_NESTING = 2 * MAX_DEPTH
 _SORTS = {"Int": Sort.INT, "IntList": Sort.INT_LIST}
 
 
@@ -141,6 +146,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0  # parse_expression calls now open
 
     # -- token plumbing ----------------------------------------------------
 
@@ -203,7 +209,7 @@ class _Parser:
         body = self.parse_expression(0, frozenset(binders))
         span = SourceSpan(name_tok.line, name_tok.column, len(name_tok.text))
         decl = GoalDecl(name_tok.text, tuple(binders.items()), body, span=span)
-        error = sort_error(decl)
+        error = decl.sort_error
         if error is not None:
             raise ParseError(error, span.line, span.column, span.length)
         return decl
@@ -220,15 +226,18 @@ class _Parser:
         """Parse a prefix expression, then every infix operator that binds
         at least as tightly as ``min_prec``.  A non-associative operator
         ends the run of operators at its own precedence."""
+        self.nesting += 1
+        if self.nesting > _MAX_NESTING:
+            tok = self.peek()
+            raise ParseError("expression nested too deeply", tok.line, tok.column)
         left = self.parse_prefix(scope)
         closed = None  # the precedence of a non-associative operator just applied
         while True:
             entry = _INFIX.get(self.tokens[self.pos].text)
-            if entry is None:
+            if entry is None or entry[0] < min_prec or entry[0] == closed:
+                self.nesting -= 1
                 return left
             prec, assoc, build = entry
-            if prec < min_prec or prec == closed:
-                return left
             self.pos += 1
             right = self.parse_expression(prec if assoc == RIGHT else prec + 1, scope)
             left = build(left, right)
@@ -293,15 +302,9 @@ class _Parser:
 
 
 def parse_goal_file(source: str) -> list[GoalDecl]:
-    """Parse a goal file into declarations, enforcing well-sortedness,
-    bound variables, and unique goal names.  Nesting deeper than the
-    interpreter's recursion limit is a parse error, not a crash."""
-    parser = _Parser(tokenize(source))
-    try:
-        return parser.parse_file()
-    except RecursionError:
-        tok = parser.tokens[min(parser.pos, len(parser.tokens) - 1)]
-        raise ParseError("expression nested too deeply", tok.line, tok.column) from None
+    """Parse a goal file into declarations, enforcing well-sortedness, the
+    depth bound, bound variables, and unique goal names."""
+    return _Parser(tokenize(source)).parse_file()
 
 
 def parse_goal(source: str) -> GoalDecl:

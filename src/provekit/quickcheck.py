@@ -130,23 +130,28 @@ def quickcheck(goal: GoalDecl, config: QcConfig, domain: Domain) -> QcOutcome:
     Inner quantifiers still range over ``domain``; only the outer binders are
     sampled.  The body is compiled once per call and each trial gets a fresh
     node budget.  The first falsifying assignment is re-verified and returned
-    with its 1-based trial index.
+    with its 1-based trial index.  A trial that runs out of budget falsifies
+    nothing: the search stops there and reports the trials finished before.
     """
     budget = Budget(domain.node_budget)
     holds_at = compile_formula(goal.body, domain, budget)
 
     def falsifies(env: Env) -> bool:
-        """Errors and budget exhaustion count as falsifying the assignment."""
+        """An evaluation error counts as falsifying the assignment."""
         budget.remaining = domain.node_budget
         try:
             return not holds_at(env)
-        except (EvalError, BudgetExceeded):
+        except EvalError:
             return True
 
     draw = env_sampler(goal.binders, config, derive_rng(config.seed, goal.name))
     for trial in range(1, config.trials + 1):
         env = draw()
-        if falsifies(env):
+        try:
+            falsified = falsifies(env)
+        except BudgetExceeded:
+            return NoCounterexample(trials_run=trial - 1)
+        if falsified:
             if not falsifies(env):  # re-verification
                 raise ContractViolation("witness failed re-verification")
             return Counterexample(witness=env, trial_index=trial)

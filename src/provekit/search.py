@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ContractViolation, PolicyError
 from .evaluator import Domain, Env
-from .lang import GoalDecl, operator_footprint, print_goal, sort_error
+from .lang import GoalDecl, print_goal
 from .prover import (
     ACCEPTED,
     CHECKER_ERROR,
@@ -156,7 +156,6 @@ class GoalNode:
 
     name: str
     goal: GoalDecl
-    footprint: int
     depth: int
     order: int
     parent: str | None = None
@@ -170,63 +169,43 @@ class GoalNode:
 
 class GoalTree:
     """The root goal plus every lemma ever accepted, in insertion order.
-    The root must be well sorted; the gate checks every lemma."""
+    The root must pass its sort and depth check; the gate checks every lemma."""
 
     def __init__(self, root: GoalDecl) -> None:
-        error = sort_error(root)
+        error = root.sort_error
         if error is not None:
             raise ContractViolation(f"goal {root.name!r} is ill sorted: {error}")
-        self.nodes: dict[str, GoalNode] = {}
-        self.order: list[str] = []
-        self._insert(GoalNode(
-            name=root.name,
-            goal=root,
-            footprint=operator_footprint(root),
-            depth=0,
-            order=0,
-        ))
+        self.nodes = {root.name: GoalNode(name=root.name, goal=root, depth=0, order=0)}
         self.root_name = root.name
 
-    def _insert(self, node: GoalNode) -> None:
-        self.nodes[node.name] = node
-        self.order.append(node.name)
-
-    def add_lemmas(
-        self,
-        parent: GoalNode,
-        lemmas: tuple[GoalDecl, ...],
-        score: float,
-        footprints: tuple[int, ...],
-    ) -> list[GoalNode]:
-        """Insert the lemmas below ``parent``; ``footprints`` are their
-        operator footprints, as the gate computed them."""
+    def add_lemmas(self, parent: GoalNode, lemmas: tuple[GoalDecl, ...], score: float) -> list[GoalNode]:
+        """Insert the lemmas, which passed the gate, below ``parent``."""
         children = []
-        for decl, footprint in zip(lemmas, footprints):
+        for decl in lemmas:
             child = GoalNode(
                 name=decl.name,
                 goal=decl,
-                footprint=footprint,
                 depth=parent.depth + 1,
-                order=len(self.order),
+                order=len(self.nodes),
                 parent=parent.name,
                 creation_score=score,
             )
-            self._insert(child)
+            self.nodes[decl.name] = child
             children.append(child)
         parent.status = GOAL_DECOMPOSED
         return children
 
     @property
     def inserted_lemmas(self) -> int:
-        return len(self.order) - 1
+        return len(self.nodes) - 1
 
     def open_nodes(self) -> list[GoalNode]:
-        return [self.nodes[name] for name in self.order if self.nodes[name].status == GOAL_OPEN]
+        return [node for node in self.nodes.values() if node.status == GOAL_OPEN]
 
     def leaves(self) -> list[GoalNode]:
         """Nodes that were never decomposed; these are what the proof of the
         root ultimately rests on."""
-        return [self.nodes[name] for name in self.order if self.nodes[name].status != GOAL_DECOMPOSED]
+        return [node for node in self.nodes.values() if node.status != GOAL_DECOMPOSED]
 
     def all_closed(self) -> bool:
         return not self.open_nodes()
@@ -244,7 +223,7 @@ def select_target(tree: GoalTree, strategy: str) -> GoalNode | None:
     if not candidates:
         return None
     if strategy == TARGET_HIGHEST_FOOTPRINT:
-        return max(candidates, key=lambda n: (n.footprint, -n.order))
+        return max(candidates, key=lambda n: (n.goal.footprint, -n.order))
     if strategy == TARGET_HIGHEST_SCORE:
         return max(candidates, key=lambda n: (n.creation_score, -n.order))
     raise ContractViolation(f"unknown target strategy {strategy!r}")
@@ -252,13 +231,11 @@ def select_target(tree: GoalTree, strategy: str) -> GoalNode | None:
 
 @dataclass
 class ProposalEvaluation:
-    """Gate outputs for one decomposition proposal, with the lemmas' operator
-    footprints.  A proposal turned away before any check (a policy error or
-    a structural rejection) has no ``gate`` and no ``breakdown``."""
+    """Gate outputs for one decomposition proposal.  A proposal turned away
+    before any quickcheck (a policy error, a structural rejection or a lemma
+    failing its sort and depth check) has no ``gate`` and no ``breakdown``."""
 
-    footprints: tuple[int, ...]
     reason: str | None
-    qc_ok: tuple[bool, ...] = ()
     reconstruction_verdict: CheckVerdict | None = None
     gate: ValidityGate | None = None
     breakdown: ScoreBreakdown | None = None
@@ -278,22 +255,21 @@ def evaluate_proposal(
     """Run the acceptance gate for a proposal against ``target`` in ``tree``.
 
     Order matters: the structural checks (a decomposable target, the lemma
-    cap, fresh lemma names, well-sorted lemmas) cost little and come first;
-    then lemmas are quickchecked, and the reconstruction check is skipped
-    when any lemma already failed, so a falsified lemma never costs a
-    checker call.
+    cap, fresh lemma names) cost little and come first; each lemma's sort
+    and depth check comes before anything else walks it.  Then lemmas are
+    quickchecked, and the reconstruction check is skipped when any lemma
+    already failed, so a falsified lemma never costs a checker call.
     """
-    footprints = tuple(map(operator_footprint, proposal.lemmas))
     if proposal.k > 0:
         names = [lemma.name for lemma in proposal.lemmas]
-        if target.footprint == 0:
-            return ProposalEvaluation(footprints, REASON_ZERO_FOOTPRINT)
+        if target.goal.footprint == 0:
+            return ProposalEvaluation(REASON_ZERO_FOOTPRINT)
         if tree.inserted_lemmas + proposal.k > config.max_open_lemmas:
-            return ProposalEvaluation(footprints, REASON_LEMMA_CAP)
+            return ProposalEvaluation(REASON_LEMMA_CAP)
         if len(set(names)) != len(names) or any(name in tree.nodes for name in names):
-            return ProposalEvaluation(footprints, REASON_DUPLICATE_NAME)
-    if any(sort_error(lemma) is not None for lemma in proposal.lemmas):
-        return ProposalEvaluation(footprints, REASON_ILL_SORTED)
+            return ProposalEvaluation(REASON_DUPLICATE_NAME)
+    if any(lemma.sort_error is not None for lemma in proposal.lemmas):
+        return ProposalEvaluation(REASON_ILL_SORTED)
     qc_ok: list[bool] = []
     for lemma in proposal.lemmas:
         outcome = _gate_quickcheck(lemma, config.qc, config.domain)
@@ -318,10 +294,11 @@ def evaluate_proposal(
         reason = REASON_QC_FAILED
     recon_ok = verdict is not None and verdict.is_accepted
     gate = ValidityGate(reconstruction_ok=recon_ok, qc_ok_per_lemma=tuple(qc_ok))
-    breakdown = decomposition_score(gate, target.footprint, footprints, config.score)
+    footprints = [lemma.footprint for lemma in proposal.lemmas]
+    breakdown = decomposition_score(gate, target.goal.footprint, footprints, config.score)
     if breakdown.v == 1:
         reason = None
-    return ProposalEvaluation(footprints, reason, tuple(qc_ok), verdict, gate, breakdown)
+    return ProposalEvaluation(reason, verdict, gate, breakdown)
 
 
 def propose_and_gate(
@@ -342,22 +319,22 @@ def propose_and_gate(
     try:
         proposal = policy.propose_decomposition(context)
     except PolicyError as exc:
-        return None, ProposalEvaluation((), f"{REASON_POLICY_ERROR}: {exc}")
+        return None, ProposalEvaluation(f"{REASON_POLICY_ERROR}: {exc}")
     return proposal, evaluate_proposal(tree, target, proposal, checker, config)
 
 
-def _proposal_json(proposal: DecompositionProposal, footprints: tuple[int, ...]) -> dict:
+def _lemma_json(lemma: GoalDecl) -> dict:
+    # A lemma that fails its sort and depth check may be too deep to print.
+    if lemma.sort_error is not None:
+        return {"name": lemma.name}
+    return {"name": lemma.name, "source": print_goal(lemma), "footprint": lemma.footprint}
+
+
+def _proposal_json(proposal: DecompositionProposal) -> dict:
     return {
         "reconstruction": proposal.reconstruction,
         "rationale": proposal.rationale,
-        "lemmas": [
-            {
-                "name": lemma.name,
-                "source": print_goal(lemma),
-                "footprint": footprint,
-            }
-            for lemma, footprint in zip(proposal.lemmas, footprints)
-        ],
+        "lemmas": [_lemma_json(lemma) for lemma in proposal.lemmas],
     }
 
 
@@ -388,7 +365,7 @@ def decompose_step(
         fields = {
             "iteration": iteration,
             "target": target.name,
-            "target_footprint": target.footprint,
+            "target_footprint": target.goal.footprint,
             "outcome": outcome,
             "reason": reason,
             "proposal": proposal,
@@ -396,7 +373,7 @@ def decompose_step(
         if evaluation is not None and evaluation.gate is not None:
             fields["gate"] = {
                 "reconstruction_ok": evaluation.gate.reconstruction_ok,
-                "qc_ok": list(evaluation.qc_ok),
+                "qc_ok": list(evaluation.gate.qc_ok_per_lemma),
             }
             fields["score"] = evaluation.breakdown.to_json()
         if witness is not None:
@@ -431,7 +408,7 @@ def decompose_step(
     proposal, evaluation = propose_and_gate(tree, target, policy, checker, config)
     if proposal is None:
         return record(evaluation.reason)
-    proposal_json = _proposal_json(proposal, evaluation.footprints)
+    proposal_json = _proposal_json(proposal)
     if not evaluation.accepted:
         return record(evaluation.reason, proposal=proposal_json, evaluation=evaluation)
 
@@ -439,7 +416,7 @@ def decompose_step(
         target.status = GOAL_DISCHARGED
         target.closing_proof = proposal.reconstruction
         return record(None, outcome=STEP_DISCHARGED, proposal=proposal_json, evaluation=evaluation)
-    tree.add_lemmas(target, proposal.lemmas, evaluation.breakdown.S, evaluation.footprints)
+    tree.add_lemmas(target, proposal.lemmas, evaluation.breakdown.S)
     return record(None, outcome=STEP_ACCEPTED, proposal=proposal_json, evaluation=evaluation)
 
 

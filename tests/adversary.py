@@ -2,9 +2,9 @@
 
 ``Adversary`` proposes what a hostile peer might: conjuncts of its target,
 the target itself, unrelated formulas, capture bait, ill-sorted lemmas,
-lemmas with shuffled, dropped, renamed or extra binders, reused names,
-random reconstruction markers (a bogus one included) and random completion
-texts.
+lemmas nested just past the depth cap, lemmas with shuffled, dropped,
+renamed or extra binders, reused names, random reconstruction markers (a
+bogus one included) and random completion texts.
 
 Run as a script, this module is that adversary as a policy peer speaking
 the newline-delimited JSON protocol of ``ExternalPolicy``:
@@ -13,11 +13,11 @@ the newline-delimited JSON protocol of ``ExternalPolicy``:
 
 Each request must carry a ``seed`` besides the protocol's fields; the peer
 draws its proposal and its misbehaviour from it, so a reply depends on the
-request alone.  The peer prints its lemmas, ill-sorted ones included, and
-the adapter parses them.  It also misbehaves at the reply level: fields
-that are missing or ill-typed, duplicate replies, late replies to the
-request before, and, with ``BREAK_RATE``, a reply to an id never sent or
-a line that is not a JSON object.  It is never silent.
+request alone.  The peer prints its lemmas, ill-sorted and too deep ones
+included, and the adapter parses them.  It also misbehaves at the reply
+level: fields that are missing or ill-typed, duplicate replies, late
+replies to the request before, and, with ``BREAK_RATE``, a reply to an id
+never sent or a line that is not a JSON object.  It is never silent.
 
 Needs the ``provekit`` package importable (for example ``PYTHONPATH=src``).
 """
@@ -40,12 +40,14 @@ from provekit.lang import (
     Lt,
     Not,
     Sort,
+    TrueF,
     Var,
     conjunct_fringe,
     parse_goal,
     print_goal,
     rename_free,
 )
+from provekit.lang.ast import MAX_DEPTH
 from provekit.prover import (
     DIRECT_PROOF_DIRECTIVE,
     RECON_AND_INTRO,
@@ -90,7 +92,7 @@ class Adversary:
         name = f"{goal.name}_{index}_{rng.randrange(10**6)}" if rng.random() < 0.8 else goal.name
         move = rng.randrange(5)
         if move == 4:
-            # Ill-sorted, handed over as a tree: no parser sees it.
+            # Ill-sorted or too deep, handed over as a tree: no parser sees it.
             body = self._ill_sorted(goal, binders, ints, lists)
             return GoalDecl(name, tuple(binders), body)
         if move == 0:
@@ -127,7 +129,13 @@ class Adversary:
 
     def _ill_sorted(self, goal, binders, ints, lists):
         rng = self.rng
-        pick = rng.randrange(3)
+        pick = rng.randrange(4)
+        if pick == 3:
+            # Well sorted, but one or two levels past the depth cap.
+            body = TrueF()
+            for _ in range(MAX_DEPTH + rng.randrange(2)):
+                body = Not(body)
+            return body
         if pick == 0 and ints:
             # An Int binder retyped as a list, then compared as an int.
             i = next(i for i, (name, _) in enumerate(binders) if name == ints[0])

@@ -100,9 +100,25 @@ def test_run_through_worker_pool(goals_file, capsys):
     assert "mul_one: proved" in capsys.readouterr().out
 
 
-def test_unknown_goal_name_aborts(goals_file):
-    with pytest.raises(SystemExit, match="no such goal"):
-        main(["run", str(goals_file), "--goal", "nope", "--policy", "direct"])
+def test_unknown_goal_name_aborts(goals_file, capsys):
+    code = main(["run", str(goals_file), "--goal", "nope", "--policy", "direct"])
+    assert code == 3
+    assert "no such goal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, goal, message",
+    [(GOALS_SRC, "nope", "no such goal"), ("# only a comment\n", None, "declares no goals")],
+    ids=["unknown_goal", "empty_file"],
+)
+def test_qc_input_errors_are_engine_errors(tmp_path, capsys, text, goal, message):
+    # qc's exit 1 means "counterexample found", so a goal it cannot find must not end with it.
+    path = tmp_path / "goals.txt"
+    path.write_text(text)
+    code = main(["qc", str(path), *(["--goal", goal] if goal else [])])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error:") and message in err
 
 
 def test_qc_counterexample_exits_one(goals_file, capsys):
@@ -176,6 +192,22 @@ def test_run_flag_workers_overrides_the_file(goals_file, tmp_path, monkeypatch, 
     assert code == 0
     assert "mul_one: proved" in capsys.readouterr().out
     assert widths and set(widths) == {2}
+
+
+def test_run_takes_its_pool_from_the_config_file(goals_file, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    argv = ["--config", str(config), "run", str(goals_file), "--goal", "mul_one",
+            "--policy", "direct", "--qc-trials", "100"]
+    config.write_text(json.dumps({"pool": {"max_concurrent": 0, "bogus": 1}}))
+    assert main(argv) == 3
+    assert "bogus" in capsys.readouterr().err
+
+    config.write_text(json.dumps({"pool": {"max_concurrent": 2}}))
+    trace_dir = tmp_path / "traces"
+    assert main([*argv, "--trace-dir", str(trace_dir)]) == 0
+    (trace,) = read_trace_dir(trace_dir)
+    (end,) = [e for e in trace.events if e["type"] == "run_end"]
+    assert end["pool"] is not None
 
 
 def test_a_flag_overrides_an_invalid_value_in_the_file(goals_file, tmp_path, capsys):

@@ -11,6 +11,9 @@ Outside the prover package and the verification pool, only the search
 module asks a policy for a proposal, calls a checker or audits axioms, so
 search and training share one gate and one completion loop.
 
+No module of the package names ``RecursionError``: every walk is bounded by
+the language's explicit depth cap, never by the interpreter's limit.
+
 The language and prover packages sit at the bottom of the package: they
 import only from each other (the prover also from the evaluator) and from
 the errors module.  A checker or policy peer that imports them then starts
@@ -119,6 +122,26 @@ def test_only_search_calls_the_policy_the_checker_and_the_audit():
         if gated_calls(path.read_text()):
             callers.add(name)
     assert callers == {"search.py"}
+
+
+def names(source: str, name: str) -> bool:
+    """Whether ``source`` refers to ``name``, as a name or an attribute."""
+    return any(
+        (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_names_are_found():
+    assert names("try:\n    f()\nexcept (ValueError, RecursionError):\n    pass\n", "RecursionError")
+    assert names("import builtins\nraise builtins.RecursionError\n", "RecursionError")
+    assert not names('"""Never a RecursionError."""\n# RecursionError\n', "RecursionError")
+
+
+def test_no_module_leans_on_the_recursion_limit():
+    leaning = [_scan_id(path) for path in PACKAGE.rglob("*.py") if names(path.read_text(), "RecursionError")]
+    assert leaning == []
 
 
 # What each low layer may import from the package, by its directory.

@@ -13,31 +13,35 @@ import provekit.prover
 from provekit.errors import EvalError, ParseError
 from provekit.evaluator import _BUILDERS, Domain, eval_formula
 from provekit.lang import (
+    Add,
     And,
+    Cons,
     Eq,
     Forall,
     Formula,
     GoalDecl,
+    IfThenElse,
+    Implies,
     IntLit,
     Le,
+    Length,
     Lt,
     Not,
     Sort,
+    Sub,
     Term,
     Var,
     format_formula,
     formula_footprint,
     free_vars,
-    operator_footprint,
     parse_goal,
     parse_goal_file,
     print_goal,
     rename_free,
-    sort_error,
     statement_key,
     substitute,
 )
-from provekit.lang.ast import _SIGNATURES, CHILDREN
+from provekit.lang.ast import _SIGNATURES, CHILDREN, MAX_DEPTH
 
 from corpus import (
     SOUP_HEADS,
@@ -158,7 +162,8 @@ BAD_SOURCES = [
 ]
 
 
-# Nesting past the interpreter's recursion limit (each level is a few frames).
+# Nesting far past the parser's bound of twice lang.ast.MAX_DEPTH, and past
+# the interpreter's recursion limit too (each level is a few frames).
 DEEP_SOURCES = [
     pytest.param("goal a := " + "(" * 1000 + "0 = 0" + ")" * 1000, id="nested_parens"),
     pytest.param("goal a := " + r" /\ ".join(["0 = 0"] * 1000), id="conjunct_chain"),
@@ -170,6 +175,93 @@ DEEP_SOURCES = [
 def test_parse_errors_raise(source):
     with pytest.raises(ParseError):
         parse_goal(source)
+
+
+def _depth(node) -> int:
+    return 1 + max(map(_depth, CHILDREN[type(node)](node)), default=0)
+
+
+_X, _L = Var("x"), Var("l")
+
+
+def _nots(depth):
+    return _X_EQ if depth == 2 else Not(_nots(depth - 1))
+
+
+def _right(cls):
+    def term(depth):
+        return _X if depth == 1 else cls(_X, term(depth - 1))
+
+    return lambda depth: Eq(_X, term(depth - 1))
+
+
+def _left(cls):
+    def term(depth):
+        return _X if depth == 1 else cls(term(depth - 1), _X)
+
+    return lambda depth: Eq(term(depth - 1), _X)
+
+
+def _right_implies(depth):
+    return _X_EQ if depth == 2 else Implies(_X_EQ, _right_implies(depth - 1))
+
+
+def _left_and(depth):
+    return _X_EQ if depth == 2 else And(_left_and(depth - 1), _X_EQ)
+
+
+def _quantified(depth):
+    # An operator over a quantifier over an operator, and so on.
+    if depth <= 3:
+        return _X_EQ if depth == 2 else Not(_X_EQ)
+    return And(_X_EQ, Forall("y", Sort.INT, _quantified(depth - 2)))
+
+
+def _ifs(depth):
+    def term(depth):
+        if depth <= 2:
+            return _X if depth == 1 else Add(_X, _X)
+        return IfThenElse(Lt(_X, _X), _X, term(depth - 1))
+
+    return Eq(term(depth - 1), _X)
+
+
+def _lengths(depth):
+    def int_term(depth):
+        return _X if depth == 1 else Length(list_term(depth - 1))
+
+    def list_term(depth):
+        return _L if depth == 1 else Cons(int_term(depth - 1), _L)
+
+    return Eq(int_term(depth - 1), _X)
+
+
+_X_EQ = Eq(_X, _X)
+# Bodies of exactly the given depth, one per way the printer nests text.
+DEPTH_SHAPES = {
+    "nested_not": _nots,
+    "right_nested_sub": _right(Sub),
+    "left_nested_sub": _left(Sub),
+    "right_nested_implies": _right_implies,
+    "left_nested_and": _left_and,
+    "quantifier_under_operator": _quantified,
+    "nested_if": _ifs,
+    "nested_len_cons": _lengths,
+}
+
+
+@pytest.mark.parametrize("shape", DEPTH_SHAPES.values(), ids=DEPTH_SHAPES.keys())
+def test_the_depth_cap_is_exact(shape):
+    binders = (("x", Sort.INT), ("l", Sort.INT_LIST))
+    at_cap = GoalDecl("d", binders, shape(MAX_DEPTH))
+    assert _depth(at_cap.body) == MAX_DEPTH
+    assert at_cap.sort_error is None
+    assert roundtrip(at_cap) == at_cap
+    over = GoalDecl("d", binders, shape(MAX_DEPTH + 1))
+    assert _depth(over.body) == MAX_DEPTH + 1
+    assert over.sort_error == f"nested more than {MAX_DEPTH} deep"
+    with pytest.raises(ParseError, match="nested"):
+        parse_goal(print_goal(over))
 
 
 @pytest.mark.parametrize("digit", UNICODE_DIGITS)
@@ -225,7 +317,7 @@ def test_parse_accepts_or_raises_parse_error(text):
     except ParseError:
         return
     assert isinstance(goal, GoalDecl)
-    assert sort_error(goal) is None
+    assert goal.sort_error is None
     assert roundtrip(goal) == goal
 
 
@@ -287,7 +379,7 @@ def test_parse_behaviour_is_pinned():
     ],
 )
 def test_footprint_hand_counts(source, expected):
-    assert operator_footprint(parse_goal(source)) == expected
+    assert parse_goal(source).footprint == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -315,13 +407,13 @@ def test_footprint_invariant_under_renaming(seed, targets):
         binders=tuple((mapping[n], s) for n, s in goal.binders),
         body=rename_free(goal.body, mapping),
     )
-    assert operator_footprint(renamed) == operator_footprint(goal)
+    assert renamed.footprint == goal.footprint
     assert statement_key(goal) == statement_key(renamed)
 
 
 def test_footprint_zero_for_literal_only_goal():
     goal = parse_goal("goal z := true")
-    assert operator_footprint(goal) == 0
+    assert goal.footprint == 0
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +495,7 @@ def _traversal_record(goal: GoalDecl) -> tuple:
     return (
         print_goal(goal),
         statement_key(goal),
-        operator_footprint(goal),
+        goal.footprint,
         sorted(free_vars(body)),
         substituted,
         swapped,
@@ -462,7 +554,7 @@ def test_every_node_class_is_in_every_table():
     # holds every class and read it back.
     goal = parse_goal(_EVERY_NODE)
     assert _classes_in(goal.body) == classes
-    assert sort_error(goal) is None
+    assert goal.sort_error is None
     assert parse_goal(print_goal(goal)) == goal
 
 
@@ -477,7 +569,7 @@ def test_unregistered_node_class_is_rejected_by_every_walk():
         lambda f: substitute(f, "x", IntLit(1)),
         lambda f: rename_free(f, {"x": "y"}),
         lambda f: statement_key(replace(goal, body=f)),
-        lambda f: sort_error(replace(goal, body=f)),
+        lambda f: replace(goal, body=f).sort_error,
         format_formula,
     ):
         with pytest.raises(TypeError):

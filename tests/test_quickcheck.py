@@ -68,6 +68,31 @@ def test_evaluation_error_counts_as_counterexample():
     assert out.trial_index == 1
 
 
+BUDGET_BOUND = "goal g := forall a: IntList, forall b: IntList, a ++ b = a ++ b"
+
+
+def test_budget_exhaustion_is_not_a_counterexample():
+    # decide_bounded calls this goal resource_exceeded under this budget; a
+    # trial that runs out of budget disproves nothing either.
+    goal = parse_goal(BUDGET_BOUND)
+    out = quickcheck(goal, QcConfig(trials=10, seed=0), Domain(node_budget=20_000))
+    assert out == NoCounterexample(trials_run=0)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_budget_exhaustion_stops_at_that_trial(seed):
+    # A trial with x < 0 stays within the budget; the first other one runs
+    # out of it and ends the search, counting only the trials before it.
+    goal = parse_goal("goal h (x: Int) := x < 0 \\/ (forall a: Int, forall b: Int, a + b = b + a)")
+    config = QcConfig(trials=50, seed=seed)
+    draw = env_sampler(goal.binders, config, derive_rng(seed, goal.name))
+    finished = 0
+    while draw()["x"] < 0:
+        finished += 1
+    out = quickcheck(goal, config, Domain(node_budget=100))
+    assert out == NoCounterexample(trials_run=finished)
+
+
 def test_needle_in_haystack_detection_rate():
     # One falsifying point out of 201; 1000 trials find it with
     # probability about 0.993 per seed, so 20 seeds shouldn't miss often.

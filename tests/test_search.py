@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import provekit.lang.ast as ast_mod
 import provekit.prover.builtin as builtin_mod
 import provekit.search as search_mod
 from corpus import random_goal, wide_conjunction_goal
@@ -26,10 +27,12 @@ from provekit.lang import (
     IntLit,
     Length,
     Lt,
+    Not,
     Sort,
+    TrueF,
     Var,
-    operator_footprint,
     parse_goal,
+    print_goal,
 )
 from provekit.pool import PoolConfig, VerificationPool
 from provekit.prover import (
@@ -191,7 +194,7 @@ def test_tree_bookkeeping():
     assert tree.inserted_lemmas == 0
 
     lemmas = (parse_goal("goal a (x: Int) := x = x"), parse_goal("goal b (x: Int) := x + 0 = x"))
-    children = tree.add_lemmas(root, lemmas, 0.7, tuple(map(operator_footprint, lemmas)))
+    children = tree.add_lemmas(root, lemmas, 0.7)
     assert root.status == GOAL_DECOMPOSED
     assert [c.order for c in children] == [1, 2]
     assert all(c.parent == "root" and c.depth == 1 for c in children)
@@ -214,7 +217,7 @@ def test_select_target_by_footprint_with_insertion_tiebreak():
         parse_goal("goal big (x: Int) := x + 0 = x /\\ x * 1 = x"),
         parse_goal("goal twin (x: Int) := x * 1 = x /\\ x + 0 = x"),
     )
-    tree.add_lemmas(root, lemmas, 0.5, tuple(map(operator_footprint, lemmas)))
+    tree.add_lemmas(root, lemmas, 0.5)
     target = select_target(tree, CONFIG.target_strategy)
     assert target is not None and target.name == "big"  # ties break to earliest
 
@@ -223,10 +226,10 @@ def test_select_target_by_creation_score():
     tree = _tree("goal root := 0 = 0 /\\ 1 = 1")
     root = tree.nodes["root"]
     lemmas = (parse_goal("goal weak := 0 = 0"),)
-    (weak,) = tree.add_lemmas(root, lemmas, 0.2, tuple(map(operator_footprint, lemmas)))
+    (weak,) = tree.add_lemmas(root, lemmas, 0.2)
     lemmas = (parse_goal("goal strong := 1 = 1"),)
-    strong = tree.add_lemmas(root, lemmas, 0.9, tuple(map(operator_footprint, lemmas)))[0]
-    assert weak.footprint == strong.footprint
+    strong = tree.add_lemmas(root, lemmas, 0.9)[0]
+    assert weak.goal.footprint == strong.goal.footprint
     target = select_target(tree, TARGET_HIGHEST_SCORE)
     assert target is not None and target.name == "strong"
 
@@ -272,7 +275,7 @@ def test_falsified_lemma_skips_the_checker():
     evaluation = _evaluate(goal, _proposal("goal bad := 0 < 0"), stub, CONFIG)
     assert not evaluation.accepted
     assert evaluation.reason == REASON_QC_FAILED
-    assert evaluation.qc_ok == (False,)
+    assert evaluation.gate.qc_ok_per_lemma == (False,)
     assert evaluation.breakdown.S == 0.0
     assert stub.requests == []  # no checker call wasted on a refuted lemma
 
@@ -283,7 +286,7 @@ def test_reconstruction_request_carries_lemmas():
     proposal = _proposal("goal p1 (a: Int) := a + 0 = a", "goal p2 (a: Int) := a * 1 = a")
     evaluation = _evaluate(goal, proposal, stub, CONFIG)
     assert evaluation.accepted
-    assert evaluation.qc_ok == (True, True)
+    assert evaluation.gate.qc_ok_per_lemma == (True, True)
     (request,) = stub.requests
     assert request.kind == KIND_RECONSTRUCTION
     assert [l.name for l in request.lemmas] == ["p1", "p2"]
@@ -326,7 +329,7 @@ def test_refuted_lemma_is_rejected_not_disproved():
     tree = _tree("goal root (x: Int) := x = x")
     root = tree.nodes["root"]
     lemmas = (parse_goal("goal lem (x: Int) := 0 <= x"),)
-    (lemma,) = tree.add_lemmas(root, lemmas, 0.5, tuple(map(operator_footprint, lemmas)))
+    (lemma,) = tree.add_lemmas(root, lemmas, 0.5)
     trace = _trace()
     outcome = decompose_step(tree, lemma, ScriptedPolicy(), CHECKER, CONFIG, trace, 1)
     assert outcome.kind == STEP_REJECTED
@@ -381,6 +384,49 @@ def test_ill_sorted_root_is_a_contract_violation():
     config = SearchConfig(decompose_iters=1, complete_iters=0)
     with pytest.raises(ContractViolation, match="goal 'r' is ill sorted: .*'<'"):
         run_single(root, DirectSubmit(), BuiltinChecker(Domain()), config)
+
+
+@pytest.mark.parametrize("depth", [ast_mod.MAX_DEPTH + 1, 1500, 100_000])
+def test_a_lemma_over_the_depth_cap_is_listed_by_name_only(depth):
+    root = parse_goal("goal root (x: Int) := x = x /\\ x + 0 = x")
+    fine = parse_goal("goal fine (x: Int) := x = x")
+    body = TrueF()
+    for _ in range(depth - 1):
+        body = Not(body)
+    proposal = DecompositionProposal((fine, GoalDecl("deep", (), body)), "entailment")
+    config = replace(CONFIG, decompose_iters=1, complete_iters=0)
+    result, trace = run_single(root, ScriptedPolicy([proposal]), CHECKER, config)
+    (attempt,) = [e for e in trace.events if e["type"] == "decompose_attempt"]
+    assert attempt["reason"] == REASON_ILL_SORTED
+    assert attempt["proposal"]["lemmas"] == [
+        {"name": "fine", "source": print_goal(fine), "footprint": 1},
+        {"name": "deep"},
+    ]
+    assert result.outcome == OUTCOME_EXHAUSTED
+
+
+def test_a_pass_k_root_is_checked_and_measured_once(monkeypatch):
+    # The parser's sort and depth check and the first footprint stay on the
+    # goal, so none of the k runs walks the root again for either.
+    sort_walks, footprint_walks = [], []
+    sort_of, footprint = ast_mod._sort_of, ast_mod.formula_footprint
+
+    def counting_sort_of(node, scope, depth):
+        sort_walks.append(node)
+        return sort_of(node, scope, depth)
+
+    def counting_footprint(node):
+        footprint_walks.append(node)
+        return footprint(node)
+
+    monkeypatch.setattr(ast_mod, "_sort_of", counting_sort_of)
+    monkeypatch.setattr(ast_mod, "formula_footprint", counting_footprint)
+    root = parse_goal("goal root (x: Int) := x + 0 = x /\\ x * 1 = x")
+    config = replace(CONFIG, k_parallel=4)
+    result = run_pass_k(root, ConjunctionSplitter(), CHECKER, config, max_workers=1)
+    assert [run.decompose_iterations > 0 for run in result.runs] == [True] * 4
+    assert sum(node is root.body for node in sort_walks) == 1
+    assert sum(node is root.body for node in footprint_walks) == 1
 
 
 def test_zero_footprint_target_cannot_be_decomposed():
@@ -467,7 +513,7 @@ def _completion_tree():
     tree = _tree("goal root (x: Int) := x = x")
     root = tree.nodes["root"]
     lemmas = (parse_goal("goal leaf (x: Int) := x + 0 = x"),)
-    tree.add_lemmas(root, lemmas, 0.5, tuple(map(operator_footprint, lemmas)))
+    tree.add_lemmas(root, lemmas, 0.5)
     return tree
 
 
@@ -538,7 +584,7 @@ def test_each_sweep_attempts_every_open_leaf():
     tree = _tree("goal root (x: Int) := x = x /\\ x + 0 = x")
     root = tree.nodes["root"]
     lemmas = (parse_goal("goal a (x: Int) := x = x"), parse_goal("goal b (x: Int) := x + 0 = x"))
-    tree.add_lemmas(root, lemmas, 0.5, tuple(map(operator_footprint, lemmas)))
+    tree.add_lemmas(root, lemmas, 0.5)
     trace = _trace()
     sweeps, _ = completion_stage(
         tree, ScriptedPolicy(), CHECKER, CONFIG, trace, deadline=float("inf")
@@ -583,6 +629,17 @@ def test_run_single_exhausts_when_nothing_closes():
     assert result.open_leaves == 1
     assert result.complete_iterations == 3
     assert trace.events[-1]["outcome"] == OUTCOME_EXHAUSTED
+
+
+def test_a_budget_bound_root_is_not_disproved():
+    # Every quickcheck trial runs out of node budget on this goal; that is
+    # no witness, so the run goes on and exhausts instead.
+    goal = parse_goal("goal g := forall a: IntList, forall b: IntList, a ++ b = a ++ b")
+    domain = Domain(node_budget=20_000)
+    config = replace(CONFIG, domain=domain, decompose_iters=2, complete_iters=2)
+    result, _ = run_single(goal, DirectSubmit(), BuiltinChecker(domain), config)
+    assert result.outcome == OUTCOME_EXHAUSTED
+    assert result.witness is None
 
 
 def test_run_single_respects_the_wall_budget():

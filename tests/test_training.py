@@ -11,7 +11,8 @@ import pytest
 from corpus import random_goal, wide_conjunction_goal
 from provekit.errors import ContractViolation, FilterViolation, PolicyError
 from provekit.evaluator import Domain
-from provekit.lang import Eq, GoalDecl, IntLit, Sort, Var, parse_goal
+from provekit.lang import Eq, GoalDecl, IntLit, Not, Sort, TrueF, Var, parse_goal
+from provekit.lang.ast import MAX_DEPTH
 from provekit.prover import (
     ACCEPTED,
     DecompositionProposal,
@@ -222,6 +223,38 @@ def test_structural_rejections_score_zero_as_in_search(goal, lemmas, config, rea
     searched, searched_reason = _search_reward(goal, ScriptedDecomposer([proposal]), config)
     assert searched_reason == reason
     assert _training_reward(goal, ScriptedDecomposer([proposal]), config) == searched == 0.0
+
+
+def _nested_nots(depth: int):
+    """A formula exactly ``depth`` nodes deep, built without recursion."""
+    body = TrueF()
+    for _ in range(depth - 1):
+        body = Not(body)
+    return body
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 1500, 100_000])
+def test_a_lemma_over_the_depth_cap_scores_zero_as_in_search(depth):
+    # No parser stands before an in-process policy: the gate's sort check
+    # is what keeps the tree from every recursive walk after it.
+    deep = GoalDecl("both_deep", (), _nested_nots(depth))
+    proposal = DecompositionProposal((LEMMA_L, deep), "and-intro")
+    searched, reason = _search_reward(GOAL_BOTH, ScriptedDecomposer([proposal]), CONFIG)
+    assert reason == REASON_ILL_SORTED
+    assert _training_reward(GOAL_BOTH, ScriptedDecomposer([proposal]), CONFIG) == searched == 0.0
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 100_000])
+def test_a_root_over_the_depth_cap_is_a_contract_violation(depth):
+    root = GoalDecl("deep", (), _nested_nots(depth))
+    starts = (
+        lambda: run_single(root, DirectSubmit(), CHECKER, CONFIG),
+        lambda: score_rollout_group(root, DirectSubmit(), CHECKER, CONFIG, n_rollouts=1),
+        lambda: policy_first_completion(root, DirectSubmit(), DirectSubmit(), CHECKER, CONFIG),
+    )
+    for start in starts:
+        with pytest.raises(ContractViolation, match=f"goal 'deep' is ill sorted: nested more than {MAX_DEPTH} deep"):
+            start()
 
 
 def test_training_reward_matches_search_on_random_goals():
