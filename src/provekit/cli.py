@@ -156,15 +156,22 @@ def cmd_run(args) -> int:
 def cmd_qc(args) -> int:
     config = search_config_from_sections(_config_document(args))
     goals = _load_goals(args.goals, args.goal)
-    found = False
+    found = unsettled = False
     for goal in goals:
         outcome = quickcheck(goal, config.qc, config.domain)
         if isinstance(outcome, Counterexample):
             found = True
             print(f"{goal.name}: counterexample at trial {outcome.trial_index}: {outcome.witness}")
+        elif outcome.trials_run < config.qc.trials:
+            # Quickcheck stops early only when a trial runs out of node budget.
+            unsettled = True
+            print(
+                f"{goal.name}: stopped after {outcome.trials_run} of {config.qc.trials} trials: "
+                "node budget ran out"
+            )
         else:
             print(f"{goal.name}: no counterexample in {outcome.trials_run} trials")
-    return 1 if found else 0
+    return 1 if found else 2 if unsettled else 0
 
 
 def cmd_collect(args) -> int:
@@ -287,7 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_search_flags(run_p)
     run_p.set_defaults(func=cmd_run)
 
-    qc_p = sub.add_parser("qc", help="quickcheck goals; exit 1 on any counterexample")
+    qc_p = sub.add_parser(
+        "qc",
+        help="quickcheck goals; exit 1 on any counterexample, else 2 if a goal ran out of "
+        "node budget before its last trial",
+    )
     qc_p.add_argument("goals", help="goal declaration file")
     qc_p.add_argument("--goal", action="append")
     qc_p.add_argument("--trials", dest="qc_trials", type=int, default=None)

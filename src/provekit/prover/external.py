@@ -21,6 +21,7 @@ import json
 import shlex
 import subprocess
 import threading
+from collections import OrderedDict
 
 from ..errors import CheckerProtocolError, ParseError, PolicyError
 from ..lang.parser import parse_goal
@@ -35,6 +36,12 @@ _WIRE_STATUS = {
     "error": api.CHECKER_ERROR,
 }
 
+# Distinct finished obligations one external checker remembers, as
+# ``DECIDE_MEMO_SIZE`` bounds the built-in checker's decide memo.  The
+# ``passk_external`` benchmark repeats a request only within one goal's
+# pass@k, so a few goals' worth is enough.
+CHECK_MEMO_SIZE = 64
+
 
 class JsonLineProcess:
     """A child process spoken to over stdin/stdout, one JSON object per line.
@@ -43,20 +50,16 @@ class JsonLineProcess:
     requests cannot starve later ones.  It keeps only replies that a request
     is still waiting for: a reply to an id that was sent but is no longer
     awaited (a late or duplicate answer) is dropped, so such replies cannot
-    pile up.  A line that is not a JSON object with an id, or a reply to an
-    id never sent, breaks the connection: every waiting request, and every
-    later one, fails at once with ``CheckerProtocolError``."""
+    pile up.  A line that is not UTF-8 or not a JSON object with an id, or a
+    reply to an id never sent, breaks the connection: every waiting request,
+    and every later one, fails at once with ``CheckerProtocolError``."""
 
     def __init__(self, argv: list[str] | str):
         if isinstance(argv, str):
             argv = shlex.split(argv)
-        self._proc = subprocess.Popen(
-            argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            text=True,
-            bufsize=1,
-        )
+        # Bytes, not text: each line is decoded on its own, so a reply that
+        # is not UTF-8 fails like any other malformed line.
+        self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         self._write_lock = threading.Lock()
         self._cond = threading.Condition()
         self._replies: dict[int, dict | None] = {}  # awaited id -> its reply once read
@@ -74,9 +77,9 @@ class JsonLineProcess:
                 if not line:
                     continue
                 try:
-                    reply = json.loads(line)
+                    reply = json.loads(line.decode("utf-8"))
                     key = reply["id"]
-                except (json.JSONDecodeError, KeyError, TypeError):
+                except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
                     return self._break(f"peer sent an unparseable line: {line[:200]!r}")
                 with self._cond:
                     if type(key) is not int or not 0 < key <= self._last_id:
@@ -102,7 +105,7 @@ class JsonLineProcess:
             key = self._last_id
             self._replies[key] = None
         try:
-            encoded = json.dumps({**payload, "id": key}) + "\n"
+            encoded = (json.dumps({**payload, "id": key}) + "\n").encode()
             with self._write_lock:
                 if self._proc.stdin is None or self._proc.poll() is not None:
                     raise CheckerProtocolError("peer process is gone")
@@ -164,12 +167,12 @@ class JsonHttpEndpoint:
         )
         try:
             with urllib.request.urlopen(req, timeout=timeout_s) as resp:
-                raw = resp.read().decode()
+                raw = resp.read()
         except (urllib.error.URLError, OSError) as exc:
             raise CheckerProtocolError(f"http transport failure: {exc}") from exc
         try:
-            reply = json.loads(raw)
-        except json.JSONDecodeError as exc:
+            reply = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckerProtocolError(f"unparseable http response: {raw[:200]!r}") from exc
         if not isinstance(reply, dict):
             raise CheckerProtocolError(f"reply is not a JSON object: {raw[:200]!r}")
@@ -191,14 +194,39 @@ def make_transport(endpoint: str) -> JsonLineProcess | JsonHttpEndpoint:
     return JsonLineProcess(endpoint)
 
 
+class _Flight:
+    """One check on the wire; callers with the same key wait for its verdict."""
+
+    __slots__ = ("done", "verdict")
+
+    def __init__(self) -> None:
+        self.done = threading.Event()
+        self.verdict: CheckVerdict | None = None
+
+
 class ExternalChecker:
-    """Checker contract over a wire transport."""
+    """Checker contract over a wire transport.
+
+    Each distinct obligation goes over the wire once.  The memo key is what
+    the peer sees, the payload without its id: kind, printed goal, printed
+    lemmas, proof text and ``timeout_ms``.  A call whose key is already in
+    flight waits for that request and shares its verdict, whatever its
+    status.  Only ``accepted`` and ``rejected`` verdicts are kept for later
+    calls, in an LRU of ``CHECK_MEMO_SIZE`` entries; a ``timeout`` is wall
+    clock and a ``checker_error`` may be transient, so those are asked
+    again.  In-flight checks are held apart from the LRU, so eviction never
+    touches them.  If the request raises, the caller that sent it sees the
+    exception and those waiting on it get ``checker_error``.
+    """
 
     # Grace added to the remote's own budget before the transport gives up.
     TRANSPORT_GRACE_S = 10.0
 
     def __init__(self, transport):
         self.transport = transport
+        self._lock = threading.Lock()
+        self._finished: OrderedDict[tuple, CheckVerdict] = OrderedDict()
+        self._in_flight: dict[tuple, _Flight] = {}
 
     def check(self, request: CheckRequest, timeout_ms: int) -> CheckVerdict:
         payload = {
@@ -208,6 +236,39 @@ class ExternalChecker:
             "proof": request.proof_text,
             "timeout_ms": timeout_ms,
         }
+        # Exactly what the peer sees: two calls with one key look the same to it.
+        key = (
+            request.kind, payload["goal"], tuple(payload["lemmas"]), request.proof_text, timeout_ms
+        )
+        with self._lock:
+            verdict = self._finished.get(key)
+            if verdict is not None:
+                self._finished.move_to_end(key)
+                return verdict
+            flight = self._in_flight.get(key)
+            leading = flight is None
+            if leading:
+                flight = self._in_flight[key] = _Flight()
+        if not leading:
+            flight.done.wait()
+            return flight.verdict
+        try:
+            verdict = self._ask(payload, timeout_ms)
+        except BaseException as exc:
+            verdict = api.checker_error(f"shared check raised {type(exc).__name__}: {exc}")
+            raise
+        finally:
+            with self._lock:
+                del self._in_flight[key]
+                if verdict.status in (api.ACCEPTED, api.REJECTED):
+                    self._finished[key] = verdict
+                    if len(self._finished) > CHECK_MEMO_SIZE:
+                        self._finished.popitem(last=False)
+            flight.verdict = verdict
+            flight.done.set()
+        return verdict
+
+    def _ask(self, payload: dict, timeout_ms: int) -> CheckVerdict:
         try:
             response = self.transport.request(payload, timeout_ms / 1000.0 + self.TRANSPORT_GRACE_S)
         except CheckerProtocolError as exc:

@@ -136,6 +136,25 @@ def test_qc_clean_goals_exit_zero(goals_file, capsys):
     assert out.count("no counterexample in 200 trials") == 2
 
 
+def test_qc_goal_that_runs_out_of_budget_is_not_clean(tmp_path, capsys):
+    # The first trial needs more than 20 000 nodes, so no trial finishes.
+    path = tmp_path / "goals.txt"
+    path.write_text(GOALS_SRC + "goal g := forall a: IntList, forall b: IntList, a ++ b = a ++ b\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"domain": {"node_budget": 20000}}))
+
+    code = main(["--config", str(config), "qc", str(path), "--goal", "g", "--goal", "add_zero"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "g: stopped after 0 of 1000 trials: node budget ran out" in out
+    assert "add_zero: no counterexample in 1000 trials" in out
+
+    # A counterexample still decides the exit code.
+    code = main(["--config", str(config), "qc", str(path), "--goal", "g", "--goal", "broken"])
+    assert code == 1
+    assert "broken: counterexample" in capsys.readouterr().out
+
+
 def test_config_file_applies_and_flags_override(goals_file, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"qc": {"trials": 7}, "search": {"complete_iters": 9}}))

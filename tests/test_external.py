@@ -29,8 +29,15 @@ from provekit.prover import (
     JsonLineProcess,
     make_transport,
 )
+from provekit.prover import external as external_mod
 from provekit.prover import prompts
-from provekit.prover.api import KIND_DIRECT, CheckVerdict, PolicyContext
+from provekit.prover.api import (
+    KIND_COMPLETION,
+    KIND_DIRECT,
+    CheckVerdict,
+    PolicyContext,
+)
+from provekit.prover.external import CHECK_MEMO_SIZE
 
 # A scriptable peer: behavior is keyed on substrings of the goal text, so
 # one server covers every scenario without a config channel.
@@ -111,6 +118,11 @@ for line in sys.stdin:
         sys.stdout.write("not json at all\n")
         sys.stdout.flush()
         continue
+    if "badbytes" in goal:
+        sys.stdout.buffer.write(b'{"id": %d, "status": "rejected", "diagnostics": "\xff"}\n'
+                                % req["id"])
+        sys.stdout.flush()
+        continue
     if "pairfirst" in goal:
         held = check_response(req)
         continue
@@ -141,14 +153,28 @@ def _direct(name: str) -> CheckRequest:
     return CheckRequest(KIND_DIRECT, parse_goal(f"goal {name} := 0 = 0"))
 
 
-class _ScriptedTransport:
-    """Answers every request with the same fields."""
+class _CountingTransport:
+    """Records every request and answers it with the next scripted reply,
+    repeating the last: a dict of wire fields, or an exception to raise.
+    With ``gated``, a request sets ``entered`` and then waits for
+    ``release``."""
 
-    def __init__(self, **fields):
-        self.fields = fields
+    def __init__(self, *replies, gated=False):
+        self.replies = replies
+        self.payloads = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        if not gated:
+            self.release.set()
 
     def request(self, payload, timeout_s):
-        return dict(self.fields)
+        self.payloads.append(payload)
+        self.entered.set()
+        assert self.release.wait(5.0)
+        reply = self.replies[min(len(self.payloads), len(self.replies)) - 1]
+        if isinstance(reply, BaseException):
+            raise reply
+        return {"id": len(self.payloads), **reply}
 
 
 # --- stdio transport ----------------------------------------------------------
@@ -183,14 +209,14 @@ def test_unknown_wire_status_is_a_checker_error(process):
 
 @pytest.mark.parametrize("axioms", [5, "propext", None])
 def test_axioms_that_are_not_a_list_are_a_checker_error(axioms):
-    checker = ExternalChecker(_ScriptedTransport(status="accepted", axioms=axioms))
+    checker = ExternalChecker(_CountingTransport({"status": "accepted", "axioms": axioms}))
     verdict = checker.check(_direct("anything"), 1000)
     assert verdict.status == CHECKER_ERROR
     assert "axioms must be a list" in verdict.diagnostics
 
 
 def test_reported_wall_time_is_not_read():
-    checker = ExternalChecker(_ScriptedTransport(status="accepted", wall_time_ms="soon"))
+    checker = ExternalChecker(_CountingTransport({"status": "accepted", "wall_time_ms": "soon"}))
     assert checker.check(_direct("anything"), 1000).status == ACCEPTED
 
 
@@ -276,6 +302,24 @@ def test_unparseable_peer_line_surfaces_as_protocol_error(process):
         process.request({"goal": "goal garbage := 0 = 0"}, 2.0)
 
 
+def test_reply_that_is_not_utf8_fails_at_once(process):
+    start = time.monotonic()
+    with pytest.raises(CheckerProtocolError, match="unparseable"):
+        process.request({"goal": "goal badbytes := 0 = 0"}, 30.0)
+    assert time.monotonic() - start < 1.0
+    # The reader broke the connection rather than dying, so a later request fails at once too.
+    with pytest.raises(CheckerProtocolError, match="unparseable"):
+        process.request({"goal": "goal plain := 0 = 0"}, 30.0)
+    assert time.monotonic() - start < 1.0
+
+
+def test_reply_that_is_not_utf8_is_a_checker_error_at_once(process):
+    start = time.monotonic()
+    verdict = ExternalChecker(process).check(_direct("badbytes"), 30_000)
+    assert time.monotonic() - start < 1.0
+    assert verdict.status == CHECKER_ERROR
+
+
 def test_close_stops_the_peer_and_the_reader(server_script):
     proc = JsonLineProcess([sys.executable, server_script])
     assert proc.request({"goal": "goal plain := 0 = 0"}, 5.0)["status"] == "accepted"
@@ -292,6 +336,163 @@ def test_transport_failure_becomes_checker_error_verdict(process):
     checker = ExternalChecker(process)
     verdict = checker.check(_direct("dropdead"), 500)
     assert verdict.status == CHECKER_ERROR
+
+
+# --- external checker verdict memo ---------------------------------------------
+
+_WIRE = {ACCEPTED: "accepted", REJECTED: "rejected", TIMEOUT: "timeout", CHECKER_ERROR: "error"}
+
+
+@pytest.fixture()
+def waiting(monkeypatch):
+    """Released once by every call that starts waiting on a check in flight."""
+    semaphore = threading.Semaphore(0)
+
+    class SignallingEvent(threading.Event):
+        def wait(self, timeout=None):
+            semaphore.release()
+            return super().wait(timeout)
+
+    class WatchedFlight(external_mod._Flight):
+        def __init__(self):
+            super().__init__()
+            self.done = SignallingEvent()
+
+    monkeypatch.setattr(external_mod, "_Flight", WatchedFlight)
+    return semaphore
+
+
+@pytest.mark.parametrize("status", [ACCEPTED, REJECTED, TIMEOUT, CHECKER_ERROR])
+def test_concurrent_identical_checks_share_one_request(waiting, status):
+    transport = _CountingTransport({"status": _WIRE[status], "diagnostics": "d"}, gated=True)
+    checker = ExternalChecker(transport)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        first = pool.submit(checker.check, _direct("same"), 1000)
+        assert transport.entered.wait(5.0)
+        second = pool.submit(checker.check, _direct("same"), 1000)
+        assert waiting.acquire(timeout=5.0)
+        transport.release.set()
+        verdicts = (first.result(timeout=5.0), second.result(timeout=5.0))
+    assert len(transport.payloads) == 1
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0].status == status
+    assert checker._in_flight == {}
+
+
+@pytest.mark.parametrize("status", [ACCEPTED, REJECTED])
+def test_repeated_settled_check_is_served_without_a_request(status):
+    transport = _CountingTransport({"status": _WIRE[status], "axioms": []})
+    checker = ExternalChecker(transport)
+    first = checker.check(_direct("same"), 1000)
+    assert first.status == status
+    assert [checker.check(_direct("same"), 1000) for _ in range(3)] == [first] * 3
+    assert len(transport.payloads) == 1
+
+
+@pytest.mark.parametrize(
+    "reply,status",
+    [
+        ({"status": "timeout"}, TIMEOUT),
+        ({"status": "error", "diagnostics": "kernel panic"}, CHECKER_ERROR),
+        (CheckerProtocolError("connection reset"), CHECKER_ERROR),
+    ],
+)
+def test_timeouts_and_checker_errors_are_asked_again(reply, status):
+    transport = _CountingTransport(reply, {"status": "accepted"})
+    checker = ExternalChecker(transport)
+    assert checker.check(_direct("same"), 1000).status == status
+    assert checker.check(_direct("same"), 1000).status == ACCEPTED
+    assert len(transport.payloads) == 2
+
+
+_BASE = CheckRequest(
+    KIND_COMPLETION,
+    parse_goal("goal base (x: Int) := x = x"),
+    lemmas=(parse_goal("goal l1 := 0 = 0"),),
+    proof_text="decide",
+)
+
+
+@pytest.mark.parametrize(
+    "other,timeout_ms",
+    [
+        (CheckRequest(KIND_COMPLETION, _BASE.goal, _BASE.lemmas, "simp"), 1000),
+        (CheckRequest(KIND_COMPLETION, _BASE.goal, (), "decide"), 1000),
+        (CheckRequest(KIND_COMPLETION, parse_goal("goal renamed (x: Int) := x = x"),
+                      _BASE.lemmas, "decide"), 1000),
+        (_BASE, 2000),
+    ],
+    ids=["proof_text", "lemmas", "goal_name", "timeout_ms"],
+)
+def test_remembered_acceptance_answers_no_other_obligation(other, timeout_ms):
+    transport = _CountingTransport({"status": "accepted"}, {"status": "rejected"})
+    checker = ExternalChecker(transport)
+    assert checker.check(_BASE, 1000).status == ACCEPTED
+    assert checker.check(other, timeout_ms).status == REJECTED
+    assert len(transport.payloads) == 2
+
+
+def test_finished_verdicts_stay_within_the_memo_size():
+    transport = _CountingTransport({"status": "accepted"})
+    checker = ExternalChecker(transport)
+    for index in range(CHECK_MEMO_SIZE + 10):
+        checker.check(_direct(f"g{index}"), 1000)
+        assert len(checker._finished) <= CHECK_MEMO_SIZE
+    assert len(checker._finished) == CHECK_MEMO_SIZE
+    sent = len(transport.payloads)
+    checker.check(_direct(f"g{CHECK_MEMO_SIZE + 9}"), 1000)  # the newest is kept
+    assert len(transport.payloads) == sent
+    checker.check(_direct("g0"), 1000)  # the oldest was evicted
+    assert len(transport.payloads) == sent + 1
+
+
+def test_many_threads_send_each_obligation_once():
+    class EchoTransport:
+        """Accepts every request, naming its goal in the axioms."""
+
+        def __init__(self):
+            self.goals = []
+
+        def request(self, payload, timeout_s):
+            self.goals.append(payload["goal"])
+            time.sleep(0.001)
+            return {"id": 1, "status": "accepted", "axioms": [payload["goal"]]}
+
+    transport = EchoTransport()
+    checker = ExternalChecker(transport)
+    requests = [_direct(f"g{index}") for index in range(5)] * 40
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            verdicts = list(pool.map(lambda r: checker.check(r, 1000), requests, timeout=30.0))
+    finally:
+        sys.setswitchinterval(previous)
+    assert sorted(transport.goals) == sorted(set(transport.goals))
+    assert len(transport.goals) == 5
+    for request, verdict in zip(requests, verdicts):
+        assert verdict.axioms_used == (f"goal {request.goal.name} := 0 = 0",)
+    assert checker._in_flight == {}
+
+
+def test_a_leader_that_raises_releases_its_waiters(waiting):
+    transport = _CountingTransport(RuntimeError("transport bug"), {"status": "accepted"},
+                                   gated=True)
+    checker = ExternalChecker(transport)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        leader = pool.submit(checker.check, _direct("same"), 1000)
+        assert transport.entered.wait(5.0)
+        waiter = pool.submit(checker.check, _direct("same"), 1000)
+        assert waiting.acquire(timeout=5.0)
+        transport.release.set()
+        with pytest.raises(RuntimeError, match="transport bug"):
+            leader.result(timeout=5.0)
+        verdict = waiter.result(timeout=5.0)
+    assert verdict.status == CHECKER_ERROR
+    assert "RuntimeError: transport bug" in verdict.diagnostics
+    assert checker._in_flight == {} and len(checker._finished) == 0
+    assert checker.check(_direct("same"), 1000).status == ACCEPTED  # asked again
+    assert len(transport.payloads) == 2
 
 
 # --- external policy ----------------------------------------------------------
@@ -323,14 +524,14 @@ def test_policy_rejects_malformed_lemma_payloads(process):
 
 @pytest.mark.parametrize("lemma", ["goal a := ² = 1", "goal a (x: Int) := x < ٣"])
 def test_policy_non_ascii_digit_lemma_is_unparseable(lemma):
-    policy = ExternalPolicy(_ScriptedTransport(lemmas=[lemma]))
+    policy = ExternalPolicy(_CountingTransport({"lemmas": [lemma]}))
     with pytest.raises(PolicyError, match="unparseable lemma"):
         policy.propose_decomposition(PolicyContext(goal=parse_goal("goal g := 0 = 0")))
 
 
 def test_policy_deeply_nested_lemma_is_unparseable():
     lemma = "goal a := " + "(" * 1000 + "0 = 0" + ")" * 1000
-    policy = ExternalPolicy(_ScriptedTransport(lemmas=[lemma]))
+    policy = ExternalPolicy(_CountingTransport({"lemmas": [lemma]}))
     with pytest.raises(PolicyError, match="unparseable lemma.*nested too deeply"):
         policy.propose_decomposition(PolicyContext(goal=parse_goal("goal g := 0 = 0")))
 
@@ -377,6 +578,9 @@ class _Handler(http.server.BaseHTTPRequestHandler):
             return
         elif self.path == "/array":
             body = [1, 2]
+        elif self.path == "/badbytes":
+            self._send(200, b'{"id": %d, "status": "accepted", "x": "\xff"}' % req["id"])
+            return
         else:
             body = {"id": req["id"], "status": "accepted", "axioms": ["propext"]}
         self._send(200, json.dumps(body).encode())
@@ -438,6 +642,19 @@ def test_http_non_object_body_is_checker_error(http_base):
 def test_http_non_object_body_is_policy_error(http_base):
     policy = ExternalPolicy(JsonHttpEndpoint(f"{http_base}/array"))
     with pytest.raises(PolicyError, match="not a JSON object"):
+        policy.propose_decomposition(PolicyContext(goal=parse_goal("goal g := 0 = 0")))
+
+
+def test_http_body_that_is_not_utf8_is_checker_error(http_base):
+    checker = ExternalChecker(JsonHttpEndpoint(f"{http_base}/badbytes"))
+    verdict = checker.check(_direct("anything"), 1000)
+    assert verdict.status == CHECKER_ERROR
+    assert "unparseable" in verdict.diagnostics
+
+
+def test_http_body_that_is_not_utf8_is_policy_error(http_base):
+    policy = ExternalPolicy(JsonHttpEndpoint(f"{http_base}/badbytes"))
+    with pytest.raises(PolicyError, match="unparseable"):
         policy.propose_decomposition(PolicyContext(goal=parse_goal("goal g := 0 = 0")))
 
 
