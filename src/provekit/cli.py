@@ -77,7 +77,11 @@ def _make_policy(spec: str, config: SearchConfig):
     if spec == "split":
         return ConjunctionSplitter()
     if spec.startswith("split:"):
-        return ConjunctionSplitter(depth=int(spec.split(":", 1)[1]))
+        try:
+            depth = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ContractViolation(f"policy {spec!r}: split depth must be an integer") from None
+        return ConjunctionSplitter(depth=depth)
     if spec == "ground":
         return QuantifierGrounder(config.domain)
     return ExternalPolicy(make_transport(spec))

@@ -4,7 +4,7 @@ One JSON document configures everything; sections mirror the config
 dataclasses (``search``, ``qc``, ``score``, ``domain``, ``pool``) and any
 section or key may be omitted to take its default.  The check budget is
 ``search.check_timeout_ms``, for in-line and pooled checks alike; the
-``pool`` section holds only ``max_concurrent`` and ``queue_capacity``.
+``pool`` section holds only ``max_concurrent``.
 Precedence is fixed: built-in defaults, then the file, then explicit
 command-line flags, which the front end writes into the document's
 sections before any config is built from it.

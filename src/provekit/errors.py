@@ -45,10 +45,6 @@ class CheckerProtocolError(ProvekitError):
     """An external checker broke the wire protocol (bad id, bad JSON, ...)."""
 
 
-class QueueFull(ProvekitError):
-    """The verification pool's admission queue is at capacity."""
-
-
 class UnknownHandle(ProvekitError):
     """A job handle was not issued by this pool."""
 

@@ -1,6 +1,8 @@
 """Bounded-concurrency verification pool.
 
-Jobs are admitted FIFO into a capacity-limited queue.  Every job ends in
+Jobs wait FIFO for one of ``max_concurrent`` slots, and each job that takes
+a slot runs on a thread of its own, which exits once the check returns.
+The queue has no cap: it holds only what callers submit.  Every job ends in
 exactly one of four buckets (completed, timed out, cancelled, or still
 pending/queued), and the stats snapshot preserves the conservation identity
 
@@ -9,12 +11,12 @@ pending/queued), and the stats snapshot preserves the conservation identity
 at every observable instant.  Each job is submitted with its timeout (the
 search passes its ``check_timeout_ms``); the pool has no timeout setting of
 its own.  A job's deadline is its submission time plus its timeout; whoever
-sees it pass first, awaiter or worker, finalizes the job as a timeout, and
-a job still queued past it never starts.  A slot is a place in the running
-set, not a thread: a job cut short frees its slot at once, and its thread
-counts as ``stuck`` until the check returns, so a hung check never holds up
-the queue.  The checker still gets the job's full timeout.  A handle
-carries its job, so the pool keeps only queued and running jobs, and
+sees it pass first, awaiter or job thread, finalizes the job as a timeout,
+and a job still queued past it never starts.  A slot is a place in the
+running set, not a thread: a job cut short frees its slot at once, and its
+thread counts as ``stuck`` until the check returns, so a hung check never
+holds up the queue.  The checker still gets the job's full timeout.  A
+handle carries its job, so the pool keeps only queued and running jobs, and
 latency quantiles cover recent jobs only.
 """
 
@@ -26,7 +28,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .errors import ContractViolation, QueueFull, UnknownHandle
+from .errors import ContractViolation, UnknownHandle
 from .prover import api
 from .prover.api import Checker, CheckRequest, CheckVerdict
 
@@ -37,10 +39,9 @@ _LATENCY_SAMPLES = 4096
 @dataclass(frozen=True)
 class PoolConfig:
     max_concurrent: int = 512
-    queue_capacity: int = 4096
 
     def __post_init__(self) -> None:
-        if self.max_concurrent < 1 or self.queue_capacity < 1:
+        if self.max_concurrent < 1:
             raise ContractViolation("pool needs positive capacity")
 
 
@@ -94,16 +95,13 @@ class VerificationPool:
         self.config = config or PoolConfig()
         self._lock = threading.Lock()
         self._done = threading.Condition(self._lock)  # awaiters wait for verdicts
-        self._work = threading.Condition(self._lock)  # idle workers wait for jobs
         self._queue: collections.deque[_Job] = collections.deque()
-        self._ready: collections.deque[_Job] = collections.deque()  # started, not yet picked up
         self._running: set[_Job] = set()  # jobs holding a slot
         self._next_id = 0
         self._shutdown = False
         self._counts = {"submitted": 0, "completed": 0, "timed_out": 0, "cancelled": 0}
         self._peak = 0
-        self._busy = 0  # worker threads given a job whose check has not returned
-        self._idle = 0  # idle worker threads not yet handed a job
+        self._checking = 0  # job threads whose check has not returned
         self._latencies: collections.deque[float] = collections.deque(maxlen=_LATENCY_SAMPLES)
 
     # -- lifecycle -----------------------------------------------------------
@@ -111,7 +109,6 @@ class VerificationPool:
     def shutdown(self) -> None:
         with self._lock:
             self._shutdown = True
-            self._work.notify_all()
 
     def __enter__(self) -> "VerificationPool":
         return self
@@ -122,15 +119,13 @@ class VerificationPool:
     # -- submission and retrieval ---------------------------------------------
 
     def submit(self, request: CheckRequest, timeout_ms: int) -> JobHandle:
-        """Admit one obligation with its check budget; raises QueueFull
-        instead of blocking, so producers feel backpressure immediately."""
+        """Queue one obligation with its check budget and return at once;
+        the job starts as soon as a slot is free."""
         if timeout_ms < 1:
             raise ContractViolation("timeout must be positive")
         with self._lock:
             if self._shutdown:
                 raise ContractViolation("pool is shut down")
-            if len(self._queue) >= self.config.queue_capacity:
-                raise QueueFull(f"queue at capacity ({self.config.queue_capacity})")
             self._next_id += 1
             deadline = time.monotonic() + timeout_ms / 1000.0
             job = _Job(self, f"job-{self._next_id:06d}", request, timeout_ms, deadline)
@@ -174,7 +169,7 @@ class VerificationPool:
                 latency_ms_p50=_nearest_rank(samples, 0.50) if samples else None,
                 latency_ms_p95=_nearest_rank(samples, 0.95) if samples else None,
                 latency_ms_p99=_nearest_rank(samples, 0.99) if samples else None,
-                stuck=self._busy - len(self._running),
+                stuck=self._checking - len(self._running),
             )
 
     # -- internals -------------------------------------------------------------
@@ -191,8 +186,8 @@ class VerificationPool:
         self._done.notify_all()
 
     def _dispatch_locked(self) -> None:
-        """Start queued jobs while a slot is free, each on an idle worker or
-        else a new one; a job past its deadline times out without starting."""
+        """Start queued jobs while a slot is free, each on a new thread; a
+        job past its deadline times out without starting."""
         while self._queue and len(self._running) < self.config.max_concurrent:
             job = self._queue.popleft()
             now = time.monotonic()
@@ -201,36 +196,18 @@ class VerificationPool:
                 continue
             job.started_at = now
             self._running.add(job)
-            self._busy += 1
+            self._checking += 1
             self._peak = max(self._peak, len(self._running))
-            self._ready.append(job)
-            if self._idle:
-                self._idle -= 1
-                self._work.notify()
-            else:
-                threading.Thread(target=self._work_loop, daemon=True).start()
+            threading.Thread(target=self._run, args=(job,), daemon=True).start()
 
-    def _work_loop(self) -> None:
-        job = verdict = None
-        while True:
-            with self._lock:
-                if job is not None:
-                    # Idle before finalizing, so the freed slot can hand this thread a job.
-                    self._busy -= 1
-                    self._idle += 1
-                    if job.verdict is None:  # nobody cut the job short
-                        late = time.monotonic() > job.deadline
-                        self._finalize_locked(job, "timed_out" if late else "completed",
-                                              api.timeout() if late else verdict)
-                    job = verdict = None  # from here on only its handle keeps the job
-                self._work.wait_for(lambda: self._ready or self._shutdown)
-                if not self._ready:
-                    self._idle -= 1
-                    return
-                job = self._ready.popleft()
-                if job.verdict is not None:
-                    continue  # cut short before this thread picked it up
-            try:
-                verdict = self.checker.check(job.request, job.timeout_ms)
-            except Exception as exc:  # checker bugs are infrastructure errors
-                verdict = api.checker_error(f"{type(exc).__name__}: {exc}")
+    def _run(self, job: _Job) -> None:
+        try:
+            verdict = self.checker.check(job.request, job.timeout_ms)
+        except Exception as exc:  # checker bugs are infrastructure errors
+            verdict = api.checker_error(f"{type(exc).__name__}: {exc}")
+        with self._lock:
+            self._checking -= 1
+            if job.verdict is None:  # nobody cut the job short
+                late = time.monotonic() > job.deadline
+                self._finalize_locked(job, "timed_out" if late else "completed",
+                                      api.timeout() if late else verdict)

@@ -56,22 +56,41 @@ class RunTrace:
         return cls(header=header)
 
 
+def json_objects(text: str) -> list[dict]:
+    """The JSON object on each non-blank line of a JSON-lines text; a line
+    holding anything else raises ``ContractViolation`` with its number."""
+    objects = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            value = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ContractViolation(f"line {number} is not valid JSON: {exc}") from None
+        if not isinstance(value, dict):
+            raise ContractViolation(f"line {number} is not a JSON object")
+        objects.append(value)
+    return objects
+
+
 def parse_trace(text: str) -> RunTrace:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    objects = json_objects(text)
+    if not objects:
         raise ContractViolation("empty trace")
-    header = json.loads(lines[0])
+    header = objects[0]
     if header.get("type") != "config":
         raise ContractViolation("trace must start with its config snapshot")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise ContractViolation(f"unsupported trace format version {version!r}")
-    events = [json.loads(line) for line in lines[1:]]
-    return RunTrace(header=header, events=events)
+    return RunTrace(header=header, events=objects[1:])
 
 
 def read_trace(path: str | Path) -> RunTrace:
-    return parse_trace(Path(path).read_text())
+    try:
+        return parse_trace(Path(path).read_text())
+    except ContractViolation as exc:
+        raise ContractViolation(f"{path}: {exc}") from None
 
 
 def read_trace_dir(path: str | Path) -> list[RunTrace]:

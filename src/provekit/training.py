@@ -9,7 +9,6 @@ the search invented along the way.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -34,7 +33,7 @@ from .search import (
     completion_stage,
     propose_and_gate,
 )
-from .trace import RunTrace, canonical_json
+from .trace import RunTrace, canonical_json, json_objects
 
 RECORD_DECOMPOSITION = "decomposition"
 RECORD_COMPLETION = "completion"
@@ -318,15 +317,15 @@ def export_trajectories(records: list[TrajectoryRecord], path: str | Path) -> in
 
 
 def load_trajectories(path: str | Path) -> list[TrajectoryRecord]:
-    lines = [line for line in Path(path).read_text().splitlines() if line.strip()]
-    if not lines:
+    objects = json_objects(Path(path).read_text())
+    if not objects:
         raise FilterViolation("empty trajectory file")
-    header = json.loads(lines[0])
+    header = objects[0]
     if header.get("type") != "trajectories":
         raise FilterViolation("missing trajectory header")
     if header.get("format_version") != TRAJECTORY_FORMAT_VERSION:
         raise FilterViolation(f"unsupported trajectory format {header.get('format_version')!r}")
-    records = [TrajectoryRecord.from_json(json.loads(line)) for line in lines[1:]]
+    records = [TrajectoryRecord.from_json(data) for data in objects[1:]]
     if header.get("count") != len(records):
         raise FilterViolation("trajectory count disagrees with header")
     for record in records:

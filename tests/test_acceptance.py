@@ -462,7 +462,7 @@ def test_criterion_08_pool_discipline():
             release.wait(timeout=60)
             return api.accepted()
 
-    config = PoolConfig(max_concurrent=16, queue_capacity=2048)
+    config = PoolConfig(max_concurrent=16)
     with VerificationPool(Parked(), config) as pool:
         handles = [pool.submit(request, timeout_ms=120_000) for _ in range(2000)]
         deadline = time.monotonic() + 30
@@ -502,7 +502,7 @@ def test_criterion_08_pool_discipline():
 
     samples = []
     with VerificationPool(
-        Jitter(), PoolConfig(max_concurrent=8, queue_capacity=4096)
+        Jitter(), PoolConfig(max_concurrent=8)
     ) as pool:
         handles = [pool.submit(request, timeout_ms=60_000) for _ in range(400)]
         while len(samples) < 100:

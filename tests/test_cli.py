@@ -205,7 +205,7 @@ def test_run_flag_workers_overrides_the_file(goals_file, tmp_path, monkeypatch, 
 
     monkeypatch.setattr(cli_mod, "VerificationPool", recording_pool)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"pool": {"max_concurrent": 7, "queue_capacity": 64}}))
+    config.write_text(json.dumps({"pool": {"max_concurrent": 7}}))
     code = main(["--config", str(config), "run", str(goals_file), "--goal", "mul_one",
                  "--policy", "direct", "--workers", "2", "--qc-trials", "200"])
     assert code == 0
@@ -227,6 +227,43 @@ def test_run_takes_its_pool_from_the_config_file(goals_file, tmp_path, capsys):
     (trace,) = read_trace_dir(trace_dir)
     (end,) = [e for e in trace.events if e["type"] == "run_end"]
     assert end["pool"] is not None
+
+
+C3_SRC = "goal c3 (a: Int) (b: Int) (c: Int) := a + 0 = a /\\ (b * 1 = b /\\ c - 0 = c)\n"
+
+
+def test_a_one_slot_pool_queues_every_leaf_of_a_sweep(tmp_path, capsys):
+    goals = tmp_path / "g.txt"
+    goals.write_text(C3_SRC)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"pool": {"max_concurrent": 1}}))
+    trace_dir = tmp_path / "traces"
+    code = main(["--config", str(config), "run", str(goals), "--policy", "split:3", "--k", "1",
+                 "--decompose-iters", "1", "--trace-dir", str(trace_dir)])
+    assert code == 0
+    assert "c3: proved" in capsys.readouterr().out
+    (trace,) = read_trace_dir(trace_dir)
+    (end,) = [e for e in trace.events if e["type"] == "run_end"]
+    assert end["pool"]["submitted"] == 3
+
+
+def test_a_pool_queue_capacity_in_the_file_is_an_error(goals_file, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"pool": {"max_concurrent": 1, "queue_capacity": 4}}))
+    code = main(["--config", str(config), "run", str(goals_file), "--goal", "add_zero",
+                 "--policy", "direct", "--qc-trials", "100"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "unknown keys in config section 'pool'" in err and "queue_capacity" in err
+
+
+@pytest.mark.parametrize("command", ["run", "collect"])
+def test_a_non_integer_split_depth_is_an_engine_error(goals_file, tmp_path, command, capsys):
+    argv = [command, str(goals_file), "--goal", "conj", "--policy", "split:x"]
+    if command == "collect":
+        argv += ["--out", str(tmp_path / "out.jsonl")]
+    assert main(argv) == 3
+    assert "error: policy 'split:x': split depth must be an integer" in capsys.readouterr().err
 
 
 def test_a_flag_overrides_an_invalid_value_in_the_file(goals_file, tmp_path, capsys):
@@ -374,3 +411,17 @@ def test_analyze_stats_on_directory_and_single_file(analyzed_traces, capsys):
     code = main(["analyze", "stats", str(single)])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["runs"] == 1
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [("{not json", "line 3 is not valid JSON"), ("[1, 2]", "line 3 is not a JSON object")],
+    ids=["not_json", "not_an_object"],
+)
+def test_analyze_names_a_corrupt_trace_line(analyzed_traces, tmp_path, bad_line, message, capsys):
+    source = sorted(analyzed_traces.glob("*.jsonl"))[0]
+    header, first, *_ = source.read_text().splitlines()
+    corrupt = tmp_path / "corrupt.jsonl"
+    corrupt.write_text(f"{header}\n{first}\n{bad_line}\n")
+    assert main(["analyze", "stats", str(tmp_path)]) == 3
+    assert f"error: {corrupt}: {message}" in capsys.readouterr().err

@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from provekit.errors import ContractViolation, QueueFull, UnknownHandle
+from provekit.errors import ContractViolation, UnknownHandle
 from provekit.evaluator import Domain
 from provekit.lang import parse_goal
 import provekit.pool as pool_mod
@@ -80,7 +80,7 @@ class RaisingChecker:
         raise RuntimeError("backend fell over")
 
 
-@pytest.mark.parametrize("kwargs", [{"max_concurrent": 0}, {"queue_capacity": 0}])
+@pytest.mark.parametrize("kwargs", [{"max_concurrent": 0}])
 def test_config_validation(kwargs):
     with pytest.raises(ContractViolation):
         PoolConfig(**kwargs)
@@ -110,21 +110,6 @@ def test_single_worker_executes_fifo():
         for handle in handles:
             pool.await_verdict(handle)
     assert checker.seen == [f"g{i}" for i in range(6)]
-
-
-def test_queue_capacity_gives_backpressure():
-    checker = GatedChecker()
-    config = PoolConfig(max_concurrent=1, queue_capacity=2)
-    with VerificationPool(checker, config) as pool:
-        first = pool.submit(_request("running"), TIMEOUT_MS)
-        assert wait_until(lambda: checker.entered == 1)
-        queued = [pool.submit(_request(f"q{i}"), TIMEOUT_MS) for i in range(2)]
-        with pytest.raises(QueueFull):
-            pool.submit(_request("overflow"), TIMEOUT_MS)
-        checker.release.set()
-        for handle in [first, *queued]:
-            assert pool.await_verdict(handle).status == ACCEPTED
-        assert pool.stats().conserved()
 
 
 def test_unknown_handle_is_rejected():
@@ -208,7 +193,7 @@ def test_stuck_counts_threads_left_in_a_cut_short_check():
         assert sample(pool).in_flight == 0
         checker.release.set()
         assert wait_until(lambda: sample(pool).stuck == 0)
-        # The returned thread serves the next job.
+        # The pool serves the next job.
         assert pool.await_verdict(pool.submit(_request(), timeout_ms=100)).status == ACCEPTED
         assert sample(pool).stuck == 0
     assert all(stats.conserved() for stats in samples)
@@ -225,6 +210,23 @@ def test_worker_threads_exit_after_shutdown():
     assert wait_until(lambda: set(threading.enumerate()) <= baseline)
 
 
+def test_job_threads_exit_when_their_checks_return():
+    # Before shutdown, the pool keeps no thread but those still in a check.
+    checker = GatedChecker(prefix="parked")
+    baseline = set(threading.enumerate())
+    with VerificationPool(checker, PoolConfig(max_concurrent=4)) as pool:
+        assert pool.await_verdict(pool.submit(_request("parked"), timeout_ms=100)).status == TIMEOUT
+        for _ in range(50):
+            handles = [pool.submit(_request(f"j{i}"), TIMEOUT_MS) for i in range(4)]
+            for handle in handles:
+                assert pool.await_verdict(handle).status == ACCEPTED
+        assert wait_until(lambda: len(set(threading.enumerate()) - baseline) == 1)
+        assert pool.stats().stuck == 1
+        checker.release.set()
+        assert wait_until(lambda: set(threading.enumerate()) <= baseline)
+        assert pool.stats().stuck == 0
+
+
 def test_each_job_gets_the_timeout_it_was_submitted_with():
     checker = RecordingChecker(delay_s=0.5)
     with VerificationPool(checker, PoolConfig(max_concurrent=2)) as pool:
@@ -237,7 +239,7 @@ def test_each_job_gets_the_timeout_it_was_submitted_with():
 
 def test_cancel_all_cuts_queued_and_running_jobs():
     checker = GatedChecker()
-    config = PoolConfig(max_concurrent=1, queue_capacity=8)
+    config = PoolConfig(max_concurrent=1)
     with VerificationPool(checker, config) as pool:
         running = pool.submit(_request("running"), TIMEOUT_MS)
         assert wait_until(lambda: checker.entered == 1)
@@ -262,7 +264,7 @@ def test_cancel_all_cuts_queued_and_running_jobs():
 
 def test_parked_jobs_pin_peak_in_flight_to_the_cap():
     checker = GatedChecker()
-    config = PoolConfig(max_concurrent=3, queue_capacity=16)
+    config = PoolConfig(max_concurrent=3)
     with VerificationPool(checker, config) as pool:
         handles = [pool.submit(_request(f"g{i}"), TIMEOUT_MS) for i in range(7)]
         assert wait_until(lambda: pool.stats().in_flight == 3)
@@ -278,7 +280,7 @@ def test_parked_jobs_pin_peak_in_flight_to_the_cap():
 
 def test_conservation_under_concurrent_snapshots():
     checker = RecordingChecker(delay_s=0.002)
-    config = PoolConfig(max_concurrent=4, queue_capacity=256)
+    config = PoolConfig(max_concurrent=4)
     violations = []
     stop = threading.Event()
 

@@ -544,6 +544,21 @@ def test_load_rejects_corrupt_files(tmp_path):
         load_trajectories(invalid_record)
 
 
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [("{not json", "line 3 is not valid JSON"), ('"text"', "line 3 is not a JSON object")],
+    ids=["not_json", "not_an_object"],
+)
+def test_load_names_a_line_that_is_not_a_json_object(tmp_path, bad_line, message):
+    import json
+
+    path = tmp_path / "corrupt.jsonl"
+    header = json.dumps({"type": "trajectories", "format_version": 1, "count": 1})
+    path.write_text(f"{header}\n\n{bad_line}\n")
+    with pytest.raises(ContractViolation, match=message):
+        load_trajectories(path)
+
+
 # -- collection pass ---------------------------------------------------------
 
 
