@@ -46,12 +46,12 @@ from .prover import (
 )
 from .quickcheck import Counterexample, mix_seed, quickcheck
 from .search import SearchConfig, run_pass_k
-from .trace import read_trace_dir
+from .trace import read_text, read_trace_dir
 from .training import collect, export_trajectories
 
 
 def _load_goals(path: str, only: list[str] | None) -> list[GoalDecl]:
-    goals = parse_goal_file(Path(path).read_text())
+    goals = parse_goal_file(read_text(path))
     if only:
         by_name = {g.name: g for g in goals}
         missing = [name for name in only if name not in by_name]

@@ -22,6 +22,7 @@ from .pool import PoolConfig
 from .quickcheck import QcConfig
 from .scoring import ScoreConfig
 from .search import SearchConfig
+from .trace import read_text
 
 _SECTIONS = ("search", "qc", "score", "domain", "pool")
 
@@ -32,7 +33,7 @@ _JSON_TYPES = {int: (int,), float: (int, float), str: (str,), type(None): (int, 
 
 def load_config_file(path: str | Path) -> dict:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ContractViolation(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

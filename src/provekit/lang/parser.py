@@ -8,6 +8,14 @@ ASCII spellings are canonical (``/\\``, ``\\/``, ``->``, ``!``, ``in``,
 ``::``, ``++``); the common Unicode aliases are accepted on input.  ``>``,
 ``>=`` and ``!=`` are sugar for the flipped or negated core comparisons.
 
+One regex reads the text: whitespace and comments, then one token, whose
+kind one classifier names.  The parser scans with it once through
+``findall`` and walks the token kinds and texts by index; line and column
+are worked out only for a goal name's span and for a ``ParseError``, by
+scanning again with ``finditer`` as far as the token needed
+(``tokenize`` is that positioned reader).  A character no token starts
+with is an error before parsing begins.
+
 One precedence-climbing loop over ``ast.OPERATORS`` (Pratt, 1973) parses
 terms and formulas alike; ``GoalDecl.sort_error`` then rejects a
 declaration that mixes them up or is nested more than ``ast.MAX_DEPTH``
@@ -18,6 +26,7 @@ is a parse error, never a crash.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from ..errors import ParseError
@@ -71,22 +80,45 @@ _SYMBOLS = [
     "(", ")", "[", "]", ",", ":", "=", "<", ">", "!", "+", "-", "*", "%",
 ]
 
-# One alternative per token class.  A word is a run of \w (letters, digits
-# of any script, underscore) and must start with a letter or underscore;
-# integer literals are ASCII digits only.
+# Whitespace and comments, then one token: an integer (ASCII digits only), a
+# word (a run of \w, which may start with a digit of another script), an
+# alias, a symbol, any other single character, or the empty text at end of
+# input.  The skip is possessive, so trailing whitespace never backtracks.
 _TOKEN = re.compile(
-    "|".join([
-        r"(?P<NL>\n)",
-        r"(?P<WS>[ \t\r]+)",
-        r"(?P<COMMENT>#[^\n]*)",
-        r"(?P<INT>[0-9]+)",
-        r"(?P<WORD>\w+)",
-        f"(?P<ALIAS>[{''.join(_UNICODE_ALIASES)}])",
-        "(?P<SYM>" + "|".join(map(re.escape, _SYMBOLS)) + ")",
-        r"(?P<BAD>.)",
-    ]),
+    r"(?:[ \t\r\n]+|#[^\n]*)*+("
+    + "|".join([
+        r"[0-9]+",
+        r"\w+",
+        f"[{''.join(_UNICODE_ALIASES)}]",
+        *map(re.escape, _SYMBOLS),
+        r".",
+        r"\Z",
+    ])
+    + ")",
     re.DOTALL,
 )
+
+# The kind and canonical text of every token text that has a fixed one.
+_FIXED = {
+    "": ("EOF", ""),
+    **{symbol: ("SYM", symbol) for symbol in _SYMBOLS},
+    **{word: ("KW", word) for word in KEYWORDS},
+    **_UNICODE_ALIASES,
+}
+
+
+def _classify(text: str) -> tuple[str, str] | None:
+    """The kind ("INT", "IDENT", "KW", "SYM" or "EOF") and canonical text of
+    one scanned token, or None when its first character starts no token."""
+    fixed = _FIXED.get(text)
+    if fixed is not None:
+        return fixed
+    first = text[0]
+    if "0" <= first <= "9":
+        return "INT", text
+    if first.isalpha() or first == "_":
+        return "IDENT", text
+    return None
 
 
 class Token(NamedTuple):
@@ -96,32 +128,47 @@ class Token(NamedTuple):
     column: int
 
 
-def tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, line_start, end = 1, 0, 0
+def _positioned(source: str) -> Iterator[Token]:
+    """The tokens of ``source`` with their lines and columns, up to and
+    including EOF; raises the ParseError of a character no token starts with."""
+    line, line_start = 1, 0
     for match in _TOKEN.finditer(source):
-        kind = match.lastgroup
-        # A comment advances no column, which only shows at end of input.
-        end = match.start() if kind == "COMMENT" else match.end()
-        if kind == "NL":
-            line += 1
-            line_start = end
-            continue
-        if kind == "WS" or kind == "COMMENT":
-            continue
-        text = match.group()
-        column = match.start() - line_start + 1
-        if kind == "WORD":
-            if not (text[0].isalpha() or text[0] == "_"):
-                raise ParseError(f"unexpected character {text[0]!r}", line, column)
-            kind = "KW" if text in KEYWORDS else "IDENT"
-        elif kind == "ALIAS":
-            kind, text = _UNICODE_ALIASES[text]
-        elif kind == "BAD":
-            raise ParseError(f"unexpected character {text!r}", line, column)
-        tokens.append(Token(kind, text, line, column))
-    tokens.append(Token("EOF", "", line, end - line_start + 1))
-    return tokens
+        start = match.start(1)
+        breaks = source.count("\n", match.start(), start)
+        if breaks:
+            line += breaks
+            line_start = source.rindex("\n", 0, start) + 1
+        text = match.group(1)
+        if not text:
+            # A comment advances no column, which only shows at end of input;
+            # no token holds a "#", so the first one on the line starts it.
+            comment = source.find("#", line_start)
+            end = comment if comment >= 0 else start
+            yield Token("EOF", "", line, end - line_start + 1)
+            return
+        entry = _classify(text)
+        if entry is None:
+            raise ParseError(f"unexpected character {text[0]!r}", line, start - line_start + 1)
+        yield Token(*entry, line, start - line_start + 1)
+
+
+def tokenize(source: str) -> list[Token]:
+    """Every token of ``source`` with its line and column, EOF last."""
+    return list(_positioned(source))
+
+
+def _scan(source: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The kinds and canonical texts of the tokens of ``source``, up to and
+    including EOF, without positions.  A character no token starts with
+    raises its ParseError here, before any parsing."""
+    texts = _TOKEN.findall(source)
+    if len(texts) > 1 and not texts[-2]:
+        texts.pop()  # trailing skipped text yields a second empty match
+    entries = list(map(_classify, texts))
+    if None in entries:
+        tokenize(source)  # raises with the position
+    kinds, canonical = zip(*entries)
+    return kinds, canonical
 
 
 # Infix spellings as (precedence, associativity, node builder): the table's
@@ -143,43 +190,50 @@ _SORTS = {"Int": Sort.INT, "IntList": Sort.INT_LIST}
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, source: str):
+        self.kinds, self.texts = _scan(source)
         self.pos = 0
         self.nesting = 0  # parse_expression calls now open
+        self.positioned: list[Token] = []  # the first tokens, read on demand
+        self.reader = _positioned(source)
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def token(self, index: int) -> Token:
+        """Token ``index`` with its position: the source is read again, and
+        only as far as the furthest token asked for so far."""
+        while len(self.positioned) <= index:
+            self.positioned.append(next(self.reader))
+        return self.positioned[index]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def error(self, message: str, index: int, length: int = 1) -> ParseError:
+        tok = self.token(index)
+        return ParseError(message, tok.line, tok.column, length)
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str) -> None:
         # Symbols and keywords never share their text with another token.
-        if self.peek().text != text:
+        if self.texts[self.pos] != text:
             self.fail(f"expected {text!r}")
-        return self.advance()
+        self.pos += 1
 
-    def expect_name(self, what: str) -> Token:
-        if self.peek().kind != "IDENT":
+    def expect_name(self, what: str) -> int:
+        if self.kinds[self.pos] != "IDENT":
             self.fail(f"expected {what}")
-        return self.advance()
+        self.pos += 1
+        return self.pos - 1
 
-    def fail(self, message: str, tok: Token | None = None) -> None:
-        tok = tok or self.peek()
-        shown = tok.text or "end of input"
-        raise ParseError(f"{message}, found {shown!r}", tok.line, tok.column, max(len(tok.text), 1))
+    def fail(self, message: str, index: int | None = None) -> None:
+        index = self.pos if index is None else index
+        text = self.texts[index]
+        shown = text or "end of input"
+        raise self.error(f"{message}, found {shown!r}", index, max(len(text), 1))
 
     # -- declarations ------------------------------------------------------
 
     def parse_file(self) -> list[GoalDecl]:
         decls: list[GoalDecl] = []
         seen: set[str] = set()
-        while self.peek().kind != "EOF":
+        while self.kinds[self.pos] != "EOF":
             decl = self.parse_decl()
             if decl.name in seen:
                 span = decl.span
@@ -192,33 +246,35 @@ class _Parser:
 
     def parse_decl(self) -> GoalDecl:
         self.expect("goal")
-        name_tok = self.expect_name("goal name")
+        name = self.expect_name("goal name")
         binders: dict[str, Sort] = {}
-        while self.peek().text == "(":
-            self.advance()
-            btok = self.expect_name("binder name")
+        while self.texts[self.pos] == "(":
+            self.pos += 1
+            binder = self.expect_name("binder name")
             self.expect(":")
             sort = self.parse_sort()
             self.expect(")")
-            if btok.text in binders:
-                raise ParseError(
-                    f"duplicate binder {btok.text!r}", btok.line, btok.column, len(btok.text)
-                )
-            binders[btok.text] = sort
+            text = self.texts[binder]
+            if text in binders:
+                raise self.error(f"duplicate binder {text!r}", binder, len(text))
+            binders[text] = sort
         self.expect(":=")
         body = self.parse_expression(0, frozenset(binders))
-        span = SourceSpan(name_tok.line, name_tok.column, len(name_tok.text))
-        decl = GoalDecl(name_tok.text, tuple(binders.items()), body, span=span)
+        tok = self.token(name)
+        span = SourceSpan(tok.line, tok.column, len(tok.text))
+        decl = GoalDecl(self.texts[name], tuple(binders.items()), body, span=span)
         error = decl.sort_error
         if error is not None:
             raise ParseError(error, span.line, span.column, span.length)
         return decl
 
     def parse_sort(self) -> Sort:
-        tok = self.advance()
-        if tok.kind != "IDENT" or tok.text not in _SORTS:
-            self.fail("unknown sort (expected Int or IntList)", tok)
-        return _SORTS[tok.text]
+        index = self.pos
+        self.pos += 1
+        sort = _SORTS.get(self.texts[index]) if self.kinds[index] == "IDENT" else None
+        if sort is None:
+            self.fail("unknown sort (expected Int or IntList)", index)
+        return sort
 
     # -- expressions -------------------------------------------------------
 
@@ -228,12 +284,11 @@ class _Parser:
         ends the run of operators at its own precedence."""
         self.nesting += 1
         if self.nesting > _MAX_NESTING:
-            tok = self.peek()
-            raise ParseError("expression nested too deeply", tok.line, tok.column)
+            raise self.error("expression nested too deeply", self.pos)
         left = self.parse_prefix(scope)
         closed = None  # the precedence of a non-associative operator just applied
         while True:
-            entry = _INFIX.get(self.tokens[self.pos].text)
+            entry = _INFIX.get(self.texts[self.pos])
             if entry is None or entry[0] < min_prec or entry[0] == closed:
                 self.nesting -= 1
                 return left
@@ -244,18 +299,21 @@ class _Parser:
             closed = prec if assoc == NONASSOC else None
 
     def parse_prefix(self, scope: frozenset[str]) -> Node:
-        tok = self.advance()
-        kind, text = tok.kind, tok.text
+        index = self.pos
+        self.pos += 1
+        kind, text = self.kinds[index], self.texts[index]
         if kind == "IDENT":
             if text not in scope:
-                raise ParseError(f"unbound variable {text!r}", tok.line, tok.column, len(text))
+                raise self.error(f"unbound variable {text!r}", index, len(text))
             return Var(text)
-        if kind == "INT" or (text == "-" and self.peek().kind == "INT"):
-            lit = tok if kind == "INT" else self.advance()
+        if kind == "INT" or (text == "-" and self.kinds[self.pos] == "INT"):
+            if kind != "INT":
+                index = self.pos
+                self.pos += 1
             try:
-                value = int(lit.text)
+                value = int(self.texts[index])
             except ValueError:  # past the interpreter's limit on integer digits
-                raise ParseError("integer literal too long", lit.line, lit.column, len(lit.text)) from None
+                raise self.error("integer literal too long", index, len(self.texts[index])) from None
             return IntLit(value if kind == "INT" else -value)
         if text == "(":
             inner = self.parse_expression(0, scope)
@@ -264,12 +322,12 @@ class _Parser:
         if text == "!":
             return Not(self.parse_expression(_COMPARISON, scope))
         if text == "forall" or text == "exists":
-            btok = self.expect_name("bound variable name")
+            name = self.texts[self.expect_name("bound variable name")]
             self.expect(":")
             sort = self.parse_sort()
             self.expect(",")
             ctor = Forall if text == "forall" else Exists
-            return ctor(btok.text, sort, self.parse_expression(0, scope | {btok.text}))
+            return ctor(name, sort, self.parse_expression(0, scope | {name}))
         if text == "true":
             return TrueF()
         if text == "false":
@@ -290,21 +348,21 @@ class _Parser:
             return IfThenElse(cond, then, self.parse_expression(_TERM, scope))
         if text == "[":
             elements: list[Node] = []
-            if self.peek().text != "]":
+            if self.texts[self.pos] != "]":
                 elements.append(self.parse_expression(_TERM, scope))
-                while self.peek().text == ",":
-                    self.advance()
+                while self.texts[self.pos] == ",":
+                    self.pos += 1
                     elements.append(self.parse_expression(_TERM, scope))
             self.expect("]")
             return ListLit(tuple(elements))
-        self.fail("expected term", tok)
+        self.fail("expected term", index)
         raise AssertionError  # unreachable
 
 
 def parse_goal_file(source: str) -> list[GoalDecl]:
     """Parse a goal file into declarations, enforcing well-sortedness, the
     depth bound, bound variables, and unique goal names."""
-    return _Parser(tokenize(source)).parse_file()
+    return _Parser(source).parse_file()
 
 
 def parse_goal(source: str) -> GoalDecl:

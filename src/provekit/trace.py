@@ -56,6 +56,15 @@ class RunTrace:
         return cls(header=header)
 
 
+def read_text(path: str | Path) -> str:
+    """The text of an input file; one that is not UTF-8 raises
+    ``ContractViolation`` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ContractViolation(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def json_objects(text: str) -> list[dict]:
     """The JSON object on each non-blank line of a JSON-lines text; a line
     holding anything else raises ``ContractViolation`` with its number."""
@@ -87,8 +96,9 @@ def parse_trace(text: str) -> RunTrace:
 
 
 def read_trace(path: str | Path) -> RunTrace:
+    text = read_text(path)
     try:
-        return parse_trace(Path(path).read_text())
+        return parse_trace(text)
     except ContractViolation as exc:
         raise ContractViolation(f"{path}: {exc}") from None
 

@@ -33,7 +33,7 @@ from .search import (
     completion_stage,
     propose_and_gate,
 )
-from .trace import RunTrace, canonical_json, json_objects
+from .trace import RunTrace, canonical_json, json_objects, read_text
 
 RECORD_DECOMPOSITION = "decomposition"
 RECORD_COMPLETION = "completion"
@@ -261,9 +261,15 @@ class TrajectoryRecord:
 
     @classmethod
     def from_json(cls, data: dict) -> "TrajectoryRecord":
+        names = {f.name for f in fields(cls)}
+        unknown, missing = sorted(set(data) - names), sorted(names - set(data))
+        if unknown:
+            raise ContractViolation(f"trajectory record has unknown keys {unknown}")
+        if missing:
+            raise ContractViolation(f"trajectory record lacks keys {missing}")
         kwargs = dict(data)
         for key in ("lemma_sources", "axioms"):
-            if key in kwargs and kwargs[key] is not None:
+            if kwargs[key] is not None:
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 
@@ -317,7 +323,7 @@ def export_trajectories(records: list[TrajectoryRecord], path: str | Path) -> in
 
 
 def load_trajectories(path: str | Path) -> list[TrajectoryRecord]:
-    objects = json_objects(Path(path).read_text())
+    objects = json_objects(read_text(path))
     if not objects:
         raise FilterViolation("empty trajectory file")
     header = objects[0]

@@ -302,6 +302,32 @@ def test_missing_input_files_are_engine_errors(goals_file, tmp_path, capsys):
     assert err.startswith("error:") and "missing_goals.txt" in err
 
 
+NOT_UTF8 = b"goal g (x: Int) := x = x \xff\n"
+
+
+def test_a_goal_file_that_is_not_utf8_is_an_engine_error(tmp_path, capsys):
+    # Not exit 1, which for qc means "counterexample found".
+    path = tmp_path / "latin.txt"
+    path.write_bytes(NOT_UTF8)
+    assert main(["qc", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {path} is not UTF-8 text: invalid start byte at byte 25\n"
+
+
+def test_a_config_file_that_is_not_utf8_is_an_engine_error(goals_file, tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b'{"qc": {"trials": 10}} \xff')
+    assert main(["--config", str(path), "qc", str(goals_file)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not UTF-8 text")
+
+
+def test_a_trace_file_that_is_not_utf8_is_an_engine_error(analyzed_traces, tmp_path, capsys):
+    source = sorted(analyzed_traces.glob("*.jsonl"))[0]
+    (tmp_path / "latin.jsonl").write_bytes(source.read_bytes() + NOT_UTF8)
+    assert main(["analyze", "stats", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'latin.jsonl'} is not UTF-8 text")
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [

@@ -1,6 +1,7 @@
 """Parser, printer, and structural-measure tests for the goal language."""
 
 import hashlib
+import random
 import re
 from dataclasses import dataclass, replace
 
@@ -40,8 +41,10 @@ from provekit.lang import (
     rename_free,
     statement_key,
     substitute,
+    tokenize,
 )
 from provekit.lang.ast import _SIGNATURES, CHILDREN, MAX_DEPTH
+from provekit.lang.parser import _scan
 
 from corpus import (
     SOUP_HEADS,
@@ -321,6 +324,26 @@ def test_parse_accepts_or_raises_parse_error(text):
     assert roundtrip(goal) == goal
 
 
+def _read(reader, text):
+    try:
+        return reader(text)
+    except ParseError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet=" \t\r\n#x1_-=/\\∧٣@é"), _soup, _mutated))
+def test_the_scan_and_the_positioned_reader_agree(text):
+    # The parser reads kinds and texts from one scan and positions from a
+    # second: both must see the same tokens, or both reject the text.
+    scanned = _read(_scan, text)
+    positioned = _read(tokenize, text)
+    if scanned is None or positioned is None:
+        assert scanned is positioned
+        return
+    assert list(zip(*scanned)) == [(tok.kind, tok.text) for tok in positioned]
+
+
 def test_parse_error_carries_position():
     try:
         parse_goal("goal e (x: Int) :=\n  x = zz")
@@ -341,22 +364,81 @@ def test_parse_goal_requires_exactly_one():
         parse_goal("goal a := true\ngoal b := true")
 
 
-def test_parse_behaviour_is_pinned():
-    # Recorded before the recursive-descent parser was replaced by one
-    # precedence-climbing loop: which texts parse, and to which trees and
-    # goal spans, must stay exactly as they were.
+def _pinned_texts() -> list[str]:
     texts = [print_goal(random_goal(s, f"g{s}", d)) for s in range(300) for d in (2, 3, 4)]
     texts += [print_goal(wide_conjunction_goal(f"w{i}", 6)) for i in range(10)]
     texts += HAND_SOURCES + BAD_SOURCES + [_EVERY_NODE]
     texts += [token_soup(s) for s in range(20_000)]
+    return texts
+
+
+def test_parse_behaviour_is_pinned():
+    # Recorded before the recursive-descent parser was replaced by one
+    # precedence-climbing loop: which texts parse, and to which trees and
+    # goal spans, must stay exactly as they were.
     digest = hashlib.sha256()
-    for text in texts:
+    for text in _pinned_texts():
         try:
             outcome = repr(parse_goal(text))
         except ParseError:
             outcome = "ParseError"
         digest.update(outcome.encode() + b"\n")
     assert digest.hexdigest() == "ef08c468218726b6519e57d0d85a5d68551f0c204b2d758f8bb5535b30936186"
+
+
+def _placed(text: str) -> tuple[str, ...]:
+    """The text with CRLF line ends, after blank and comment lines, and
+    before a trailing comment at end of input."""
+    crlf = text.replace("\n", "\r\n")
+    return (
+        crlf,
+        "\n# header\n\n  \t\n" + text,
+        "\r\n\r\n# header\r\n   " + crlf,
+        text + "  # trailing",
+        text + "\n# last line",
+    )
+
+
+def test_parse_errors_are_pinned():
+    # Recorded before the lexer was split into a scan without positions and
+    # a positioned reader for errors: every error's message, line, column
+    # and length must stay exactly as they were.
+    texts = _pinned_texts()
+    placed = BAD_SOURCES + HAND_SOURCES + [p.values[0] for p in DEEP_SOURCES]
+    placed += [token_soup(s) for s in range(3000)]
+    texts += [variant for text in placed for variant in _placed(text)]
+    digest = hashlib.sha256()
+    for text in texts:
+        try:
+            parse_goal(text)
+            outcome = "ok"
+        except ParseError as exc:
+            outcome = repr((exc.message, exc.line, exc.column, exc.length))
+        digest.update(outcome.encode() + b"\n")
+    assert digest.hexdigest() == "2e3a91f736b83723ac15e63bca5dd559c5a3d815dff4c772cedc39c59ac0710d"
+
+
+_SEPARATORS = ("\n", "\n\n", "\r\n", " ", "\n# comment\n", "  # trailing\n\n", "\n\t \n   ")
+
+
+def test_goal_file_spans_are_pinned():
+    # Recorded with the error pin above: files of several printed goals with
+    # comments, blank lines, CRLF line ends, Unicode aliases and declarations
+    # that share a line or span two must keep every tree and every goal span,
+    # the spans on later lines included.
+    digest = hashlib.sha256()
+    for f in range(300):
+        rng = random.Random(f)
+        source = rng.choice(("", "# goals\n", "\n\n  "))
+        for i in range(rng.randrange(1, 7)):
+            text = print_goal(random_goal(rng.randrange(10**9), f"g{i}", rng.choice((2, 3, 4))))
+            if rng.random() < 0.3:
+                text = text.replace(" := ", " :=\n    ", 1)
+            if rng.random() < 0.3:
+                text = text.replace("/\\", "∧").replace("->", "→")
+            source += text + rng.choice(_SEPARATORS)
+        digest.update(repr(parse_goal_file(source)).encode() + b"\n")
+    assert digest.hexdigest() == "20acce93e1b1d99332bf1c09484e3ff47f5835b4cc02f6e1b295385e697fcd98"
 
 
 # ---------------------------------------------------------------------------

@@ -545,6 +545,21 @@ def test_load_rejects_corrupt_files(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "record, message",
+    [({"bogus": 1}, "unknown keys \\['bogus'\\]"), ({"kind": "completion"}, "lacks keys \\[.*'goal_source'")],
+    ids=["unknown_key", "missing_key"],
+)
+def test_load_names_an_unknown_or_missing_record_key(tmp_path, record, message):
+    import json
+
+    path = tmp_path / "keys.jsonl"
+    header = json.dumps({"type": "trajectories", "format_version": 1, "count": 1})
+    path.write_text(f"{header}\n{json.dumps(record)}\n")
+    with pytest.raises(ContractViolation, match=message):
+        load_trajectories(path)
+
+
+@pytest.mark.parametrize(
     "bad_line, message",
     [("{not json", "line 3 is not valid JSON"), ('"text"', "line 3 is not a JSON object")],
     ids=["not_json", "not_an_object"],
