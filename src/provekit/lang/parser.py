@@ -83,9 +83,9 @@ _SYMBOLS = [
 # Whitespace and comments, then one token: an integer (ASCII digits only), a
 # word (a run of \w, which may start with a digit of another script), an
 # alias, a symbol, any other single character, or the empty text at end of
-# input.  The skip is possessive, so trailing whitespace never backtracks.
+# input.
 _TOKEN = re.compile(
-    r"(?:[ \t\r\n]+|#[^\n]*)*+("
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*("
     + "|".join([
         r"[0-9]+",
         r"\w+",

@@ -10,7 +10,7 @@ the search invented along the way.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ContractViolation, FilterViolation
@@ -262,14 +262,18 @@ class TrajectoryRecord:
     @classmethod
     def from_json(cls, data: dict) -> "TrajectoryRecord":
         names = {f.name for f in fields(cls)}
-        unknown, missing = sorted(set(data) - names), sorted(names - set(data))
+        required = {
+            f.name for f in fields(cls)
+            if f.default is MISSING and f.default_factory is MISSING
+        }
+        unknown, missing = sorted(set(data) - names), sorted(required - set(data))
         if unknown:
             raise ContractViolation(f"trajectory record has unknown keys {unknown}")
         if missing:
             raise ContractViolation(f"trajectory record lacks keys {missing}")
         kwargs = dict(data)
         for key in ("lemma_sources", "axioms"):
-            if kwargs[key] is not None:
+            if key in kwargs and kwargs[key] is not None:
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 

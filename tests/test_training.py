@@ -559,6 +559,11 @@ def test_load_names_an_unknown_or_missing_record_key(tmp_path, record, message):
         load_trajectories(path)
 
 
+def test_load_gives_a_record_without_optional_keys_their_defaults():
+    record = TrajectoryRecord.from_json({"kind": "completion", "goal_source": "goal g := true"})
+    assert record == TrajectoryRecord(kind="completion", goal_source="goal g := true")
+
+
 @pytest.mark.parametrize(
     "bad_line, message",
     [("{not json", "line 3 is not valid JSON"), ('"text"', "line 3 is not a JSON object")],
