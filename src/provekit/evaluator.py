@@ -3,7 +3,9 @@
 All semantics are relative to a finite ``Domain``: integers range over a
 closed interval and lists over bounded-length vectors of bounded elements.
 Deciding a goal enumerates every binder assignment, so validity here always
-means validity over the domain, nothing stronger.
+means validity over the domain, nothing stronger.  Entailment is decided
+the same way: it is the implication from the lemmas to the goal, decided
+over the goal's assignments by the same loop.
 
 Conventions that matter for soundness downstream:
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetExceeded, ContractViolation, EvalError
 from .lang.ast import (
@@ -383,96 +385,73 @@ class DecisionVerdict:
     RESOURCE_EXCEEDED = "resource_exceeded"
 
 
+def _first_failure(holds_at: FormulaFn, assignments: Iterator[Env]) -> Env | None:
+    """The first assignment at which ``holds_at`` is false or raises
+    ``EvalError``, or None when it holds at all of them.  This is the one
+    exhaustive assignment loop; ``BudgetExceeded`` propagates."""
+    for env in assignments:
+        try:
+            if not holds_at(env):
+                return env
+        except EvalError:
+            return env
+    return None
+
+
 def decide_bounded(goal: GoalDecl, domain: Domain) -> DecisionVerdict:
     """Exhaustively decide the goal over the domain under one budget."""
     budget = Budget(domain.node_budget)
     holds_at = compile_formula(goal.body, domain, budget)
-    for env in domain.iter_assignments(goal.binders):
-        try:
-            holds = holds_at(env)
-        except EvalError:
-            holds = False
-        except BudgetExceeded:
-            return DecisionVerdict(
-                DecisionVerdict.RESOURCE_EXCEEDED, steps_used=domain.node_budget
-            )
-        if not holds:
-            return DecisionVerdict(
-                DecisionVerdict.COUNTEREXAMPLE,
-                witness=env,
-                steps_used=domain.node_budget - budget.remaining,
-            )
-    return DecisionVerdict(
-        DecisionVerdict.VALID, steps_used=domain.node_budget - budget.remaining
-    )
+    try:
+        witness = _first_failure(holds_at, domain.iter_assignments(goal.binders))
+    except BudgetExceeded:
+        return DecisionVerdict(DecisionVerdict.RESOURCE_EXCEEDED, steps_used=domain.node_budget)
+    status = DecisionVerdict.VALID if witness is None else DecisionVerdict.COUNTEREXAMPLE
+    return DecisionVerdict(status, witness, steps_used=domain.node_budget - budget.remaining)
 
 
-def _signature(goal: GoalDecl) -> tuple[Sort, ...]:
-    return tuple(sort for _, sort in goal.binders)
+def _closed(holds_at: FormulaFn, assignments: Iterator[Env]) -> FormulaFn:
+    """A universal closure, evaluated once, as a premise that ignores the
+    assignment: it returns the closure's truth or re-raises its error."""
+    try:
+        value = all(map(holds_at, assignments))
+    except EvalError as exc:
+        error = exc  # the except clause unbinds its own name on exit
+
+        def premise(env: Env) -> bool:
+            raise error
+
+        return premise
+    return lambda env: value
 
 
-def entailment_check(lemmas: list[GoalDecl], goal: GoalDecl, domain: Domain) -> bool:
-    """Do the lemmas jointly entail the goal over the domain?
+def entailment_check(lemmas: Sequence[GoalDecl], goal: GoalDecl, domain: Domain) -> bool:
+    """Decide ``lemma_1 -> ... -> lemma_n -> goal`` over the goal's
+    assignments, under one budget.
 
-    Lemmas whose binder signature matches the goal's (positionally, by sort)
-    are renamed onto the goal's binders and evaluated pointwise; any other
-    lemma is universally closed over its own binders first.  An evaluation
-    error anywhere in the implication at some point falsifies that point,
-    so entailment fails rather than silently accepting a crashing statement.
+    A lemma whose binder sorts match the goal's, positionally, is renamed
+    onto the goal's binders and read at each assignment; any other lemma is
+    universally closed over its own binders and evaluated once.  Premises
+    run in lemma order and stop at the first false one, so an earlier false
+    premise shields a later erroring one.  An evaluation error at an
+    assignment falsifies the implication there, as in ``decide_bounded``.
 
     With no lemmas this reduces exactly to deciding the goal itself.
     Raises BudgetExceeded when the shared budget runs out.
     """
-    budget = Budget(domain.node_budget)
-    compiler = _Compiler(domain, budget)
-    goal_names = [name for name, _ in goal.binders]
-    goal_sig = _signature(goal)
-
-    # Premises keep lemma order so short-circuiting matches the implication
-    # formula: an earlier false premise shields a later erroring one.
-    POINTWISE, CONST = "pointwise", "const"
-    premises: list[tuple[str, object]] = []
+    compiler = _Compiler(domain, Budget(domain.node_budget))
+    goal_sorts = [sort for _, sort in goal.binders]
+    premises: list[FormulaFn] = []
     for lemma in lemmas:
-        if lemma.binders and _signature(lemma) == goal_sig:
-            mapping = {old: new for (old, _), new in zip(lemma.binders, goal_names)}
-            premises.append((POINTWISE, compiler.compile(rename_free(lemma.body, mapping))))
-            continue
-        # Universal closure over the lemma's own binders, evaluated once;
-        # it is assignment-independent from the goal's point of view.
-        result: bool | None = True
-        holds_at = compiler.compile(lemma.body)
-        for env in domain.iter_assignments(lemma.binders):
-            try:
-                if not holds_at(env):
-                    result = False
-                    break
-            except EvalError:
-                result = None  # erroring premise: falsifies unless shielded
-                break
-        premises.append((CONST, result))
-
+        if lemma.binders and [sort for _, sort in lemma.binders] == goal_sorts:
+            mapping = {old: new for (old, _), (new, _) in zip(lemma.binders, goal.binders)}
+            premises.append(compiler.compile(rename_free(lemma.body, mapping)))
+        else:
+            holds_at = compiler.compile(lemma.body)
+            premises.append(_closed(holds_at, domain.iter_assignments(lemma.binders)))
     goal_holds_at = compiler.compile(goal.body)
-    for env in domain.iter_assignments(goal.binders):
-        satisfied = True
-        for kind, payload in premises:
-            if kind is CONST:
-                if payload is None:
-                    return False
-                if payload is False:
-                    satisfied = False
-                    break
-                continue
-            try:
-                if not payload(env):  # type: ignore[operator]
-                    satisfied = False
-                    break
-            except EvalError:
-                return False
-        if not satisfied:
-            continue
-        try:
-            if not goal_holds_at(env):
-                return False
-        except EvalError:
-            return False
-    return True
+
+    def implication(env: Env) -> bool:
+        return not all(premise(env) for premise in premises) or goal_holds_at(env)
+
+    return _first_failure(implication, domain.iter_assignments(goal.binders)) is None

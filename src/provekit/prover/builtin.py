@@ -124,17 +124,12 @@ class BuiltinChecker:
             return self._check_and_intro(request.goal, request.lemmas)
         if marker == api.RECON_GROUND:
             return self._check_grounding(request.goal, request.lemmas, domain)
-        return self._check_entailment(request.goal, request.lemmas, domain)
+        if entailment_check(request.lemmas, request.goal, domain):
+            return api.accepted()
+        return api.rejected("lemmas do not entail the goal over the domain")
 
     def _decide(self, goal: GoalDecl, domain: Domain) -> CheckVerdict:
         return self._decide_memo(goal.binders, goal.body, domain)
-
-    def _check_entailment(
-        self, goal: GoalDecl, lemmas: tuple[GoalDecl, ...], domain: Domain
-    ) -> CheckVerdict:
-        if entailment_check(list(lemmas), goal, domain):
-            return api.accepted()
-        return api.rejected("lemmas do not entail the goal over the domain")
 
     def _check_and_intro(self, goal: GoalDecl, lemmas: tuple[GoalDecl, ...]) -> CheckVerdict:
         """Structural conjunction introduction: the lemma bodies, in order,

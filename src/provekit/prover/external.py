@@ -273,9 +273,11 @@ class ExternalChecker:
             response = self.transport.request(payload, timeout_ms / 1000.0 + self.TRANSPORT_GRACE_S)
         except CheckerProtocolError as exc:
             return api.checker_error(str(exc))
-        status = _WIRE_STATUS.get(response.get("status"))
+        wire_status = response.get("status")
+        # Only a string can name a status; an array or object is unhashable.
+        status = _WIRE_STATUS.get(wire_status) if isinstance(wire_status, str) else None
         if status is None:
-            return api.checker_error(f"unknown status {response.get('status')!r}")
+            return api.checker_error(f"unknown status {wire_status!r}")
         if status == api.ACCEPTED:
             axioms = response.get("axioms", [])
             if not isinstance(axioms, list):

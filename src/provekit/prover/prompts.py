@@ -59,7 +59,6 @@ def parse_search_replace(text: str) -> list[tuple[str, str]]:
     lines = text.splitlines()
     edits: list[tuple[str, str]] = []
     i = 0
-    saw_marker = False
     while i < len(lines):
         line = lines[i].rstrip()
         if line in (DIVIDER, REPLACE_CLOSE):
@@ -67,7 +66,6 @@ def parse_search_replace(text: str) -> list[tuple[str, str]]:
         if line != SEARCH_OPEN:
             i += 1
             continue
-        saw_marker = True
         search_lines: list[str] = []
         replace_lines: list[str] = []
         i += 1
@@ -88,8 +86,6 @@ def parse_search_replace(text: str) -> list[tuple[str, str]]:
             raise PolicyError("unterminated replace block")
         i += 1  # past the closer
         edits.append(("\n".join(search_lines), "\n".join(replace_lines)))
-    if not saw_marker:
-        return []
     return edits
 
 

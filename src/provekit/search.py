@@ -589,29 +589,27 @@ def run_single(
         outcome_name = OUTCOME_PROVED if tree.all_closed() else OUTCOME_EXHAUSTED
         proof_lines = _count_proof_lines(tree)
         open_count = len(tree.open_nodes())
-    trace.emit(
-        "run_end",
+    shared = dict(
         outcome=outcome_name,
-        witness=None if witness is None else env_to_json(witness),
         decompose_iterations=decompose_used,
         complete_iterations=complete_used,
         lemma_count=lemma_count,
         proof_lines=proof_lines,
         audit_failures=audit_failures,
+    )
+    trace.emit(
+        "run_end",
+        witness=None if witness is None else env_to_json(witness),
         pool=_pool_counters(pool),
+        **shared,
     )
     result = RunResult(
-        outcome=outcome_name,
         problem=problem.name,
         run_index=run_index,
         seed=config.seed,
-        decompose_iterations=decompose_used,
-        complete_iterations=complete_used,
-        lemma_count=lemma_count,
-        proof_lines=proof_lines,
         open_leaves=open_count,
-        audit_failures=audit_failures,
         witness=witness,
+        **shared,
     )
     return result, trace
 

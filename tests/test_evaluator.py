@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import collections
 import hashlib
+import random
 import re
 from dataclasses import replace
 
@@ -57,6 +58,7 @@ from provekit.lang import (
     Var,
     parse_goal,
     print_goal,
+    rename_free,
 )
 from provekit.quickcheck import QcConfig, quickcheck
 
@@ -426,6 +428,84 @@ def test_observable_behaviour_is_pinned():
     )
 
 
+def _lemma_set(seed: int) -> tuple[list[GoalDecl], GoalDecl]:
+    """A random goal and zero to three random lemmas.  About half the lemmas
+    get their binders renamed to a, b, c; whether a lemma's sorts match the
+    goal's (a pointwise premise) or not (a closed one, often over fewer
+    binders) is left to the draw."""
+    rng = random.Random(seed)
+    goal = random_goal(rng.randrange(10**9), "g", 2)
+    lemmas = []
+    for k in range(rng.randrange(4)):
+        lemma = random_goal(rng.randrange(10**9), f"l{k}", 2)
+        if rng.random() < 0.5:
+            mapping = {name: new for (name, _), new in zip(lemma.binders, "abc")}
+            binders = tuple((mapping[name], sort) for name, sort in lemma.binders)
+            lemma = GoalDecl(lemma.name, binders, rename_free(lemma.body, mapping))
+        lemmas.append(lemma)
+    return lemmas, goal
+
+
+def _entailment_and_steps(lemmas, goal, domain, cap):
+    """The entailment result and the smallest budget at which it completes,
+    found by bisection; ``"budget"`` when even ``cap`` steps do not do."""
+
+    def run(budget):
+        try:
+            return entailment_check(lemmas, goal, replace(domain, node_budget=budget))
+        except BudgetExceeded:
+            return None
+
+    if run(cap) is None:
+        return "budget"
+    lo, hi = 1, cap
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if run(mid) is None:
+            lo = mid + 1
+        else:
+            hi = mid
+    return run(hi), hi
+
+
+# Hand-written (lemmas, goal) cases for the premise kinds the random sets
+# rarely reach: closed lemmas that are false, true or erroring, pointwise
+# lemmas that are renamed or erroring, and a false premise shielding an
+# erroring one, in both orders.
+_ENTAILMENT_CASES = [
+    (["goal abs := 0 = 1"], "goal g (x: Int) := x = 99"),
+    (["goal t (a: Int) (b: Int) := a + b = b + a"], "goal g (x: Int) := x + 0 = x"),
+    (["goal t (a: Int) (b: Int) := a + b = b + a"], "goal g (x: Int) := x = 1"),
+    (["goal c := 1 % 0 = 0"], "goal g (x: Int) := x = x"),
+    (["goal lo (a: Int) := 1 <= a", "goal hi (b: Int) := b <= 1"], "goal g (x: Int) := x = 1"),
+    (["goal lo (a: Int) := 1 <= a"], "goal g (x: Int) := x = 1"),
+    (["goal e (a: Int) := 0 <= 1 % a"], "goal g (x: Int) := x <= 2"),
+    (["goal abs := 0 = 1", "goal c := 1 % 0 = 0"], "goal g (x: Int) := x = 99"),
+    (["goal c := 1 % 0 = 0", "goal abs := 0 = 1"], "goal g (x: Int) := x = 99"),
+    (["goal p (a: Int) := !(a = 0)", "goal e (b: Int) := 0 <= 1 % b"], "goal g (x: Int) := x = x"),
+    (["goal e (b: Int) := 0 <= 1 % b", "goal p (a: Int) := !(a = 0)"], "goal g (x: Int) := x = x"),
+    (["goal p (a: Int) := 0 < a", "goal c := 1 % 0 = 0"], "goal g (x: Int) := 0 < x"),
+    (["goal t := 0 = 0", "goal e (a: Int) := 0 <= 1 % a"], "goal g (x: Int) := x = x"),
+]
+
+
+def test_entailment_is_pinned():
+    # Every result and step count, including the budget path, recorded
+    # from the premise-list implementation this loop replaced.
+    cap = 5_000
+    pinned = [_entailment_and_steps(*_lemma_set(seed), TINY, cap) for seed in range(400)]
+    for lemma_texts, goal_text in _ENTAILMENT_CASES:
+        lemmas = [parse_goal(text) for text in lemma_texts]
+        pinned.append(_entailment_and_steps(lemmas, parse_goal(goal_text), TINY, cap))
+    assert collections.Counter(
+        result if result == "budget" else result[0] for result in pinned
+    ) == {True: 268, False: 136, "budget": 9}
+    assert (
+        hashlib.sha256(repr(pinned).encode()).hexdigest()
+        == "e9a0dd3a82df0462967d59df870f2f9af9e176bdfde215dd1de34c33a9bddb77"
+    )
+
+
 # --- entailment -------------------------------------------------------------
 
 
@@ -523,3 +603,37 @@ def test_entailment_budget_exhaustion_propagates():
     goal = _decl("goal g (x: Int) := forall q: Int, q + x = x + q")
     with pytest.raises(BudgetExceeded):
         entailment_check([], goal, d)
+
+
+def _implication(lemmas: list[GoalDecl], goal: GoalDecl) -> GoalDecl:
+    """The goal ``lemma_1 -> ... -> goal`` over the goal's binders.  A lemma
+    whose sorts match the goal's is renamed onto its binders; any other is
+    closed by nested foralls over its own, first binder outermost."""
+    goal_sorts = tuple(sort for _, sort in goal.binders)
+    body = goal.body
+    for lemma in reversed(lemmas):
+        if lemma.binders and tuple(sort for _, sort in lemma.binders) == goal_sorts:
+            mapping = {old: new for (old, _), (new, _) in zip(lemma.binders, goal.binders)}
+            premise = rename_free(lemma.body, mapping)
+        else:
+            premise = lemma.body
+            for name, sort in reversed(lemma.binders):
+                premise = Forall(name, sort, premise)
+        body = Implies(premise, body)
+    return GoalDecl(goal.name, goal.binders, body)
+
+
+def test_entailment_decides_the_implication():
+    # The closed form re-evaluates a closed lemma at every goal point, so it
+    # costs more steps; a case where either side runs out is skipped.
+    domain = replace(TINY, node_budget=20_000)
+    agreed = collections.Counter()
+    for seed in range(300):
+        lemmas, goal = _lemma_set(seed)
+        verdict = decide_bounded(_implication(lemmas, goal), domain)
+        entails = _entails(lemmas, goal, domain)
+        if verdict.status == DecisionVerdict.RESOURCE_EXCEEDED or entails == "budget":
+            continue
+        assert (verdict.status == DecisionVerdict.VALID) == entails, seed
+        agreed[entails] += 1
+    assert agreed[True] > 100 and agreed[False] > 50

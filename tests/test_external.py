@@ -22,6 +22,7 @@ from provekit.prover import (
     REJECTED,
     TIMEOUT,
     CheckRequest,
+    DirectSubmit,
     ExternalChecker,
     ExternalPolicy,
     FeedbackEntry,
@@ -38,6 +39,12 @@ from provekit.prover.api import (
     PolicyContext,
 )
 from provekit.prover.external import CHECK_MEMO_SIZE
+from provekit.search import (
+    OUTCOME_EXHAUSTED,
+    REASON_INFRASTRUCTURE,
+    SearchConfig,
+    run_single,
+)
 
 # A scriptable peer: behavior is keyed on substrings of the goal text, so
 # one server covers every scenario without a config channel.
@@ -205,6 +212,28 @@ def test_unknown_wire_status_is_a_checker_error(process):
     verdict = ExternalChecker(process).check(_direct("weird"), 1000)
     assert verdict.status == CHECKER_ERROR
     assert "maybe" in verdict.diagnostics
+
+
+_UNHASHABLE_STATUSES = [["accepted"], {"accepted": True}]
+
+
+@pytest.mark.parametrize("status", _UNHASHABLE_STATUSES, ids=["array", "object"])
+def test_a_status_that_is_not_a_string_is_a_checker_error(status):
+    verdict = ExternalChecker(_CountingTransport({"status": status})).check(_direct("any"), 1000)
+    assert verdict.status == CHECKER_ERROR
+    assert verdict.diagnostics == f"unknown status {status!r}"
+
+
+@pytest.mark.parametrize("status", _UNHASHABLE_STATUSES, ids=["array", "object"])
+def test_a_status_that_is_not_a_string_does_not_end_the_run(status):
+    # The stage-one gate asks the checker first; the bad reply must become
+    # an infrastructure rejection there, not an exception out of the run.
+    checker = ExternalChecker(_CountingTransport({"status": status}))
+    config = SearchConfig(decompose_iters=2, complete_iters=1)
+    result, trace = run_single(parse_goal("goal g (x: Int) := x = x"), DirectSubmit(), checker, config)
+    assert result.outcome == OUTCOME_EXHAUSTED
+    reasons = [e["reason"] for e in trace.events if e["type"] == "decompose_attempt"]
+    assert reasons == [REASON_INFRASTRUCTURE] * 2
 
 
 @pytest.mark.parametrize("axioms", [5, "propext", None])

@@ -18,12 +18,18 @@ The language and prover packages sit at the bottom of the package: they
 import only from each other (the prover also from the evaluator) and from
 the errors module.  A checker or policy peer that imports them then starts
 without loading search, the pool or quickcheck.
+
+Every module parses as Python 3.10, the oldest version ``pyproject.toml``
+supports, and no module-level regular expression of the package uses a
+possessive quantifier or an atomic group, which only 3.11 compiles.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +42,7 @@ PACKAGE = Path(provekit.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
 TESTS = Path(__file__).resolve().parent
 TEST_MODULES = sorted(TESTS.glob("*.py"))
+PERFBENCH_MODULES = sorted((TESTS.parent / "perfbench").glob("*.py"))
 
 
 # Calls that only search.py may make, outside prover/ and pool.py.
@@ -209,3 +216,61 @@ def test_a_low_layer_loads_without_the_engine(module, absent):
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+# --- the Python 3.10 floor ------------------------------------------------------
+
+OLDEST_PYTHON = (3, 10)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.rglob("*.py")) + TEST_MODULES + PERFBENCH_MODULES, ids=_scan_id
+)
+def test_module_parses_on_the_oldest_supported_python(path):
+    ast.parse(path.read_text(), filename=str(path), feature_version=OLDEST_PYTHON)
+
+
+def regex_opcodes(pattern: re.Pattern) -> set[str]:
+    """Names of the opcodes in ``pattern``'s parse tree, nested ones included."""
+    found: set[str] = set()
+    stack: list = [re._parser.parse(pattern.pattern, pattern.flags)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, re._parser.SubPattern):
+            stack.extend(node.data)
+        elif isinstance(node, (list, tuple)):
+            stack.extend(node)
+        elif isinstance(node, re._constants._NamedIntConstant):
+            found.add(node.name)
+    return found
+
+
+NEWER_THAN_3_10 = {"POSSESSIVE_REPEAT", "ATOMIC_GROUP"}
+
+needs_311_parser = pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="re._parser and its 3.11 opcodes are new in 3.11"
+)
+
+
+@needs_311_parser
+def test_regex_opcodes_newer_than_3_10_are_found():
+    assert regex_opcodes(re.compile(r"a*+(?>b)")) >= NEWER_THAN_3_10
+    assert not regex_opcodes(re.compile(r"(?:[ \t]+|#[^\n]*)*(a|b)")) & NEWER_THAN_3_10
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+@needs_311_parser
+def test_package_regexes_compile_on_the_oldest_supported_python():
+    patterns = {
+        f"{_module_name(path)}.{name}": value
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for name, value in vars(importlib.import_module(_module_name(path))).items()
+        if isinstance(value, re.Pattern)
+    }
+    assert "provekit.lang.parser._TOKEN" in patterns
+    newer = {name: regex_opcodes(p) & NEWER_THAN_3_10 for name, p in patterns.items()}
+    assert {name: ops for name, ops in newer.items() if ops} == {}
