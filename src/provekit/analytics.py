@@ -8,6 +8,7 @@ files can reproduce every figure.
 from __future__ import annotations
 
 import csv
+import math
 import statistics
 from pathlib import Path
 
@@ -88,6 +89,18 @@ def pass_at_k_curve(traces: list[RunTrace]) -> list[tuple[int, float]]:
         )
         curve.append((k, solved / len(by_problem)))
     return curve
+
+
+def unbiased_pass_at_k(n: int, c: int, k: int) -> float:
+    """Chance that k runs drawn without replacement from n, of which c
+    succeeded, include a success: 1 - C(n-c, k) / C(n, k), the unbiased
+    estimator of Chen et al. (arXiv:2107.03374).  It never falls as k
+    grows, and it is 1 once fewer than k runs failed."""
+    if not 0 <= c <= n or not 1 <= k <= n:
+        raise ContractViolation(f"pass@k needs 0 <= c <= n and 1 <= k <= n, got n={n}, c={c}, k={k}")
+    if n - c < k:
+        return 1.0
+    return 1.0 - math.comb(n - c, k) / math.comb(n, k)
 
 
 def reduction_rate_curve(trace: RunTrace) -> list[dict]:

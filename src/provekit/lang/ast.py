@@ -199,13 +199,29 @@ MAX_DEPTH = 128
 
 @dataclass(frozen=True)
 class GoalDecl:
-    """A named, implicitly universally quantified statement.  Its two
-    cached properties stay out of equality, hashing and repr."""
+    """A named, implicitly universally quantified statement.  Its hash is
+    the one the dataclass would generate, ``hash((name, binders, body))``,
+    but it is worked out once per goal, like the two cached properties;
+    none of the three enters equality or repr, and neither does the span."""
 
     name: str
     binders: tuple[tuple[str, Sort], ...]
     body: Formula
     span: SourceSpan | None = field(default=None, compare=False)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        # A frozen dataclass rehashes the whole tree on every call; memo
+        # and set lookups of one goal repeat the call many times.
+        return hash((self.name, self.binders, self.body))
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes, so a copy sent to another
+        # one must work its hash out again.
+        return {key: value for key, value in self.__dict__.items() if key != "_hash"}
 
     @functools.cached_property
     def sort_error(self) -> str | None:

@@ -89,16 +89,26 @@ class BuiltinChecker:
     function of the statement and that budget, and it is still reported
     as a timeout, never as a proof.  An exception escapes the memo
     uncached and surfaces as ``checker_error``, so a later call retries.
+    The effective domain of the last timeout is kept, so a run of checks
+    at one timeout passes the memo the same ``Domain`` object each time.
     """
 
     def __init__(self, domain: Domain, nodes_per_ms: int = 1000):
         self.domain = domain
         self.nodes_per_ms = nodes_per_ms
         self._decide_memo = functools.lru_cache(maxsize=DECIDE_MEMO_SIZE)(_decide_statement)
+        self._last_domain: tuple[int, Domain] | None = None
 
     def _domain_for(self, timeout_ms: int) -> Domain:
+        # One read and one assignment of a tuple, so threads sharing the
+        # checker never see a timeout paired with another timeout's domain.
+        last = self._last_domain
+        if last is not None and last[0] == timeout_ms:
+            return last[1]
         budget = min(self.domain.node_budget, max(1, timeout_ms) * self.nodes_per_ms)
-        return replace(self.domain, node_budget=budget)
+        domain = replace(self.domain, node_budget=budget)
+        self._last_domain = (timeout_ms, domain)
+        return domain
 
     def check(self, request: CheckRequest, timeout_ms: int) -> CheckVerdict:
         try:
@@ -297,7 +307,10 @@ class StochasticPolicy(_BuiltinPolicy):
     """Seeded mixture over the built-in proposal strategies.
 
     One generator drives all draws, so a single-threaded run replays
-    identically; forking reseeds a fresh copy for an independent run."""
+    identically; forking gives an independent run a fresh generator on the
+    fork's seed.  The generator is seeded on the first draw, so a run that
+    never asks for a decomposition (its root is refuted first) seeds none.
+    Forks share the stateless sub-policies."""
 
     def __init__(
         self,
@@ -312,12 +325,14 @@ class StochasticPolicy(_BuiltinPolicy):
         self.weights = dict(weights or DEFAULT_WEIGHTS)
         self.split_depth = split_depth
         self.max_ground_points = max_ground_points
-        self._rng = random.Random(seed)
+        self._rng: random.Random | None = None
         self._splitter = ConjunctionSplitter(depth=split_depth)
         self._grounder = QuantifierGrounder(domain, max_points=max_ground_points)
         self._direct = DirectSubmit()
 
     def propose_decomposition(self, context: PolicyContext) -> DecompositionProposal:
+        if self._rng is None:
+            self._rng = random.Random(self.seed)
         names = sorted(self.weights)
         action = self._rng.choices(names, weights=[self.weights[n] for n in names])[0]
         if action == "split":
@@ -329,11 +344,9 @@ class StochasticPolicy(_BuiltinPolicy):
         return self._direct.propose_decomposition(context)
 
     def fork(self, seed: int) -> "StochasticPolicy":
-        return StochasticPolicy(
-            seed,
-            self.domain,
-            weights=self.weights,
-            split_depth=self.split_depth,
-            max_ground_points=self.max_ground_points,
-        )
+        # A copy of every attribute but the seed and the generator; the
+        # sub-policies are shared, and copy.copy would cost more than this.
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__, seed=seed, weights=dict(self.weights), _rng=None)
+        return twin
 

@@ -18,9 +18,93 @@ from .errors import ContractViolation
 FORMAT_VERSION = 1
 
 
+# ``json.dumps`` with options builds a new encoder per call; one shared
+# encoder renders the same bytes, and ``encode`` keeps no state between calls.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj) -> str:
     """One stable rendering: sorted keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
+
+
+# The keys each trace line must carry and the JSON types each may take, as
+# ``json.loads`` returns them: the config header, then every event type
+# ``search`` emits.  ``parse_trace`` checks every line against these tables,
+# so readers may index these keys without a check.  Keys an event carries
+# only sometimes are not listed.
+_NULL = type(None)
+TRACE_HEADER = {
+    "type": (str,),
+    "format_version": (int,),
+    "run_id": (str,),
+    "problem": (str,),
+    "run_index": (int,),
+    "seed": (int,),
+    "config": (dict,),
+}
+_EVENT = {"seq": (int,), "type": (str,)}
+TRACE_EVENTS = {
+    "decompose_attempt": {
+        "iteration": (int,),
+        "target": (str,),
+        "target_footprint": (int,),
+        "outcome": (str,),
+        "reason": (str, _NULL),
+        "proposal": (dict, _NULL),
+        **_EVENT,
+    },
+    "goal_disproved": {
+        "iteration": (int,),
+        "target": (str,),
+        "witness": (dict,),
+        "trial_index": (int,),
+        **_EVENT,
+    },
+    "stage_transition": {
+        "decompose_iterations": (int,),
+        "lemma_count": (int,),
+        "open_leaves": (list,),
+        **_EVENT,
+    },
+    "complete_attempt": {
+        "sweep": (int,),
+        "lemma": (str,),
+        "attempt_index": (int,),
+        "verdict": (dict, _NULL),
+        "audit_ok": (bool, _NULL),
+        **_EVENT,
+    },
+    "run_end": {
+        "outcome": (str,),
+        "decompose_iterations": (int,),
+        "complete_iterations": (int,),
+        "lemma_count": (int, _NULL),
+        "proof_lines": (int, _NULL),
+        "audit_failures": (int,),
+        "witness": (dict, _NULL),
+        "pool": (dict, _NULL),
+        **_EVENT,
+    },
+}
+
+_JSON_NAMES = {
+    int: "integer", float: "number", str: "string", bool: "boolean",
+    dict: "object", list: "array", _NULL: "null",
+}
+
+
+def _check_keys(number: int, line_type: str, line: dict, keys: dict[str, tuple[type, ...]]) -> None:
+    for key, kinds in keys.items():
+        if key not in line:
+            raise ContractViolation(f"line {number}: {line_type} lacks key {key!r}")
+        # By exact type: a boolean is not an integer here.
+        if type(line[key]) not in kinds:
+            expected = " or ".join(_JSON_NAMES[kind] for kind in kinds)
+            raise ContractViolation(
+                f"line {number}: {line_type} key {key!r} must be {expected}, "
+                f"not {_JSON_NAMES[type(line[key])]}"
+            )
 
 
 @dataclass
@@ -65,10 +149,8 @@ def read_text(path: str | Path) -> str:
         raise ContractViolation(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
-def json_objects(text: str) -> list[dict]:
-    """The JSON object on each non-blank line of a JSON-lines text; a line
-    holding anything else raises ``ContractViolation`` with its number."""
-    objects = []
+def _numbered_objects(text: str) -> list[tuple[int, dict]]:
+    numbered = []
     for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -78,21 +160,37 @@ def json_objects(text: str) -> list[dict]:
             raise ContractViolation(f"line {number} is not valid JSON: {exc}") from None
         if not isinstance(value, dict):
             raise ContractViolation(f"line {number} is not a JSON object")
-        objects.append(value)
-    return objects
+        numbered.append((number, value))
+    return numbered
+
+
+def json_objects(text: str) -> list[dict]:
+    """The JSON object on each non-blank line of a JSON-lines text; a line
+    holding anything else raises ``ContractViolation`` with its number."""
+    return [value for _, value in _numbered_objects(text)]
 
 
 def parse_trace(text: str) -> RunTrace:
-    objects = json_objects(text)
-    if not objects:
+    """The trace in ``text``; a line that is not JSON, or that lacks a key
+    of ``TRACE_HEADER`` or ``TRACE_EVENTS`` or has it in another type,
+    raises ``ContractViolation`` naming the line, its type and the key."""
+    lines = _numbered_objects(text)
+    if not lines:
         raise ContractViolation("empty trace")
-    header = objects[0]
+    (number, header), events = lines[0], lines[1:]
     if header.get("type") != "config":
         raise ContractViolation("trace must start with its config snapshot")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise ContractViolation(f"unsupported trace format version {version!r}")
-    return RunTrace(header=header, events=objects[1:])
+    _check_keys(number, "config", header, TRACE_HEADER)
+    for number, event in events:
+        event_type = event.get("type")
+        keys = TRACE_EVENTS.get(event_type) if isinstance(event_type, str) else None
+        if keys is None:
+            raise ContractViolation(f"line {number}: unknown event type {event_type!r}")
+        _check_keys(number, event_type, event, keys)
+    return RunTrace(header=header, events=[event for _, event in events])
 
 
 def read_trace(path: str | Path) -> RunTrace:

@@ -24,6 +24,7 @@ from provekit.analytics import (
     pass_at_k_curve,
     run_success_rate,
     score_label_pairs,
+    unbiased_pass_at_k,
 )
 from provekit.errors import FilterViolation, PolicyError
 from provekit.evaluator import DecisionVerdict, Domain, decide_bounded, eval_formula
@@ -290,9 +291,7 @@ def test_criterion_05_pass_at_k_scaling():
 
     estimates = {}
     for k in (1, 2, 4, 8):
-        per_problem = [
-            1.0 - math.comb(n - sum(row), k) / math.comb(n, k) for row in win_matrix
-        ]
+        per_problem = [unbiased_pass_at_k(n, sum(row), k) for row in win_matrix]
         estimates[k] = sum(per_problem) / len(per_problem)
     rates = [estimates[k] for k in (1, 2, 4, 8)]
     monotone = all(a <= b for a, b in zip(rates, rates[1:]))

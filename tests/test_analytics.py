@@ -21,6 +21,7 @@ from provekit.analytics import (
     run_success_rate,
     score_label_pairs,
     success_vs_iterations,
+    unbiased_pass_at_k,
     write_csv,
 )
 from provekit.errors import ContractViolation, MixedConfigError, UndefinedMetric
@@ -127,6 +128,29 @@ def test_auroc_degenerate_labels_are_undefined():
         auroc([0.1, 0.2], [False, False])
     with pytest.raises(ContractViolation):
         auroc([0.1], [True, False])
+
+
+# -- unbiased pass@k ------------------------------------------------------------
+
+
+def test_unbiased_pass_at_k_unit_values():
+    assert unbiased_pass_at_k(8, 2, 4) == pytest.approx(55 / 70, abs=1e-15)
+    assert unbiased_pass_at_k(8, 0, 4) == 0.0
+    assert unbiased_pass_at_k(8, 8, 4) == 1.0  # c = n
+    assert unbiased_pass_at_k(8, 5, 4) == 1.0  # n - c < k
+    assert unbiased_pass_at_k(5, 1, 1) == pytest.approx(1 / 5, abs=1e-15)
+
+
+def test_unbiased_pass_at_k_never_falls_with_k():
+    for c in range(9):
+        rates = [unbiased_pass_at_k(8, c, k) for k in range(1, 9)]
+        assert rates == sorted(rates)
+
+
+@pytest.mark.parametrize("n, c, k", [(4, 2, 5), (4, 5, 2), (4, -1, 2), (4, 2, 0)])
+def test_unbiased_pass_at_k_refuses_impossible_counts(n, c, k):
+    with pytest.raises(ContractViolation):
+        unbiased_pass_at_k(n, c, k)
 
 
 # -- config pooling ----------------------------------------------------------

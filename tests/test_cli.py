@@ -451,3 +451,18 @@ def test_analyze_names_a_corrupt_trace_line(analyzed_traces, tmp_path, bad_line,
     corrupt.write_text(f"{header}\n{first}\n{bad_line}\n")
     assert main(["analyze", "stats", str(tmp_path)]) == 3
     assert f"error: {corrupt}: {message}" in capsys.readouterr().err
+
+
+def test_analyze_refuses_a_trace_whose_event_lacks_a_key(tmp_path, capsys):
+    # A file of JSON lines without a trace's keys is an engine error, not a KeyError.
+    path = tmp_path / "bare.jsonl"
+    path.write_text('{"type": "config", "format_version": 1}\n{"type": "run_end"}\n')
+    assert main(["analyze", "stats", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == f"error: {path}: line 1: config lacks key 'run_id'\n"
+    header = {
+        "type": "config", "format_version": 1, "run_id": "p.r0.s0", "problem": "p",
+        "run_index": 0, "seed": 0, "config": {},
+    }
+    path.write_text(json.dumps(header) + '\n{"type": "run_end"}\n')
+    assert main(["analyze", "stats", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == f"error: {path}: line 2: run_end lacks key 'outcome'\n"

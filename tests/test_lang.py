@@ -1,6 +1,7 @@
 """Parser, printer, and structural-measure tests for the goal language."""
 
 import hashlib
+import pickle
 import random
 import re
 from dataclasses import dataclass, replace
@@ -439,6 +440,45 @@ def test_goal_file_spans_are_pinned():
             source += text + rng.choice(_SEPARATORS)
         digest.update(repr(parse_goal_file(source)).encode() + b"\n")
     assert digest.hexdigest() == "20acce93e1b1d99332bf1c09484e3ff47f5835b4cc02f6e1b295385e697fcd98"
+
+
+# ---------------------------------------------------------------------------
+# Goal hashing
+
+
+CORPUS_GOALS = [random_goal(s, f"g{s}", d) for s in range(100) for d in (2, 3, 4)] + [
+    wide_conjunction_goal(f"w{n}", n) for n in (2, 6)
+]
+
+
+def test_goal_hash_is_the_dataclass_hash_before_and_after_the_cached_properties():
+    for goal in CORPUS_GOALS:
+        expected = hash((goal.name, goal.binders, goal.body))
+        assert hash(goal) == expected
+        assert goal.sort_error is None and goal.footprint >= 0
+        assert hash(goal) == expected
+        # A copy whose cached properties are read before its first hash.
+        fresh = replace(goal)
+        assert fresh.footprint == goal.footprint and fresh.sort_error is None
+        assert hash(fresh) == expected
+
+
+def test_goals_differing_only_in_span_hash_and_compare_equal():
+    for goal in CORPUS_GOALS[:60]:
+        parsed = parse_goal(print_goal(goal))
+        assert parsed.span is not None and goal.span is None
+        assert parsed == goal and hash(parsed) == hash(goal)
+        assert len({goal, parsed, replace(parsed, span=None)}) == 1
+    renamed = replace(CORPUS_GOALS[0], name="other")
+    assert renamed != CORPUS_GOALS[0]
+
+
+def test_a_pickled_goal_works_its_hash_out_again():
+    goal = CORPUS_GOALS[5]
+    hash(goal)
+    copy = pickle.loads(pickle.dumps(goal))
+    assert "_hash" not in copy.__dict__
+    assert copy == goal and hash(copy) == hash(goal)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
+
 import pytest
 
 import provekit.prover.builtin as builtin_mod
@@ -172,6 +176,39 @@ def test_decide_memo_never_caches_a_checker_error(monkeypatch):
     assert checker.check(request, T_MS).status == ACCEPTED
     assert checker.check(request, T_MS).status == ACCEPTED
     assert len(calls) == 2
+
+
+def test_checks_at_one_timeout_share_one_domain():
+    checker = BuiltinChecker(DOMAIN, nodes_per_ms=1)
+    first = checker._domain_for(10)
+    assert checker._domain_for(10) is first and first.node_budget == 10
+    assert checker._domain_for(20).node_budget == 20
+    assert checker._domain_for(10).node_budget == 10
+    assert checker._domain_for(10**9).node_budget == DOMAIN.node_budget
+
+
+def test_threads_sharing_a_checker_get_the_domain_of_their_own_timeout():
+    checker = BuiltinChecker(DOMAIN, nodes_per_ms=1)
+    wrong: list[tuple[int, int]] = []
+
+    def worker(timeout_ms: int) -> None:
+        for _ in range(2000):
+            budget = checker._domain_for(timeout_ms).node_budget
+            if budget != timeout_ms:
+                wrong.append((timeout_ms, budget))
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(1, 9)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 # --- conjunction introduction -------------------------------------------------
@@ -402,6 +439,56 @@ def test_stochastic_fork_reseeds_independently():
     assert [child.propose_decomposition(ctx) for _ in range(10)] == [
         fresh.propose_decomposition(ctx) for _ in range(10)
     ]
+
+
+# The reconstruction marker each action of StochasticPolicy proposes for
+# GROUNDABLE on SMALL_DOMAIN, whose 5-point carrier keeps the grounder
+# inside its point cap.
+SMALL_DOMAIN = Domain(int_lo=-2, int_hi=2)
+GROUNDABLE = parse_goal("goal g (x: Int) := x = x /\\ x + 0 = x")
+MARKER_OF_ACTION = {
+    "split": RECON_AND_INTRO, "ground": RECON_GROUND, "junk": "entailment", "direct": RECON_DIRECT,
+}
+
+
+def _eager_markers(seed: int, draws: int) -> list[str]:
+    """What a generator seeded up front draws, as reconstruction markers."""
+    names = sorted(builtin_mod.DEFAULT_WEIGHTS)
+    weights = [builtin_mod.DEFAULT_WEIGHTS[n] for n in names]
+    rng = random.Random(seed)
+    return [MARKER_OF_ACTION[rng.choices(names, weights=weights)[0]] for _ in range(draws)]
+
+
+def test_a_fork_seeded_on_first_draw_replays_an_eagerly_seeded_generator():
+    ctx = _ctx(GROUNDABLE)
+    for seed in range(50):
+        fork_seed = seed * 7919 + 1
+        fork = StochasticPolicy(seed, SMALL_DOMAIN).fork(fork_seed)
+        drawn = [fork.propose_decomposition(ctx).reconstruction for _ in range(12)]
+        assert drawn == _eager_markers(fork_seed, 12)
+
+
+def test_interleaved_forks_share_no_generator():
+    ctx = _ctx(GROUNDABLE)
+    parent = StochasticPolicy(0, SMALL_DOMAIN)
+    forks = [parent.fork(5), parent.fork(5), parent.fork(6)]
+    drawn: list[list[str]] = [[], [], []]
+    for _ in range(15):
+        for fork, out in zip(forks, drawn):
+            out.append(fork.propose_decomposition(ctx).reconstruction)
+    assert drawn == [_eager_markers(5, 15), _eager_markers(5, 15), _eager_markers(6, 15)]
+    # The parent, never drawn from, still starts its own stream.
+    assert parent.propose_decomposition(ctx).reconstruction == _eager_markers(0, 1)[0]
+
+
+def test_a_fork_shares_the_stateless_sub_policies_but_not_the_weights():
+    parent = StochasticPolicy(0, DOMAIN, split_depth=2, max_ground_points=5)
+    fork = parent.fork(1)
+    assert (fork._splitter, fork._grounder, fork._direct) == (
+        parent._splitter, parent._grounder, parent._direct,
+    )
+    assert (fork.seed, fork.split_depth, fork.max_ground_points) == (1, 2, 5)
+    assert fork.weights == parent.weights and fork.weights is not parent.weights
 
 
 def test_stochastic_policy_copies_caller_weights():

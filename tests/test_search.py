@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -83,7 +85,7 @@ from provekit.search import (
     select_target,
     _count_proof_lines,
 )
-from provekit.trace import RunTrace
+from provekit.trace import RunTrace, parse_trace
 
 DOMAIN = Domain()
 CONFIG = SearchConfig(qc=QcConfig(trials=200, seed=0))
@@ -680,6 +682,45 @@ def test_traces_carry_no_wall_clock_fields():
     assert "elapsed" not in text
 
 
+def _trace_lines() -> list[dict]:
+    goal = parse_goal("goal conj (x: Int) := x + 0 = x /\\ x * 1 = x")
+    config = replace(CONFIG, decompose_iters=1)
+    _, trace = run_single(goal, ConjunctionSplitter(), CHECKER, config)
+    return [trace.header, *trace.events]
+
+
+def test_a_written_trace_reads_back_as_written():
+    lines = _trace_lines()
+    assert [e["type"] for e in lines[1:]] == [
+        "decompose_attempt", "stage_transition", "complete_attempt", "complete_attempt", "run_end",
+    ]
+    text = "\n".join(json.dumps(line) for line in lines)
+    parsed = parse_trace(text)
+    assert [parsed.header, *parsed.events] == lines
+
+
+@pytest.mark.parametrize(
+    "line, edit, message",
+    [
+        (0, lambda e: e.pop("run_id"), "line 1: config lacks key 'run_id'"),
+        (1, lambda e: e.pop("outcome"), "line 2: decompose_attempt lacks key 'outcome'"),
+        (1, lambda e: e.update(reason=3), "line 2: decompose_attempt key 'reason' must be string or null, not integer"),
+        (2, lambda e: e.update(lemma_count=True), "line 3: stage_transition key 'lemma_count' must be integer, not boolean"),
+        (3, lambda e: e.update(audit_ok=1), "line 4: complete_attempt key 'audit_ok' must be boolean or null, not integer"),
+        (5, lambda e: e.pop("seq"), "line 6: run_end lacks key 'seq'"),
+        (5, lambda e: e.update(type="run_stop"), "line 6: unknown event type 'run_stop'"),
+        (5, lambda e: e.pop("type"), "line 6: unknown event type None"),
+    ],
+    ids=["header_key", "missing", "wrong_type", "bool_not_int", "int_not_bool", "seq", "unknown", "untyped"],
+)
+def test_trace_reader_names_the_line_event_and_key(line, edit, message):
+    lines = _trace_lines()
+    edit(lines[line])
+    with pytest.raises(ContractViolation) as info:
+        parse_trace("\n".join(json.dumps(e) for e in lines))
+    assert str(info.value) == message
+
+
 def test_lemma_binder_capture_cannot_prove_a_refutable_root():
     # The lemma is valid, but renaming a onto x under its own exists x used
     # to make the premise false everywhere, so the entailment held vacuously.
@@ -809,9 +850,31 @@ def test_pass_k_traces_are_pinned(pooled):
         )
         outcomes.update(run.outcome for run in result.runs)
         for trace in result.traces:
-            digest.update(trace.to_jsonl().encode())
+            text = trace.to_jsonl()
+            # Every line the writer emits matches the reader's key table.
+            parse_trace(text)
+            digest.update(text.encode())
     assert outcomes == {OUTCOME_DISPROVED, OUTCOME_PROVED, OUTCOME_EXHAUSTED}
     assert digest.hexdigest() == PASS_K_TRACE_PINS[pooled]
+
+
+def test_runs_on_a_refuted_root_seed_no_policy_generator(monkeypatch):
+    seeded = []
+
+    def counting_random(seed):
+        seeded.append(seed)
+        return random.Random(seed)
+
+    monkeypatch.setattr(builtin_mod, "random", SimpleNamespace(Random=counting_random))
+    config = replace(PIN_CONFIG, k_parallel=4, seed=3)
+    policy = StochasticPolicy(0, PIN_DOMAIN)
+    refuted = run_pass_k(parse_goal("goal bad (x: Int) := x < 3"), policy, CHECKER, config, max_workers=1)
+    assert [run.outcome for run in refuted.runs] == [OUTCOME_DISPROVED] * 4
+    assert seeded == []
+    # The same count sees the generators of runs that do draw.
+    proved = run_pass_k(parse_goal("goal ok (x: Int) := x = x /\\ x <= x"), policy, CHECKER, config, max_workers=1)
+    assert [run.outcome for run in proved.runs] == [OUTCOME_PROVED] * 4
+    assert seeded == [3, 2, 1, 0]
 
 
 def test_importing_the_package_does_not_load_the_thread_pool():

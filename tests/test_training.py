@@ -34,6 +34,7 @@ from provekit.search import (
     SearchConfig,
     run_single,
 )
+from provekit.trace import RunTrace, canonical_json, parse_trace
 from provekit.training import (
     RECORD_COMPLETION,
     RECORD_DECOMPOSITION,
@@ -688,7 +689,15 @@ class SlowCompleter:
 COLLECT_EXPORT_PIN = "1e80a6f73bb7bbbfc75e033ebb6cabaa0446abebbbbacba2c805537bf66af177"
 
 
-def test_collect_export_is_pinned(tmp_path):
+def test_collect_export_is_pinned(tmp_path, monkeypatch):
+    emitted: list[dict] = []
+    emit = RunTrace.emit
+
+    def recording_emit(self, event_type, **fields):
+        emitted.append(emit(self, event_type, **fields))
+        return emitted[-1]
+
+    monkeypatch.setattr(RunTrace, "emit", recording_emit)
     domain = Domain(node_budget=25_000)
     config = SearchConfig(qc=QcConfig(trials=100, seed=0), complete_iters=4, domain=domain, seed=2)
     problems = (
@@ -712,3 +721,7 @@ def test_collect_export_is_pinned(tmp_path):
     path = tmp_path / "trajectories.jsonl"
     export_trajectories(records, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == COLLECT_EXPORT_PIN
+    # Every event the completion stages emitted matches the trace reader's table.
+    header = RunTrace.new("collect", 0, 0, {}).header
+    assert {event["type"] for event in emitted} == {"complete_attempt"}
+    parse_trace("\n".join(canonical_json(line) for line in [header, *emitted]))
