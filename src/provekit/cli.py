@@ -81,6 +81,9 @@ def _make_policy(spec: str, config: SearchConfig):
             depth = int(spec.split(":", 1)[1])
         except ValueError:
             raise ContractViolation(f"policy {spec!r}: split depth must be an integer") from None
+        if depth < 1:
+            # At depth 0 the fringe is the goal itself, proposed as its own lemma.
+            raise ContractViolation(f"policy {spec!r}: split depth must be a positive integer")
         return ConjunctionSplitter(depth=depth)
     if spec == "ground":
         return QuantifierGrounder(config.domain)

@@ -19,11 +19,15 @@ Conventions that matter for soundness downstream:
 Evaluation is compiled: each call of ``decide_bounded``,
 ``entailment_check`` or ``quickcheck`` turns every formula it needs into
 nested closures once, then runs them for every assignment (the technique of
-Feeley & Lapalme, "Using closures for code generation", 1987).  Each closure
-charges exactly one budget step per node visit, in pre-order and left to
-right, with the same short-circuiting as the formula's logic, so step counts
-are part of the contract.  Compiled closures hold their call's budget and
-are never cached.
+Feeley & Lapalme, "Using closures for code generation", 1987).  The step
+count is part of the contract: one budget step per node visit, in pre-order
+and left to right, with the same short-circuiting as the formula's logic,
+and the visit that takes the budget below zero raises.  A subtree whose
+visits do not depend on values is a block, charged its fixed visit count
+in one step and evaluated without per-node ticks; when the charge would
+overdraw the budget, or the evaluation raises, the block replays node by
+node, so every value, error and remaining budget is the one-tick-per-visit
+one.  Compiled closures hold their call's budget and are never cached.
 """
 
 from __future__ import annotations
@@ -128,26 +132,78 @@ _EXHAUSTED = "evaluation step budget exhausted"
 TermFn = Callable[[Env], Value]
 FormulaFn = Callable[[Env], bool]
 
+# A static subtree is compiled to a part, ``(size, how, what)``: its visit
+# count and a variable's name (``_VAR``), a constant (``_CONST``) or an
+# unticked closure (``_FN``).  Any other subtree is compiled to its ticking
+# closure.
+_VAR, _CONST, _FN = "var", "const", "fn"
+StaticPart = tuple[int, str, object]
+Part = StaticPart | Callable[[Env], Value | bool]
+
 
 class _Compiler:
     """Turns one formula into nested closures over one domain and budget.
 
-    Every closure starts with the same three-line tick, so each node visit
-    costs exactly one budget step, in pre-order, and the visit that takes
-    ``remaining`` below zero raises.  The closures are built per call and
-    never cached: they hold the budget of that call.
+    A node class is static when its visits do not depend on values: every
+    class but And, Or, Implies, IfThenElse, Forall and Exists.  A maximal
+    subtree of static nodes is a block, and its visit count ``n`` is fixed
+    at compile time (the sizes are summed in the one bottom-up pass that
+    builds the closures).  A block's closure charges ``n`` in one
+    subtraction and evaluates through unticked closures, which read variable
+    and literal children inline (Proebsting's superoperators, POPL 1995).
+    When ``n`` would overdraw the budget, or the unticked evaluation raises,
+    it gives the ``n`` steps back and replays the block through per-node
+    closures, built on its first replay.  Those, like the closures of the
+    nodes outside blocks, tick once per visit, in pre-order, and the visit
+    that takes ``remaining`` below zero raises.  Evaluation is pure, so a
+    block that completes has made exactly its ``n`` visits, and any other
+    ending is decided node by node: results, errors and ``remaining`` are
+    what one tick per node visit gives.  ``fuse=False`` compiles node by
+    node throughout.  The closures are built per call and never cached:
+    they hold the budget of that call.
     """
 
-    def __init__(self, domain: Domain, budget: Budget):
+    def __init__(self, domain: Domain, budget: Budget, fuse: bool = True):
         self.domain = domain
         self.budget = budget
+        self.fuse = fuse
         self._carriers: dict[Sort, tuple[Value, ...]] = {}
 
     def compile(self, node: Node) -> Callable[[Env], Value | bool]:
-        build = _BUILDERS.get(type(node))
-        if build is None:
-            raise EvalError(f"unknown syntax node {node!r}")
-        return build(self, node)
+        try:
+            part = _BUILDERS[type(node)](self, node)
+        except KeyError as missing:  # a node class with no builder, here or below
+            raise EvalError(f"unknown syntax node {missing.args[0].__name__}") from None
+        return part if type(part) is not tuple else self.closure(node, part)
+
+    def closure(self, node: Node, part: Part) -> Callable[[Env], Value | bool]:
+        """The ticking closure of a compiled part: a static leaf ticks once,
+        a larger static subtree is charged as a block."""
+        if type(part) is not tuple:
+            return part
+        size, how, what = part
+        if size == 1:
+            if how is _VAR:
+                return _tick_var(self.budget, what)
+            return _tick_constant(self.budget, what)
+        budget, domain = self.budget, self.domain
+        fast = what if how is _FN else _as_fn(part)
+        replay = None
+
+        def run(env: Env) -> Value | bool:
+            nonlocal replay
+            remaining = budget.remaining - size
+            if remaining >= 0:
+                budget.remaining = remaining
+                try:
+                    return fast(env)
+                except Exception:  # the replay raises it again, at its node
+                    budget.remaining = remaining + size
+            if replay is None:
+                replay = _Compiler(domain, budget, fuse=False).compile(node)
+            return replay(env)
+
+        return run
 
     def carrier(self, sort: Sort) -> tuple[Value, ...]:
         values = self._carriers.get(sort)
@@ -156,26 +212,17 @@ class _Compiler:
         return values
 
 
-def _constant(value_of: Callable[[Node], Value | bool]):
-    """Builder for a leaf whose value is fixed at compile time."""
+def _tick_constant(budget: Budget, value: Value | bool) -> Callable[[Env], Value | bool]:
+    def run(env: Env) -> Value | bool:
+        budget.remaining -= 1
+        if budget.remaining < 0:
+            raise BudgetExceeded(_EXHAUSTED)
+        return value
 
-    def build(c: _Compiler, node: Node) -> Callable[[Env], Value | bool]:
-        budget, value = c.budget, value_of(node)
-
-        def run(env: Env) -> Value | bool:
-            budget.remaining -= 1
-            if budget.remaining < 0:
-                raise BudgetExceeded(_EXHAUSTED)
-            return value
-
-        return run
-
-    return build
+    return run
 
 
-def _var(c: _Compiler, term: Var) -> TermFn:
-    budget, name = c.budget, term.name
-
+def _tick_var(budget: Budget, name: str) -> TermFn:
     def run(env: Env) -> Value:
         budget.remaining -= 1
         if budget.remaining < 0:
@@ -188,34 +235,116 @@ def _var(c: _Compiler, term: Var) -> TermFn:
     return run
 
 
-def _trunc_mod(a: int, b: int) -> int:
-    if b == 0:
-        raise EvalError("modulo by zero")
-    r = abs(a) % abs(b)
-    return r if a >= 0 else -r
+def _tick_unary(budget: Budget, op: Callable, child: Callable) -> Callable[[Env], Value | bool]:
+    def run(env: Env) -> Value | bool:
+        budget.remaining -= 1
+        if budget.remaining < 0:
+            raise BudgetExceeded(_EXHAUSTED)
+        return op(child(env))
+
+    return run
 
 
-def _binary(op: Callable[[Value, Value], Value | bool]):
-    """Builder for a node whose two child terms are evaluated in field
-    order, then combined by ``op``."""
+def _tick_binary(
+    budget: Budget, op: Callable, left: Callable, right: Callable
+) -> Callable[[Env], Value | bool]:
+    def run(env: Env) -> Value | bool:
+        budget.remaining -= 1
+        if budget.remaining < 0:
+            raise BudgetExceeded(_EXHAUSTED)
+        return op(left(env), right(env))
 
-    def build(c: _Compiler, node: Node) -> Callable[[Env], Value | bool]:
-        left, right = CHILDREN[type(node)](node)
-        budget, left, right = c.budget, c.compile(left), c.compile(right)
+    return run
 
-        def run(env: Env) -> Value | bool:
-            budget.remaining -= 1
-            if budget.remaining < 0:
-                raise BudgetExceeded(_EXHAUSTED)
-            return op(left(env), right(env))
 
-        return run
+def _as_fn(part: StaticPart) -> Callable[[Env], Value | bool]:
+    _, how, what = part
+    if how is _VAR:
+        return operator.itemgetter(what)
+    if how is _CONST:
+        return lambda env: what
+    return what
+
+
+def _var(c: _Compiler, term: Var) -> Part:
+    return (1, _VAR, term.name)
+
+
+def _constant(value_of: Callable[[Node], Value | bool]):
+    """Builder for a leaf whose value is fixed at compile time."""
+    return lambda c, node: (1, _CONST, value_of(node))
+
+
+def _unary(op: Callable):
+    """Builder for a static node class whose one child's value ``op`` maps."""
+
+    def build(c: _Compiler, node: Node) -> Part:
+        (child,) = CHILDREN[type(node)](node)
+        part = _BUILDERS[type(child)](c, child)
+        if c.fuse and type(part) is tuple:
+            size, how, a = part
+            if how is _VAR:
+                return (size + 1, _FN, lambda env: op(env[a]))
+            if how is _CONST:
+                return (size + 1, _FN, lambda env: op(a))
+            return (size + 1, _FN, lambda env: op(a(env)))
+        return _tick_unary(c.budget, op, c.closure(child, part))
 
     return build
 
 
-def _list_lit(c: _Compiler, term: ListLit) -> TermFn:
-    budget, elements = c.budget, tuple(c.compile(e) for e in term.elements)
+def _binary(op: Callable):
+    """Builder for a static node class whose two child terms are evaluated
+    in field order, then combined by ``op``.  Inside a block, a variable or
+    constant child is read inline; a missing variable raises ``KeyError``,
+    which sends the block to its replay."""
+
+    def build(c: _Compiler, node: Node) -> Part:
+        left, right = CHILDREN[type(node)](node)
+        lpart = _BUILDERS[type(left)](c, left)
+        rpart = _BUILDERS[type(right)](c, right)
+        if c.fuse and type(lpart) is tuple and type(rpart) is tuple:
+            lsize, lhow, a = lpart
+            rsize, rhow, b = rpart
+            size = 1 + lsize + rsize
+            if lhow is _VAR:
+                if rhow is _VAR:
+                    return (size, _FN, lambda env: op(env[a], env[b]))
+                if rhow is _CONST:
+                    return (size, _FN, lambda env: op(env[a], b))
+                return (size, _FN, lambda env: op(env[a], b(env)))
+            if lhow is _CONST:
+                if rhow is _VAR:
+                    return (size, _FN, lambda env: op(a, env[b]))
+                if rhow is _CONST:
+                    return (size, _FN, lambda env: op(a, b))
+                return (size, _FN, lambda env: op(a, b(env)))
+            if rhow is _VAR:
+                return (size, _FN, lambda env: op(a(env), env[b]))
+            if rhow is _CONST:
+                return (size, _FN, lambda env: op(a(env), b))
+            return (size, _FN, lambda env: op(a(env), b(env)))
+        return _tick_binary(c.budget, op, c.closure(left, lpart), c.closure(right, rpart))
+
+    return build
+
+
+def _list_lit(c: _Compiler, term: ListLit) -> Part:
+    parts = [_BUILDERS[type(element)](c, element) for element in term.elements]
+    if c.fuse:
+        size, literal = 1, True
+        for part in parts:
+            if type(part) is not tuple:
+                break
+            size += part[0]
+            literal = literal and part[1] is _CONST
+        else:
+            if literal:  # a list of constants is a constant
+                return (size, _CONST, tuple([part[2] for part in parts]))
+            fns = [_as_fn(part) for part in parts]
+            return (size, _FN, lambda env: tuple([fn(env) for fn in fns]))
+    budget = c.budget
+    elements = [c.closure(element, part) for element, part in zip(term.elements, parts)]
 
     def run(env: Env) -> Value:
         budget.remaining -= 1
@@ -226,28 +355,19 @@ def _list_lit(c: _Compiler, term: ListLit) -> TermFn:
     return run
 
 
-def _cons(c: _Compiler, term: Cons) -> TermFn:
-    budget, head, tail = c.budget, c.compile(term.head), c.compile(term.tail)
-
-    def run(env: Env) -> Value:
-        budget.remaining -= 1
-        if budget.remaining < 0:
-            raise BudgetExceeded(_EXHAUSTED)
-        return (head(env), *tail(env))
-
-    return run
+def _trunc_mod(a: int, b: int) -> int:
+    if b == 0:
+        raise EvalError("modulo by zero")
+    r = abs(a) % abs(b)
+    return r if a >= 0 else -r
 
 
-def _length(c: _Compiler, term: Length) -> TermFn:
-    budget, arg = c.budget, c.compile(term.arg)
+def _member(element: int, lst: tuple[int, ...]) -> bool:
+    return element in lst
 
-    def run(env: Env) -> Value:
-        budget.remaining -= 1
-        if budget.remaining < 0:
-            raise BudgetExceeded(_EXHAUSTED)
-        return len(arg(env))
 
-    return run
+def _cons(head: int, tail: tuple[int, ...]) -> tuple[int, ...]:
+    return (head, *tail)
 
 
 def _if_then_else(c: _Compiler, term: IfThenElse) -> TermFn:
@@ -259,31 +379,6 @@ def _if_then_else(c: _Compiler, term: IfThenElse) -> TermFn:
         if budget.remaining < 0:
             raise BudgetExceeded(_EXHAUSTED)
         return then(env) if cond(env) else other(env)
-
-    return run
-
-
-def _mem(c: _Compiler, formula: Mem) -> FormulaFn:
-    budget, element, lst = c.budget, c.compile(formula.element), c.compile(formula.lst)
-
-    def run(env: Env) -> bool:
-        budget.remaining -= 1
-        if budget.remaining < 0:
-            raise BudgetExceeded(_EXHAUSTED)
-        needle = element(env)
-        return needle in lst(env)
-
-    return run
-
-
-def _not(c: _Compiler, formula: Not) -> FormulaFn:
-    budget, child = c.budget, c.compile(formula.child)
-
-    def run(env: Env) -> bool:
-        budget.remaining -= 1
-        if budget.remaining < 0:
-            raise BudgetExceeded(_EXHAUSTED)
-        return not child(env)
 
     return run
 
@@ -326,7 +421,7 @@ def _quantifier(c: _Compiler, formula: Forall | Exists) -> FormulaFn:
     return run
 
 
-_BUILDERS: dict[type, Callable[[_Compiler, Node], Callable[[Env], Value | bool]]] = {
+_BUILDERS: dict[type, Callable[[_Compiler, Node], Part]] = {
     IntLit: _constant(operator.attrgetter("value")),
     Var: _var,
     Add: _binary(operator.add),
@@ -334,9 +429,9 @@ _BUILDERS: dict[type, Callable[[_Compiler, Node], Callable[[Env], Value | bool]]
     Mul: _binary(operator.mul),
     Mod: _binary(_trunc_mod),
     ListLit: _list_lit,
-    Cons: _cons,
+    Cons: _binary(_cons),
     Append: _binary(operator.add),
-    Length: _length,
+    Length: _unary(len),
     Count: _binary(tuple.count),
     IfThenElse: _if_then_else,
     TrueF: _constant(lambda node: True),
@@ -344,8 +439,8 @@ _BUILDERS: dict[type, Callable[[_Compiler, Node], Callable[[Env], Value | bool]]
     Eq: _binary(operator.eq),
     Lt: _binary(operator.lt),
     Le: _binary(operator.le),
-    Mem: _mem,
-    Not: _not,
+    Mem: _binary(_member),
+    Not: _unary(operator.not_),
     And: _connective(False, False),
     Or: _connective(True, True),
     Implies: _connective(False, True),

@@ -31,8 +31,9 @@ def canonical_json(obj) -> str:
 # The keys each trace line must carry and the JSON types each may take, as
 # ``json.loads`` returns them: the config header, then every event type
 # ``search`` emits.  ``parse_trace`` checks every line against these tables,
-# so readers may index these keys without a check.  Keys an event carries
-# only sometimes are not listed.
+# so readers may index these keys without a check.  Where a table gives
+# another table instead of types, the value is an object whose keys are
+# checked against it in turn.
 _NULL = type(None)
 TRACE_HEADER = {
     "type": (str,),
@@ -88,23 +89,59 @@ TRACE_EVENTS = {
     },
 }
 
+# Keys an event carries only sometimes, checked when present.  A reader
+# must still test for the key, but may then index what the table lists.
+# The score object is written by ``ScoreBreakdown.to_json``; its reals are
+# JSON numbers, which another writer may render as integers.
+_NUMBER = (float, int)
+TRACE_OPTIONAL = {
+    "decompose_attempt": {
+        "gate": {"reconstruction_ok": (bool,), "qc_ok": (list,)},
+        "score": {
+            "v": (int,),
+            "d_parent": (int,),
+            "d_children": (list,),
+            "d_bar": _NUMBER,
+            "r": _NUMBER,
+            "S": _NUMBER,
+        },
+        "witness": (dict,),
+        "trial_index": (int,),
+    },
+    "complete_attempt": {"error": (str,), "proof_lines": (int,)},
+}
+
 _JSON_NAMES = {
     int: "integer", float: "number", str: "string", bool: "boolean",
     dict: "object", list: "array", _NULL: "null",
 }
 
 
-def _check_keys(number: int, line_type: str, line: dict, keys: dict[str, tuple[type, ...]]) -> None:
+def _check_keys(
+    number: int, where: str, line: dict, keys: dict, optional: dict | None = None
+) -> None:
     for key, kinds in keys.items():
         if key not in line:
-            raise ContractViolation(f"line {number}: {line_type} lacks key {key!r}")
-        # By exact type: a boolean is not an integer here.
-        if type(line[key]) not in kinds:
-            expected = " or ".join(_JSON_NAMES[kind] for kind in kinds)
-            raise ContractViolation(
-                f"line {number}: {line_type} key {key!r} must be {expected}, "
-                f"not {_JSON_NAMES[type(line[key])]}"
-            )
+            raise ContractViolation(f"line {number}: {where} lacks key {key!r}")
+        _check_value(number, where, key, line[key], kinds)
+    for key, kinds in (optional or {}).items():
+        if key in line:
+            _check_value(number, where, key, line[key], kinds)
+
+
+def _check_value(number: int, where: str, key: str, value, kinds: tuple | dict) -> None:
+    nested = kinds if isinstance(kinds, dict) else None
+    if nested is not None:
+        kinds = (dict,)
+    # By exact type: a boolean is not an integer here.
+    if type(value) not in kinds:
+        expected = " or ".join(_JSON_NAMES[kind] for kind in kinds)
+        raise ContractViolation(
+            f"line {number}: {where} key {key!r} must be {expected}, "
+            f"not {_JSON_NAMES[type(value)]}"
+        )
+    if nested is not None:
+        _check_keys(number, f"{where} {key}", value, nested)
 
 
 @dataclass
@@ -171,9 +208,11 @@ def json_objects(text: str) -> list[dict]:
 
 
 def parse_trace(text: str) -> RunTrace:
-    """The trace in ``text``; a line that is not JSON, or that lacks a key
-    of ``TRACE_HEADER`` or ``TRACE_EVENTS`` or has it in another type,
-    raises ``ContractViolation`` naming the line, its type and the key."""
+    """The trace in ``text``; a line that is not JSON, that lacks a key of
+    ``TRACE_HEADER`` or ``TRACE_EVENTS``, or that has one of those or of
+    ``TRACE_OPTIONAL`` in another type or without a key of its nested
+    object, raises ``ContractViolation`` naming the line, its type and the
+    key."""
     lines = _numbered_objects(text)
     if not lines:
         raise ContractViolation("empty trace")
@@ -189,7 +228,7 @@ def parse_trace(text: str) -> RunTrace:
         keys = TRACE_EVENTS.get(event_type) if isinstance(event_type, str) else None
         if keys is None:
             raise ContractViolation(f"line {number}: unknown event type {event_type!r}")
-        _check_keys(number, event_type, event, keys)
+        _check_keys(number, event_type, event, keys, TRACE_OPTIONAL.get(event_type))
     return RunTrace(header=header, events=[event for _, event in events])
 
 

@@ -266,6 +266,18 @@ def test_a_non_integer_split_depth_is_an_engine_error(goals_file, tmp_path, comm
     assert "error: policy 'split:x': split depth must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("depth", ["0", "-1"])
+@pytest.mark.parametrize("command", ["run", "collect"])
+def test_a_split_depth_below_one_is_an_engine_error(goals_file, tmp_path, command, depth, capsys):
+    # At depth 0 the splitter proposed the goal itself as its only lemma.
+    argv = [command, str(goals_file), "--goal", "conj", "--policy", f"split:{depth}"]
+    if command == "collect":
+        argv += ["--out", str(tmp_path / "out.jsonl")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"error: policy 'split:{depth}': split depth must be a positive integer" in err
+
+
 def test_a_flag_overrides_an_invalid_value_in_the_file(goals_file, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"search": {"k_parallel": 0}}))
@@ -466,3 +478,29 @@ def test_analyze_refuses_a_trace_whose_event_lacks_a_key(tmp_path, capsys):
     path.write_text(json.dumps(header) + '\n{"type": "run_end"}\n')
     assert main(["analyze", "stats", str(tmp_path)]) == 3
     assert capsys.readouterr().err == f"error: {path}: line 2: run_end lacks key 'outcome'\n"
+
+
+@pytest.mark.parametrize("report", ["reduction", "auroc"])
+def test_analyze_refuses_a_score_without_its_keys(tmp_path, capsys, report):
+    # The score object is optional, but the reports index its keys when it
+    # is there: a partial one is an engine error, not a KeyError.
+    header = {
+        "type": "config", "format_version": 1, "run_id": "p.r0.s0", "problem": "p",
+        "run_index": 0, "seed": 0, "config": {},
+    }
+    attempt = {
+        "seq": 1, "type": "decompose_attempt", "iteration": 1, "target": "p",
+        "target_footprint": 2, "outcome": "accepted_decomposition", "reason": None,
+        "proposal": {}, "score": {"v": 1},
+    }
+    end = {
+        "seq": 2, "type": "run_end", "outcome": "exhausted", "decompose_iterations": 1,
+        "complete_iterations": 0, "lemma_count": 2, "proof_lines": None,
+        "audit_failures": 0, "witness": None, "pool": None,
+    }
+    path = tmp_path / "partial.jsonl"
+    path.write_text("\n".join(json.dumps(line) for line in (header, attempt, end)) + "\n")
+    assert main(["analyze", report, str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 2: decompose_attempt score lacks key 'd_parent'\n"
+    )

@@ -27,6 +27,7 @@ from provekit.evaluator import (
     decide_bounded,
     entailment_check,
     _Compiler,
+    compile_formula,
     eval_formula,
 )
 from provekit.lang import (
@@ -60,6 +61,7 @@ from provekit.lang import (
     print_goal,
     rename_free,
 )
+from provekit.lang.ast import CHILDREN
 from provekit.quickcheck import QcConfig, quickcheck
 
 TINY = Domain(int_lo=-2, int_hi=2, max_list_len=2, elem_lo=-1, elem_hi=1)
@@ -356,6 +358,112 @@ def test_budget_exhaustion_raises():
         with pytest.raises(BudgetExceeded):
             eval_formula(goal.body, {}, TINY, budget)
         assert budget.remaining == -1
+
+
+# --- the step-count contract, against a per-node reference -----------------
+
+
+def _ref_mod(a: int, b: int) -> int:
+    """Derived from the quotient, as in the oracle."""
+    if b == 0:
+        raise EvalError("modulo by zero")
+    q = abs(a) // abs(b)
+    return a - b * (q if (a >= 0) == (b >= 0) else -q)
+
+
+# The value of each node class whose children are all evaluated, from their
+# values in field order.
+_REF_OPS = {
+    Add: lambda a, b: a + b,
+    Sub: lambda a, b: a - b,
+    Mul: lambda a, b: a * b,
+    Mod: _ref_mod,
+    ListLit: lambda *elements: tuple(elements),
+    Cons: lambda head, tail: (head,) + tail,
+    Append: lambda a, b: a + b,
+    Length: len,
+    Count: lambda xs, v: sum(1 for x in xs if x == v),
+    Eq: lambda a, b: a == b,
+    Lt: lambda a, b: a < b,
+    Le: lambda a, b: a <= b,
+    Mem: lambda element, xs: element in xs,
+    Not: lambda value: not value,
+}
+
+
+def _reference(node, env, domain, budget):
+    """A tree walker that ticks once per node visit, in pre-order over
+    ``CHILDREN``, and raises on the visit that takes the budget below zero."""
+    budget.remaining -= 1
+    if budget.remaining < 0:
+        raise BudgetExceeded("reference budget")
+    kind = type(node)
+    if kind is Var:
+        if node.name not in env:
+            raise EvalError("unbound")
+        return env[node.name]
+    if kind is IntLit or kind is TrueF or kind is FalseF:
+        return node.value if kind is IntLit else kind is TrueF
+    if kind in (And, Or, Implies):
+        settled_by, result = {And: (False, False), Or: (True, True), Implies: (False, True)}[kind]
+        if _reference(node.left, env, domain, budget) == settled_by:
+            return result
+        return _reference(node.right, env, domain, budget)
+    if kind is IfThenElse:
+        branch = node.then if _reference(node.cond, env, domain, budget) else node.other
+        return _reference(branch, env, domain, budget)
+    if kind is Forall or kind is Exists:
+        for value in domain.iter_values(node.sort):
+            if _reference(node.body, {**env, node.binder: value}, domain, budget) != (kind is Forall):
+                return kind is not Forall
+        return kind is Forall
+    values = [_reference(child, env, domain, budget) for child in CHILDREN[kind](node)]
+    return _REF_OPS[kind](*values)
+
+
+def _outcome(run, limit):
+    """The value or exception class of ``run(budget)``, with what is left."""
+    budget = Budget(limit)
+    try:
+        result = run(budget)
+    except (BudgetExceeded, EvalError) as exc:
+        result = type(exc)
+    return result, budget.remaining
+
+
+# Pieces that raise part-way through a fixed-size subtree: a zero divisor
+# at the sixth visit, and a variable no binder provides at the fourth.
+_RAISING = (
+    Le(Add(IntLit(1), Mod(Var("x"), IntLit(0))), IntLit(4)),
+    Eq(Mul(IntLit(2), Var("unbound")), Length(ListLit((IntLit(0),)))),
+)
+_SMALL = Domain(int_lo=-1, int_hi=1, max_list_len=1, elem_lo=0, elem_hi=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_budget_matches_a_per_node_reference(data):
+    goal = random_goal(data.draw(st.integers(0, 10**9)), "g", data.draw(st.integers(2, 4)))
+    body = goal.body
+    splice = data.draw(st.sampled_from((None, And, Or, Implies)))
+    if splice is not None:
+        piece = data.draw(st.sampled_from(_RAISING))
+        body = splice(piece, body) if data.draw(st.booleans()) else splice(body, piece)
+    env = {"x": 0}  # the raising pieces read x
+    for name, sort in goal.binders:
+        if sort is Sort.INT:
+            env[name] = data.draw(st.integers(-3, 3))
+        else:
+            env[name] = tuple(data.draw(st.lists(st.integers(-2, 2), max_size=3)))
+    unlimited = Budget(10**9)
+    try:
+        _reference(body, env, _SMALL, unlimited)
+    except EvalError:
+        pass
+    needed = 10**9 - unlimited.remaining
+    for limit in range(needed + 2):
+        got = _outcome(lambda budget: compile_formula(body, _SMALL, budget)(env), limit)
+        assert got == _outcome(lambda budget: _reference(body, env, _SMALL, budget), limit), limit
 
 
 # --- bounded decision -------------------------------------------------------

@@ -710,8 +710,20 @@ def test_a_written_trace_reads_back_as_written():
         (5, lambda e: e.pop("seq"), "line 6: run_end lacks key 'seq'"),
         (5, lambda e: e.update(type="run_stop"), "line 6: unknown event type 'run_stop'"),
         (5, lambda e: e.pop("type"), "line 6: unknown event type None"),
+        (1, lambda e: e.update(score=None), "line 2: decompose_attempt key 'score' must be object, not null"),
+        (1, lambda e: e["score"].pop("S"), "line 2: decompose_attempt score lacks key 'S'"),
+        (1, lambda e: e["score"].update(r="1"), "line 2: decompose_attempt score key 'r' must be number or integer, not string"),
+        (1, lambda e: e["gate"].update(qc_ok=True), "line 2: decompose_attempt gate key 'qc_ok' must be array, not boolean"),
+        (1, lambda e: e.update(witness=[]), "line 2: decompose_attempt key 'witness' must be object, not array"),
+        (1, lambda e: e.update(trial_index=1.0), "line 2: decompose_attempt key 'trial_index' must be integer, not number"),
+        (3, lambda e: e.update(proof_lines="2"), "line 4: complete_attempt key 'proof_lines' must be integer, not string"),
+        (3, lambda e: e.update(error=None), "line 4: complete_attempt key 'error' must be string, not null"),
     ],
-    ids=["header_key", "missing", "wrong_type", "bool_not_int", "int_not_bool", "seq", "unknown", "untyped"],
+    ids=[
+        "header_key", "missing", "wrong_type", "bool_not_int", "int_not_bool", "seq", "unknown", "untyped",
+        "score_null", "score_key", "score_type", "gate_type", "witness_type", "trial_index_type",
+        "proof_lines_type", "error_type",
+    ],
 )
 def test_trace_reader_names_the_line_event_and_key(line, edit, message):
     lines = _trace_lines()
