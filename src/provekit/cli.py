@@ -78,13 +78,11 @@ def _make_policy(spec: str, config: SearchConfig):
         return ConjunctionSplitter()
     if spec.startswith("split:"):
         try:
-            depth = int(spec.split(":", 1)[1])
+            return ConjunctionSplitter(depth=int(spec.split(":", 1)[1]))
         except ValueError:
             raise ContractViolation(f"policy {spec!r}: split depth must be an integer") from None
-        if depth < 1:
-            # At depth 0 the fringe is the goal itself, proposed as its own lemma.
-            raise ContractViolation(f"policy {spec!r}: split depth must be a positive integer")
-        return ConjunctionSplitter(depth=depth)
+        except ContractViolation as exc:
+            raise ContractViolation(f"policy {spec!r}: {exc}") from None
     if spec == "ground":
         return QuantifierGrounder(config.domain)
     return ExternalPolicy(make_transport(spec))

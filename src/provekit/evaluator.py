@@ -20,14 +20,16 @@ Evaluation is compiled: each call of ``decide_bounded``,
 ``entailment_check`` or ``quickcheck`` turns every formula it needs into
 nested closures once, then runs them for every assignment (the technique of
 Feeley & Lapalme, "Using closures for code generation", 1987).  The step
-count is part of the contract: one budget step per node visit, in pre-order
-and left to right, with the same short-circuiting as the formula's logic,
-and the visit that takes the budget below zero raises.  A subtree whose
-visits do not depend on values is a block, charged its fixed visit count
-in one step and evaluated without per-node ticks; when the charge would
-overdraw the budget, or the evaluation raises, the block replays node by
-node, so every value, error and remaining budget is the one-tick-per-visit
-one.  Compiled closures hold their call's budget and are never cached.
+count is part of the contract, and it is the one a tree walker gives: one
+budget step per node visit, in pre-order and left to right, with the same
+short-circuiting as the formula's logic, and the visit that takes the
+budget below zero raises.  The closures do not tick.  The budget is charged
+only where evaluation branches: a block is a subtree's root with every node
+visited whenever it is, and it is charged that fixed count on entry.  When
+the charge would overdraw the budget, or the block raises, it replays from
+the budget it was entered with through a per-node walker, so every value,
+error and remaining budget is the one-tick-per-visit one.  Compiled
+closures hold their call's budget and are never cached.
 """
 
 from __future__ import annotations
@@ -129,44 +131,37 @@ class Budget:
 
 _EXHAUSTED = "evaluation step budget exhausted"
 
-TermFn = Callable[[Env], Value]
 FormulaFn = Callable[[Env], bool]
 
-# A static subtree is compiled to a part, ``(size, how, what)``: its visit
-# count and a variable's name (``_VAR``), a constant (``_CONST``) or an
-# unticked closure (``_FN``).  Any other subtree is compiled to its ticking
-# closure.
+# Every subtree is compiled to a part, ``(size, how, what)``: the number of
+# nodes visited every time the subtree is, and a variable's name (``_VAR``),
+# a constant (``_CONST``) or an unticked closure (``_FN``).
 _VAR, _CONST, _FN = "var", "const", "fn"
-StaticPart = tuple[int, str, object]
-Part = StaticPart | Callable[[Env], Value | bool]
+Part = tuple[int, str, object]
 
 
 class _Compiler:
     """Turns one formula into nested closures over one domain and budget.
 
-    A node class is static when its visits do not depend on values: every
-    class but And, Or, Implies, IfThenElse, Forall and Exists.  A maximal
-    subtree of static nodes is a block, and its visit count ``n`` is fixed
-    at compile time (the sizes are summed in the one bottom-up pass that
-    builds the closures).  A block's closure charges ``n`` in one
-    subtraction and evaluates through unticked closures, which read variable
-    and literal children inline (Proebsting's superoperators, POPL 1995).
-    When ``n`` would overdraw the budget, or the unticked evaluation raises,
-    it gives the ``n`` steps back and replays the block through per-node
-    closures, built on its first replay.  Those, like the closures of the
-    nodes outside blocks, tick once per visit, in pre-order, and the visit
-    that takes ``remaining`` below zero raises.  Evaluation is pure, so a
-    block that completes has made exactly its ``n`` visits, and any other
-    ending is decided node by node: results, errors and ``remaining`` are
-    what one tick per node visit gives.  ``fuse=False`` compiles node by
-    node throughout.  The closures are built per call and never cached:
-    they hold the budget of that call.
+    A block starts at a compiled formula's root, at the right side of And,
+    Or and Implies, at each branch of IfThenElse and at a quantifier's
+    body, and holds every node below it that no further block holds.  Its
+    nodes are visited whenever it is entered, so its size is fixed at
+    compile time: the count of nodes between two branch points (Ball &
+    Larus, TOPLAS 1994), run as one superoperator (Proebsting, POPL 1995).
+    ``block`` charges the size once per entry, a quantifier's body once per
+    value, and runs closures that never tick.  When the charge would
+    overdraw the budget, or the run raises, it restores the budget it was
+    entered with (nested blocks have charged too) and replays through
+    ``walk``, one tick per visit in pre-order.  Evaluation is pure, so a
+    block that completes made exactly the visits charged, and any other
+    ending is decided node by node.  The closures hold the budget of one
+    call and are never cached.
     """
 
-    def __init__(self, domain: Domain, budget: Budget, fuse: bool = True):
+    def __init__(self, domain: Domain, budget: Budget):
         self.domain = domain
         self.budget = budget
-        self.fuse = fuse
         self._carriers: dict[Sort, tuple[Value, ...]] = {}
 
     def compile(self, node: Node) -> Callable[[Env], Value | bool]:
@@ -174,185 +169,59 @@ class _Compiler:
             part = _BUILDERS[type(node)](self, node)
         except KeyError as missing:  # a node class with no builder, here or below
             raise EvalError(f"unknown syntax node {missing.args[0].__name__}") from None
-        return part if type(part) is not tuple else self.closure(node, part)
+        return self.block(node, part)
 
-    def closure(self, node: Node, part: Part) -> Callable[[Env], Value | bool]:
-        """The ticking closure of a compiled part: a static leaf ticks once,
-        a larger static subtree is charged as a block."""
-        if type(part) is not tuple:
-            return part
-        size, how, what = part
-        if size == 1:
-            if how is _VAR:
-                return _tick_var(self.budget, what)
-            return _tick_constant(self.budget, what)
-        budget, domain = self.budget, self.domain
-        fast = what if how is _FN else _as_fn(part)
-        replay = None
+    def block(self, node: Node, part: Part) -> Callable[[Env], Value | bool]:
+        """The closure that charges ``node``'s block on entry and runs it."""
+        budget, walk, size, fast = self.budget, self.walk, part[0], _as_fn(part)
 
         def run(env: Env) -> Value | bool:
-            nonlocal replay
-            remaining = budget.remaining - size
-            if remaining >= 0:
-                budget.remaining = remaining
+            entry = budget.remaining
+            if entry >= size:
+                budget.remaining = entry - size
                 try:
                     return fast(env)
-                except Exception:  # the replay raises it again, at its node
-                    budget.remaining = remaining + size
-            if replay is None:
-                replay = _Compiler(domain, budget, fuse=False).compile(node)
-            return replay(env)
+                except Exception:  # the walk raises it again, at its node
+                    budget.remaining = entry
+            return walk(node, env)
 
         return run
+
+    def walk(self, node: Node, env: Env) -> Value | bool:
+        """Evaluate ``node`` with one tick per visit: a block's replay."""
+        budget = self.budget
+        budget.remaining -= 1
+        if budget.remaining < 0:
+            raise BudgetExceeded(_EXHAUSTED)
+        kind = type(node)
+        if kind is Var:
+            try:
+                return env[node.name]
+            except KeyError:
+                raise EvalError(f"unbound variable {node.name!r}") from None
+        if kind in _CONSTANTS:
+            return _CONSTANTS[kind](node)
+        if kind in _SETTLED:
+            settled_by, result = _SETTLED[kind]
+            if self.walk(node.left, env) == settled_by:
+                return result
+            return self.walk(node.right, env)
+        if kind is IfThenElse:
+            return self.walk(node.then if self.walk(node.cond, env) else node.other, env)
+        if kind is Forall or kind is Exists:
+            want_all, inner = kind is Forall, dict(env)
+            for value in self.carrier(node.sort):
+                inner[node.binder] = value
+                if self.walk(node.body, inner) != want_all:
+                    return not want_all
+            return want_all
+        return _OPS[kind](*[self.walk(child, env) for child in CHILDREN[kind](node)])
 
     def carrier(self, sort: Sort) -> tuple[Value, ...]:
         values = self._carriers.get(sort)
         if values is None:
             values = self._carriers[sort] = tuple(self.domain.iter_values(sort))
         return values
-
-
-def _tick_constant(budget: Budget, value: Value | bool) -> Callable[[Env], Value | bool]:
-    def run(env: Env) -> Value | bool:
-        budget.remaining -= 1
-        if budget.remaining < 0:
-            raise BudgetExceeded(_EXHAUSTED)
-        return value
-
-    return run
-
-
-def _tick_var(budget: Budget, name: str) -> TermFn:
-    def run(env: Env) -> Value:
-        budget.remaining -= 1
-        if budget.remaining < 0:
-            raise BudgetExceeded(_EXHAUSTED)
-        try:
-            return env[name]
-        except KeyError:
-            raise EvalError(f"unbound variable {name!r}") from None
-
-    return run
-
-
-def _tick_unary(budget: Budget, op: Callable, child: Callable) -> Callable[[Env], Value | bool]:
-    def run(env: Env) -> Value | bool:
-        budget.remaining -= 1
-        if budget.remaining < 0:
-            raise BudgetExceeded(_EXHAUSTED)
-        return op(child(env))
-
-    return run
-
-
-def _tick_binary(
-    budget: Budget, op: Callable, left: Callable, right: Callable
-) -> Callable[[Env], Value | bool]:
-    def run(env: Env) -> Value | bool:
-        budget.remaining -= 1
-        if budget.remaining < 0:
-            raise BudgetExceeded(_EXHAUSTED)
-        return op(left(env), right(env))
-
-    return run
-
-
-def _as_fn(part: StaticPart) -> Callable[[Env], Value | bool]:
-    _, how, what = part
-    if how is _VAR:
-        return operator.itemgetter(what)
-    if how is _CONST:
-        return lambda env: what
-    return what
-
-
-def _var(c: _Compiler, term: Var) -> Part:
-    return (1, _VAR, term.name)
-
-
-def _constant(value_of: Callable[[Node], Value | bool]):
-    """Builder for a leaf whose value is fixed at compile time."""
-    return lambda c, node: (1, _CONST, value_of(node))
-
-
-def _unary(op: Callable):
-    """Builder for a static node class whose one child's value ``op`` maps."""
-
-    def build(c: _Compiler, node: Node) -> Part:
-        (child,) = CHILDREN[type(node)](node)
-        part = _BUILDERS[type(child)](c, child)
-        if c.fuse and type(part) is tuple:
-            size, how, a = part
-            if how is _VAR:
-                return (size + 1, _FN, lambda env: op(env[a]))
-            if how is _CONST:
-                return (size + 1, _FN, lambda env: op(a))
-            return (size + 1, _FN, lambda env: op(a(env)))
-        return _tick_unary(c.budget, op, c.closure(child, part))
-
-    return build
-
-
-def _binary(op: Callable):
-    """Builder for a static node class whose two child terms are evaluated
-    in field order, then combined by ``op``.  Inside a block, a variable or
-    constant child is read inline; a missing variable raises ``KeyError``,
-    which sends the block to its replay."""
-
-    def build(c: _Compiler, node: Node) -> Part:
-        left, right = CHILDREN[type(node)](node)
-        lpart = _BUILDERS[type(left)](c, left)
-        rpart = _BUILDERS[type(right)](c, right)
-        if c.fuse and type(lpart) is tuple and type(rpart) is tuple:
-            lsize, lhow, a = lpart
-            rsize, rhow, b = rpart
-            size = 1 + lsize + rsize
-            if lhow is _VAR:
-                if rhow is _VAR:
-                    return (size, _FN, lambda env: op(env[a], env[b]))
-                if rhow is _CONST:
-                    return (size, _FN, lambda env: op(env[a], b))
-                return (size, _FN, lambda env: op(env[a], b(env)))
-            if lhow is _CONST:
-                if rhow is _VAR:
-                    return (size, _FN, lambda env: op(a, env[b]))
-                if rhow is _CONST:
-                    return (size, _FN, lambda env: op(a, b))
-                return (size, _FN, lambda env: op(a, b(env)))
-            if rhow is _VAR:
-                return (size, _FN, lambda env: op(a(env), env[b]))
-            if rhow is _CONST:
-                return (size, _FN, lambda env: op(a(env), b))
-            return (size, _FN, lambda env: op(a(env), b(env)))
-        return _tick_binary(c.budget, op, c.closure(left, lpart), c.closure(right, rpart))
-
-    return build
-
-
-def _list_lit(c: _Compiler, term: ListLit) -> Part:
-    parts = [_BUILDERS[type(element)](c, element) for element in term.elements]
-    if c.fuse:
-        size, literal = 1, True
-        for part in parts:
-            if type(part) is not tuple:
-                break
-            size += part[0]
-            literal = literal and part[1] is _CONST
-        else:
-            if literal:  # a list of constants is a constant
-                return (size, _CONST, tuple([part[2] for part in parts]))
-            fns = [_as_fn(part) for part in parts]
-            return (size, _FN, lambda env: tuple([fn(env) for fn in fns]))
-    budget = c.budget
-    elements = [c.closure(element, part) for element, part in zip(term.elements, parts)]
-
-    def run(env: Env) -> Value:
-        budget.remaining -= 1
-        if budget.remaining < 0:
-            raise BudgetExceeded(_EXHAUSTED)
-        return tuple([element(env) for element in elements])
-
-    return run
 
 
 def _trunc_mod(a: int, b: int) -> int:
@@ -362,55 +231,140 @@ def _trunc_mod(a: int, b: int) -> int:
     return r if a >= 0 else -r
 
 
-def _member(element: int, lst: tuple[int, ...]) -> bool:
-    return element in lst
+# The value of each leaf with no variable, from the node.
+_CONSTANTS = {
+    IntLit: operator.attrgetter("value"),
+    TrueF: lambda node: True,
+    FalseF: lambda node: False,
+}
+
+# The value of each other node class whose children are all evaluated, from
+# their values in CHILDREN order.
+_OPS: dict[type, Callable] = {
+    Add: operator.add,
+    Sub: operator.sub,
+    Mul: operator.mul,
+    Mod: _trunc_mod,
+    ListLit: lambda *elements: elements,
+    Cons: lambda head, tail: (head, *tail),
+    Append: operator.add,
+    Length: len,
+    Count: tuple.count,
+    Eq: operator.eq,
+    Lt: operator.lt,
+    Le: operator.le,
+    Mem: lambda element, lst: element in lst,
+    Not: operator.not_,
+}
+
+# For And, Or and Implies: when the left side evaluates to ``settled_by``
+# the node yields ``result`` without visiting the right.
+_SETTLED = {And: (False, False), Or: (True, True), Implies: (False, True)}
 
 
-def _cons(head: int, tail: tuple[int, ...]) -> tuple[int, ...]:
-    return (head, *tail)
+def _as_fn(part: Part) -> Callable[[Env], Value | bool]:
+    _, how, what = part
+    if how is _VAR:
+        return operator.itemgetter(what)
+    if how is _CONST:
+        return lambda env: what
+    return what
 
 
-def _if_then_else(c: _Compiler, term: IfThenElse) -> TermFn:
-    budget, cond = c.budget, c.compile(term.cond)
-    then, other = c.compile(term.then), c.compile(term.other)
-
-    def run(env: Env) -> Value:
-        budget.remaining -= 1
-        if budget.remaining < 0:
-            raise BudgetExceeded(_EXHAUSTED)
-        return then(env) if cond(env) else other(env)
-
-    return run
+def _constant(value_of: Callable[[Node], Value | bool]):
+    """Builder for a leaf whose value is fixed at compile time."""
+    return lambda c, node: (1, _CONST, value_of(node))
 
 
-def _connective(settled_by: bool, result: bool):
-    """Builder for And, Or and Implies: when the left side evaluates to
-    ``settled_by`` the node yields ``result`` without visiting the right."""
+def _unary(op: Callable):
+    """Builder for a node class whose one child's value ``op`` maps."""
 
-    def build(c: _Compiler, formula: And | Or | Implies) -> FormulaFn:
-        budget, left, right = c.budget, c.compile(formula.left), c.compile(formula.right)
-
-        def run(env: Env) -> bool:
-            budget.remaining -= 1
-            if budget.remaining < 0:
-                raise BudgetExceeded(_EXHAUSTED)
-            if left(env) == settled_by:
-                return result
-            return right(env)
-
-        return run
+    def build(c: _Compiler, node: Node) -> Part:
+        (child,) = CHILDREN[type(node)](node)
+        size, how, a = _BUILDERS[type(child)](c, child)
+        if how is _VAR:
+            return (size + 1, _FN, lambda env: op(env[a]))
+        if how is _CONST:
+            return (size + 1, _FN, lambda env: op(a))
+        return (size + 1, _FN, lambda env: op(a(env)))
 
     return build
 
 
-def _quantifier(c: _Compiler, formula: Forall | Exists) -> FormulaFn:
-    budget, binder, body = c.budget, formula.binder, c.compile(formula.body)
+def _binary(op: Callable):
+    """Builder for a node class whose two children are evaluated in field
+    order, then combined by ``op``.  A variable or constant child is read
+    inline; a missing variable raises ``KeyError``, which sends the block
+    to its replay."""
+
+    def build(c: _Compiler, node: Node) -> Part:
+        left, right = CHILDREN[type(node)](node)
+        lsize, lhow, a = _BUILDERS[type(left)](c, left)
+        rsize, rhow, b = _BUILDERS[type(right)](c, right)
+        size = 1 + lsize + rsize
+        if lhow is _VAR:
+            if rhow is _VAR:
+                return (size, _FN, lambda env: op(env[a], env[b]))
+            if rhow is _CONST:
+                return (size, _FN, lambda env: op(env[a], b))
+            return (size, _FN, lambda env: op(env[a], b(env)))
+        if lhow is _CONST:
+            if rhow is _VAR:
+                return (size, _FN, lambda env: op(a, env[b]))
+            if rhow is _CONST:
+                return (size, _FN, lambda env: op(a, b))
+            return (size, _FN, lambda env: op(a, b(env)))
+        if rhow is _VAR:
+            return (size, _FN, lambda env: op(a(env), env[b]))
+        if rhow is _CONST:
+            return (size, _FN, lambda env: op(a(env), b))
+        return (size, _FN, lambda env: op(a(env), b(env)))
+
+    return build
+
+
+def _list_lit(c: _Compiler, term: ListLit) -> Part:
+    parts = [_BUILDERS[type(element)](c, element) for element in term.elements]
+    size, literal = 1, True
+    for part in parts:
+        size += part[0]
+        literal = literal and part[1] is _CONST
+    if literal:  # a list of constants is a constant
+        return (size, _CONST, tuple([part[2] for part in parts]))
+    fns = [_as_fn(part) for part in parts]
+    return (size, _FN, lambda env: tuple([fn(env) for fn in fns]))
+
+
+def _if_then_else(c: _Compiler, term: IfThenElse) -> Part:
+    size, _, _ = part = _BUILDERS[type(term.cond)](c, term.cond)
+    cond, then, other = _as_fn(part), c.compile(term.then), c.compile(term.other)
+    return (size + 1, _FN, lambda env: then(env) if cond(env) else other(env))
+
+
+def _connective(settled_by: bool, result: bool):
+    """Builder for And, Or and Implies: when the left side evaluates to
+    ``settled_by`` the node yields ``result`` without visiting the right,
+    whose block is charged only when it is entered."""
+
+    def build(c: _Compiler, formula: And | Or | Implies) -> Part:
+        size, _, _ = part = _BUILDERS[type(formula.left)](c, formula.left)
+        left, right = _as_fn(part), c.compile(formula.right)
+
+        def run(env: Env) -> bool:
+            if left(env) == settled_by:
+                return result
+            return right(env)
+
+        return (size + 1, _FN, run)
+
+    return build
+
+
+def _quantifier(c: _Compiler, formula: Forall | Exists) -> Part:
+    binder, body = formula.binder, c.compile(formula.body)
     values, want_all = c.carrier(formula.sort), type(formula) is Forall
 
     def run(env: Env) -> bool:
-        budget.remaining -= 1
-        if budget.remaining < 0:
-            raise BudgetExceeded(_EXHAUSTED)
         inner = dict(env)  # the caller's env never sees the binder
         for value in values:
             inner[binder] = value
@@ -418,32 +372,20 @@ def _quantifier(c: _Compiler, formula: Forall | Exists) -> FormulaFn:
                 return not want_all
         return want_all
 
-    return run
+    return (1, _FN, run)
 
 
+# Every table above is read by the walker too, so a replay computes what
+# the blocks do.
 _BUILDERS: dict[type, Callable[[_Compiler, Node], Part]] = {
-    IntLit: _constant(operator.attrgetter("value")),
-    Var: _var,
-    Add: _binary(operator.add),
-    Sub: _binary(operator.sub),
-    Mul: _binary(operator.mul),
-    Mod: _binary(_trunc_mod),
+    **{kind: _constant(value_of) for kind, value_of in _CONSTANTS.items()},
+    Var: lambda c, term: (1, _VAR, term.name),
+    **{kind: _unary(_OPS[kind]) for kind in (Length, Not)},
+    **{kind: _binary(_OPS[kind])
+       for kind in (Add, Sub, Mul, Mod, Cons, Append, Count, Eq, Lt, Le, Mem)},
     ListLit: _list_lit,
-    Cons: _binary(_cons),
-    Append: _binary(operator.add),
-    Length: _unary(len),
-    Count: _binary(tuple.count),
     IfThenElse: _if_then_else,
-    TrueF: _constant(lambda node: True),
-    FalseF: _constant(lambda node: False),
-    Eq: _binary(operator.eq),
-    Lt: _binary(operator.lt),
-    Le: _binary(operator.le),
-    Mem: _binary(_member),
-    Not: _unary(operator.not_),
-    And: _connective(False, False),
-    Or: _connective(True, True),
-    Implies: _connective(False, True),
+    **{kind: _connective(*settled) for kind, settled in _SETTLED.items()},
     Forall: _quantifier,
     Exists: _quantifier,
 }

@@ -12,7 +12,7 @@ import functools
 import random
 from dataclasses import replace
 
-from ..errors import BudgetExceeded
+from ..errors import BudgetExceeded, ContractViolation
 from ..evaluator import DecisionVerdict, Domain, decide_bounded, entailment_check
 from ..lang.ast import (
     And,
@@ -223,9 +223,12 @@ class ConjunctionSplitter(_BuiltinPolicy):
     """Split a conjunction into its conjuncts, recursing to a depth limit.
 
     Each lemma keeps only the parent binders its body mentions.  Non-
-    conjunctions fall through to a direct discharge."""
+    conjunctions fall through to a direct discharge.  The depth is at least
+    1: at depth 0 the fringe is the goal itself, proposed as its own lemma."""
 
     def __init__(self, depth: int = 1):
+        if depth < 1:
+            raise ContractViolation("split depth must be a positive integer")
         self.depth = depth
 
     def propose_decomposition(self, context: PolicyContext) -> DecompositionProposal:

@@ -11,7 +11,7 @@ import collections
 import hashlib
 import random
 import re
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings
@@ -437,18 +437,45 @@ _RAISING = (
     Le(Add(IntLit(1), Mod(Var("x"), IntLit(0))), IntLit(4)),
     Eq(Mul(IntLit(2), Var("unbound")), Length(ListLit((IntLit(0),)))),
 )
+# Inside a quantifier over v, this one raises only at v = 0, the second of
+# the three values, after the body has run once.
+_RAISING_AT_ZERO = Lt(Mod(IntLit(1), Var("v")), IntLit(1))
+# Term pieces, for a conditional's branches.
+_RAISING_TERMS = (Mod(Var("x"), IntLit(0)), Var("unbound"))
 _SMALL = Domain(int_lo=-1, int_hi=1, max_list_len=1, elem_lo=0, elem_hi=1)
+
+
+def _spliced(data, body, pieces=_RAISING):
+    """``body`` and a raising piece under a connective, the piece on either
+    side: on the right it starts a block of its own."""
+    splice = data.draw(st.sampled_from((And, Or, Implies)))
+    piece = data.draw(st.sampled_from(pieces))
+    return splice(piece, body) if data.draw(st.booleans()) else splice(body, piece)
+
+
+def _with_raising_piece(data, body):
+    """``body`` with a raising piece at a drawn block boundary, or as is."""
+    place = data.draw(st.sampled_from((None, "connective", "quantifier", "branch", "not")))
+    if place == "connective":
+        return _spliced(data, body)
+    if place == "quantifier":  # a body block is charged once per value
+        quantifier = data.draw(st.sampled_from((Forall, Exists)))
+        return quantifier("v", Sort.INT, _spliced(data, body, _RAISING + (_RAISING_AT_ZERO,)))
+    if place == "branch":  # each branch is a block, under the comparison's
+        term = data.draw(st.sampled_from(_RAISING_TERMS))
+        if data.draw(st.booleans()):
+            return Le(IfThenElse(body, term, IntLit(0)), IntLit(1))
+        return Le(IfThenElse(body, IntLit(0), term), IntLit(1))
+    if place == "not":  # the connective's left side shares Not's block
+        return Not(_spliced(data, body))
+    return body
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_every_budget_matches_a_per_node_reference(data):
     goal = random_goal(data.draw(st.integers(0, 10**9)), "g", data.draw(st.integers(2, 4)))
-    body = goal.body
-    splice = data.draw(st.sampled_from((None, And, Or, Implies)))
-    if splice is not None:
-        piece = data.draw(st.sampled_from(_RAISING))
-        body = splice(piece, body) if data.draw(st.booleans()) else splice(body, piece)
+    body = _with_raising_piece(data, goal.body)
     env = {"x": 0}  # the raising pieces read x
     for name, sort in goal.binders:
         if sort is Sort.INT:
@@ -464,6 +491,23 @@ def test_every_budget_matches_a_per_node_reference(data):
     for limit in range(needed + 2):
         got = _outcome(lambda budget: compile_formula(body, _SMALL, budget)(env), limit)
         assert got == _outcome(lambda budget: _reference(body, env, _SMALL, budget), limit), limit
+
+
+# Not a Formula subclass, so the node-table census in test_lang stays exact:
+# the compiler dispatches on the class alone.
+@dataclass(frozen=True)
+class _Unregistered:
+    """A node class the evaluator has no builder for."""
+
+
+@pytest.mark.parametrize(
+    "place",
+    [lambda f: f, lambda f: And(TrueF(), f), lambda f: Forall("q", Sort.INT, f)],
+    ids=["root", "right-of-connective", "quantifier-body"],
+)
+def test_an_unregistered_node_class_is_an_eval_error(place):
+    with pytest.raises(EvalError, match="unknown syntax node _Unregistered"):
+        compile_formula(place(_Unregistered()), TINY, Budget(100))
 
 
 # --- bounded decision -------------------------------------------------------

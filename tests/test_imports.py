@@ -11,6 +11,11 @@ Outside the prover package and the verification pool, only the search
 module asks a policy for a proposal, calls a checker or audits axioms, so
 search and training share one gate and one completion loop.
 
+The evaluator's node budget is stored to in one charge site: on entering
+a block and in the walk that replays one.  Apart from the budget's own
+constructor, only quickcheck's per-trial reset also stores to it, so no
+speed-up can quietly bring back a tick per node.
+
 No module of the package names ``RecursionError``: every walk is bounded by
 the language's explicit depth cap, never by the interpreter's limit.
 
@@ -33,6 +38,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -129,6 +135,67 @@ def test_only_search_calls_the_policy_the_checker_and_the_audit():
         if gated_calls(path.read_text()):
             callers.add(name)
     assert callers == {"search.py"}
+
+
+def _scopes(tree: ast.Module) -> Iterator[tuple[str, ast.AST]]:
+    """Each top-level function and each method of a top-level class, by
+    qualified name; any other statement is in ``<module>`` or its class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+                else:
+                    yield node.name, item
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        else:
+            yield "<module>", node
+
+
+def remaining_stores(source: str) -> list[str]:
+    """The scopes of ``source`` that assign or augment-assign an attribute
+    named ``remaining``.  A nested function's stores count as its enclosing
+    function's."""
+    return sorted({
+        scope
+        for scope, node in _scopes(ast.parse(source))
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and sub.attr == "remaining"
+        and isinstance(sub.ctx, ast.Store)
+    })
+
+
+def test_remaining_stores_are_found():
+    source = (
+        "class Budget:\n"
+        "    def __init__(self, limit):\n"
+        "        self.remaining = limit\n"
+        "    def peek(self):\n"
+        "        return self.remaining\n"
+        "def charge(budget):\n"
+        "    def run():\n"
+        "        budget.remaining -= 1\n"
+        "    return run\n"
+        "def reset(budget, other):\n"
+        "    other.spent, budget.remaining = 0, 0\n"
+        "def swap(a, b):\n"
+        "    a.remaining_steps = b.remaining\n"
+        "budget.remaining: int = 5\n"
+    )
+    assert remaining_stores(source) == ["<module>", "Budget.__init__", "charge", "reset"]
+
+
+# The scopes that may store to a budget's ``remaining``, by module.
+REMAINING_STORES = {
+    "evaluator.py": ["Budget.__init__", "_Compiler.block", "_Compiler.walk"],
+    "quickcheck.py": ["quickcheck"],
+}
+
+
+def test_the_budget_is_charged_at_one_site():
+    stores = {_scan_id(path): remaining_stores(path.read_text()) for path in PACKAGE.rglob("*.py")}
+    assert {name: found for name, found in stores.items() if found} == REMAINING_STORES
 
 
 def names(source: str, name: str) -> bool:

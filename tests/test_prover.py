@@ -353,6 +353,19 @@ def test_splitter_depth_controls_fringe_flattening():
     assert deep.reconstruction == RECON_AND_INTRO
 
 
+# At depth 0 the fringe was the goal itself, proposed as its own only lemma.
+@pytest.mark.parametrize(
+    "make",
+    [lambda depth: ConjunctionSplitter(depth=depth),
+     lambda depth: StochasticPolicy(0, DOMAIN, split_depth=depth)],
+    ids=["splitter", "stochastic"],
+)
+@pytest.mark.parametrize("depth", [0, -1])
+def test_a_split_depth_below_one_is_refused(make, depth):
+    with pytest.raises(ContractViolation, match="split depth must be a positive integer"):
+        make(depth)
+
+
 def test_splitter_restricts_binders_and_names_children():
     goal = parse_goal("goal g (x: Int) (y: Int) := x = x /\\ y = y")
     proposal = ConjunctionSplitter().propose_decomposition(_ctx(goal, depth=2))
