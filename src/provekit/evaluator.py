@@ -23,13 +23,11 @@ Feeley & Lapalme, "Using closures for code generation", 1987).  The step
 count is part of the contract, and it is the one a tree walker gives: one
 budget step per node visit, in pre-order and left to right, with the same
 short-circuiting as the formula's logic, and the visit that takes the
-budget below zero raises.  The closures do not tick.  The budget is charged
-only where evaluation branches: a block is a subtree's root with every node
-visited whenever it is, and it is charged that fixed count on entry.  When
-the charge would overdraw the budget, or the block raises, it replays from
-the budget it was entered with through a per-node walker, so every value,
-error and remaining budget is the one-tick-per-visit one.  Compiled
-closures hold their call's budget and are never cached.
+budget below zero raises.  The closures do not tick: the budget is charged
+a fixed count where evaluation branches, on entry to a block.  When an
+evaluation would overdraw it, or raises, the formula's root replays once
+through a per-node walker from the budget it was entered with, so every
+value, error and remaining budget is the one-tick-per-visit one.
 """
 
 from __future__ import annotations
@@ -146,17 +144,14 @@ class _Compiler:
     A block starts at a compiled formula's root, at the right side of And,
     Or and Implies, at each branch of IfThenElse and at a quantifier's
     body, and holds every node below it that no further block holds.  Its
-    nodes are visited whenever it is entered, so its size is fixed at
-    compile time: the count of nodes between two branch points (Ball &
-    Larus, TOPLAS 1994), run as one superoperator (Proebsting, POPL 1995).
-    ``block`` charges the size once per entry, a quantifier's body once per
-    value, and runs closures that never tick.  When the charge would
-    overdraw the budget, or the run raises, it restores the budget it was
-    entered with (nested blocks have charged too) and replays through
-    ``walk``, one tick per visit in pre-order.  Evaluation is pure, so a
-    block that completes made exactly the visits charged, and any other
-    ending is decided node by node.  The closures hold the budget of one
-    call and are never cached.
+    size, the nodes visited whenever it is entered, is fixed at compile
+    time: the count between two branch points (Ball & Larus, TOPLAS 1994),
+    run as one superoperator (Proebsting, POPL 1995).  Every block is
+    charged on each entry, a quantifier's body once per value; only the
+    root replays.  Nothing outside the root is prepaid and evaluation is
+    pure, so a completed run made exactly the visits charged, and the
+    root's ``walk`` decides any other ending node by node.  The closures
+    hold the budget of one call and are never cached.
     """
 
     def __init__(self, domain: Domain, budget: Budget):
@@ -165,14 +160,12 @@ class _Compiler:
         self._carriers: dict[Sort, tuple[Value, ...]] = {}
 
     def compile(self, node: Node) -> Callable[[Env], Value | bool]:
+        """The closure of ``node`` as a root block: charged like any block,
+        and on an overdraw or a raise it restores its entry budget and walks."""
         try:
             part = _BUILDERS[type(node)](self, node)
         except KeyError as missing:  # a node class with no builder, here or below
             raise EvalError(f"unknown syntax node {missing.args[0].__name__}") from None
-        return self.block(node, part)
-
-    def block(self, node: Node, part: Part) -> Callable[[Env], Value | bool]:
-        """The closure that charges ``node``'s block on entry and runs it."""
         budget, walk, size, fast = self.budget, self.walk, part[0], _as_fn(part)
 
         def run(env: Env) -> Value | bool:
@@ -187,8 +180,23 @@ class _Compiler:
 
         return run
 
+    def block(self, node: Node) -> Callable[[Env], Value | bool]:
+        """The closure of a nested block: charged on entry, then run.  An
+        overdraw raises to the root block, which replays."""
+        part = _BUILDERS[type(node)](self, node)
+        budget, size, fast = self.budget, part[0], _as_fn(part)
+
+        def run(env: Env) -> Value | bool:
+            remaining = budget.remaining - size
+            if remaining < 0:
+                raise BudgetExceeded(_EXHAUSTED)
+            budget.remaining = remaining
+            return fast(env)
+
+        return run
+
     def walk(self, node: Node, env: Env) -> Value | bool:
-        """Evaluate ``node`` with one tick per visit: a block's replay."""
+        """Evaluate ``node`` with one tick per visit: the root's replay."""
         budget = self.budget
         budget.remaining -= 1
         if budget.remaining < 0:
@@ -199,6 +207,9 @@ class _Compiler:
                 return env[node.name]
             except KeyError:
                 raise EvalError(f"unbound variable {node.name!r}") from None
+        op = _OPS.get(kind)
+        if op is not None:
+            return op(*[self.walk(child, env) for child in CHILDREN[kind](node)])
         if kind in _CONSTANTS:
             return _CONSTANTS[kind](node)
         if kind in _SETTLED:
@@ -208,14 +219,12 @@ class _Compiler:
             return self.walk(node.right, env)
         if kind is IfThenElse:
             return self.walk(node.then if self.walk(node.cond, env) else node.other, env)
-        if kind is Forall or kind is Exists:
-            want_all, inner = kind is Forall, dict(env)
-            for value in self.carrier(node.sort):
-                inner[node.binder] = value
-                if self.walk(node.body, inner) != want_all:
-                    return not want_all
-            return want_all
-        return _OPS[kind](*[self.walk(child, env) for child in CHILDREN[kind](node)])
+        want_all, inner = kind is Forall, dict(env)  # Forall or Exists
+        for value in self.carrier(node.sort):
+            inner[node.binder] = value
+            if self.walk(node.body, inner) != want_all:
+                return not want_all
+        return want_all
 
     def carrier(self, sort: Sort) -> tuple[Value, ...]:
         values = self._carriers.get(sort)
@@ -271,11 +280,6 @@ def _as_fn(part: Part) -> Callable[[Env], Value | bool]:
     return what
 
 
-def _constant(value_of: Callable[[Node], Value | bool]):
-    """Builder for a leaf whose value is fixed at compile time."""
-    return lambda c, node: (1, _CONST, value_of(node))
-
-
 def _unary(op: Callable):
     """Builder for a node class whose one child's value ``op`` maps."""
 
@@ -294,7 +298,7 @@ def _unary(op: Callable):
 def _binary(op: Callable):
     """Builder for a node class whose two children are evaluated in field
     order, then combined by ``op``.  A variable or constant child is read
-    inline; a missing variable raises ``KeyError``, which sends the block
+    inline; a missing variable raises ``KeyError``, which sends the root
     to its replay."""
 
     def build(c: _Compiler, node: Node) -> Part:
@@ -337,7 +341,7 @@ def _list_lit(c: _Compiler, term: ListLit) -> Part:
 
 def _if_then_else(c: _Compiler, term: IfThenElse) -> Part:
     size, _, _ = part = _BUILDERS[type(term.cond)](c, term.cond)
-    cond, then, other = _as_fn(part), c.compile(term.then), c.compile(term.other)
+    cond, then, other = _as_fn(part), c.block(term.then), c.block(term.other)
     return (size + 1, _FN, lambda env: then(env) if cond(env) else other(env))
 
 
@@ -348,7 +352,7 @@ def _connective(settled_by: bool, result: bool):
 
     def build(c: _Compiler, formula: And | Or | Implies) -> Part:
         size, _, _ = part = _BUILDERS[type(formula.left)](c, formula.left)
-        left, right = _as_fn(part), c.compile(formula.right)
+        left, right = _as_fn(part), c.block(formula.right)
 
         def run(env: Env) -> bool:
             if left(env) == settled_by:
@@ -361,7 +365,7 @@ def _connective(settled_by: bool, result: bool):
 
 
 def _quantifier(c: _Compiler, formula: Forall | Exists) -> Part:
-    binder, body = formula.binder, c.compile(formula.body)
+    binder, body = formula.binder, c.block(formula.body)
     values, want_all = c.carrier(formula.sort), type(formula) is Forall
 
     def run(env: Env) -> bool:
@@ -378,7 +382,7 @@ def _quantifier(c: _Compiler, formula: Forall | Exists) -> Part:
 # Every table above is read by the walker too, so a replay computes what
 # the blocks do.
 _BUILDERS: dict[type, Callable[[_Compiler, Node], Part]] = {
-    **{kind: _constant(value_of) for kind, value_of in _CONSTANTS.items()},
+    **dict.fromkeys(_CONSTANTS, lambda c, leaf: (1, _CONST, _CONSTANTS[type(leaf)](leaf))),
     Var: lambda c, term: (1, _VAR, term.name),
     **{kind: _unary(_OPS[kind]) for kind in (Length, Not)},
     **{kind: _binary(_OPS[kind])

@@ -510,6 +510,62 @@ def test_an_unregistered_node_class_is_an_eval_error(place):
         compile_formula(place(_Unregistered()), TINY, Budget(100))
 
 
+def _count_walks(monkeypatch):
+    """A list that gains one entry per replay: a walk entered from outside
+    the walker."""
+    walk, depth, starts = _Compiler.walk, [0], []
+
+    def counting(self, node, env):
+        if not depth[0]:
+            starts.append(node)
+        depth[0] += 1
+        try:
+            return walk(self, node, env)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(_Compiler, "walk", counting)
+    return starts
+
+
+# Each right side and each quantifier body is a block inside its parent's.
+_DEEP = (
+    "(forall a: Int, a = a) /\\ (forall a: Int, a + 0 = a) /\\ (forall m: IntList, "
+    "forall n: IntList, forall k: IntList, len(m ++ n ++ k) = len(k ++ n ++ m))"
+)
+_DEEP_ERROR = "x = x /\\ x = x /\\ (forall b: Int, b = b /\\ (forall c: Int, x % 0 = c))"
+
+
+@pytest.mark.parametrize(
+    "text, node_budget, status",
+    [
+        (f"goal deep := {_DEEP}", 25_000, DecisionVerdict.RESOURCE_EXCEEDED),
+        (f"goal deep (x: Int) := {_DEEP_ERROR}", 1_000_000, DecisionVerdict.COUNTEREXAMPLE),
+    ],
+    ids=["exhausted", "erroring"],
+)
+def test_a_failed_evaluation_walks_once_from_its_root(monkeypatch, text, node_budget, status):
+    starts = _count_walks(monkeypatch)
+    goal = parse_goal(text)
+    assert decide_bounded(goal, Domain(node_budget=node_budget)).status == status
+    assert starts == [goal.body]
+
+
+def test_an_exhausted_entailment_walks_once_from_its_root(monkeypatch):
+    starts = _count_walks(monkeypatch)
+    goal = parse_goal(f"goal deep := {_DEEP}")
+    with pytest.raises(BudgetExceeded):
+        entailment_check([], goal, Domain(node_budget=25_000))
+    assert starts == [goal.body]
+
+
+def test_a_completed_evaluation_never_walks(monkeypatch):
+    starts = _count_walks(monkeypatch)
+    goal = parse_goal(f"goal deep := {_DEEP}")
+    assert decide_bounded(goal, Domain(max_list_len=1)).status == DecisionVerdict.VALID
+    assert starts == []
+
+
 # --- bounded decision -------------------------------------------------------
 
 

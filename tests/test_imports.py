@@ -11,10 +11,11 @@ Outside the prover package and the verification pool, only the search
 module asks a policy for a proposal, calls a checker or audits axioms, so
 search and training share one gate and one completion loop.
 
-The evaluator's node budget is stored to in one charge site: on entering
-a block and in the walk that replays one.  Apart from the budget's own
-constructor, only quickcheck's per-trial reset also stores to it, so no
-speed-up can quietly bring back a tick per node.
+The evaluator's node budget is stored to only by the compiler: on
+entering a block, in the root block's restore and in the walk that replays
+a root.  Apart from the budget's own constructor, only quickcheck's
+per-trial reset also stores to it, so no speed-up can quietly bring back a
+tick per node.
 
 No module of the package names ``RecursionError``: every walk is bounded by
 the language's explicit depth cap, never by the interpreter's limit.
@@ -188,7 +189,7 @@ def test_remaining_stores_are_found():
 
 # The scopes that may store to a budget's ``remaining``, by module.
 REMAINING_STORES = {
-    "evaluator.py": ["Budget.__init__", "_Compiler.block", "_Compiler.walk"],
+    "evaluator.py": ["Budget.__init__", "_Compiler.block", "_Compiler.compile", "_Compiler.walk"],
     "quickcheck.py": ["quickcheck"],
 }
 
