@@ -32,6 +32,7 @@ value, error and remaining budget is the one-tick-per-visit one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -74,6 +75,9 @@ from .lang.ast import (
 Value = int | tuple[int, ...]
 Env = dict[str, Value]
 
+# Carriers remembered in this process, one per (domain, sort).
+CARRIER_MEMO_SIZE = 32
+
 
 @dataclass(frozen=True)
 class Domain:
@@ -91,6 +95,12 @@ class Domain:
             raise ContractViolation("empty value range")
         if self.max_list_len < 0 or self.node_budget <= 0:
             raise ContractViolation("need max_list_len >= 0 and node_budget > 0")
+
+    @functools.lru_cache(maxsize=CARRIER_MEMO_SIZE)
+    def carrier(self, sort: Sort) -> tuple[Value, ...]:
+        """Every value of ``sort``, in ``iter_values`` order, built once per
+        domain and sort and shared by every compile and decide over it."""
+        return tuple(self.iter_values(sort))
 
     def iter_values(self, sort: Sort) -> Iterator[Value]:
         """Integers ascending; lists by length, then lexicographically."""
@@ -113,7 +123,7 @@ class Domain:
         """Cartesian product of per-binder enumerations; the last binder
         varies fastest."""
         names = [name for name, _ in binders]
-        pools = [list(self.iter_values(sort)) for _, sort in binders]
+        pools = [self.carrier(sort) for _, sort in binders]
         for combo in itertools.product(*pools):
             yield dict(zip(names, combo))
 
@@ -157,7 +167,6 @@ class _Compiler:
     def __init__(self, domain: Domain, budget: Budget):
         self.domain = domain
         self.budget = budget
-        self._carriers: dict[Sort, tuple[Value, ...]] = {}
 
     def compile(self, node: Node) -> Callable[[Env], Value | bool]:
         """The closure of ``node`` as a root block: charged like any block,
@@ -220,17 +229,11 @@ class _Compiler:
         if kind is IfThenElse:
             return self.walk(node.then if self.walk(node.cond, env) else node.other, env)
         want_all, inner = kind is Forall, dict(env)  # Forall or Exists
-        for value in self.carrier(node.sort):
+        for value in self.domain.carrier(node.sort):
             inner[node.binder] = value
             if self.walk(node.body, inner) != want_all:
                 return not want_all
         return want_all
-
-    def carrier(self, sort: Sort) -> tuple[Value, ...]:
-        values = self._carriers.get(sort)
-        if values is None:
-            values = self._carriers[sort] = tuple(self.domain.iter_values(sort))
-        return values
 
 
 def _trunc_mod(a: int, b: int) -> int:
@@ -366,7 +369,7 @@ def _connective(settled_by: bool, result: bool):
 
 def _quantifier(c: _Compiler, formula: Forall | Exists) -> Part:
     binder, body = formula.binder, c.block(formula.body)
-    values, want_all = c.carrier(formula.sort), type(formula) is Forall
+    values, want_all = c.domain.carrier(formula.sort), type(formula) is Forall
 
     def run(env: Env) -> bool:
         inner = dict(env)  # the caller's env never sees the binder

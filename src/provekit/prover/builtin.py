@@ -169,7 +169,7 @@ class BuiltinChecker:
         if not goal.binders:
             return api.rejected("grounding needs at least one binder")
         name0, sort0 = goal.binders[0]
-        values = list(domain.iter_values(sort0))
+        values = domain.carrier(sort0)
         if len(lemmas) != len(values):
             return api.rejected(
                 f"grounding needs {len(values)} instances, got {len(lemmas)}"

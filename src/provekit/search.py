@@ -16,14 +16,21 @@ bounded process-wide LRU keyed by the goal, name included, and the quickcheck
 and domain configs; quickcheck is a pure function of those, so iterations and
 pass@k samples that re-check a goal reuse the outcome.  One lock serialises
 the lookups, so fan-out threads that miss on one key run its quickcheck once.
+
+The configuration in a run's trace header is built and encoded once per
+configuration up to its seed, through a second small locked table, so the
+k runs of a pass@k goal, and later goals under the same settings, only
+write their seeds into it.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ContractViolation, PolicyError
 from .evaluator import Domain, Env
@@ -48,7 +55,7 @@ from .prover import (
 from .quickcheck import Counterexample, QcConfig, QcOutcome, quickcheck
 from .quickcheck import mix_seed as mix_seed  # re-exported
 from .scoring import ScoreBreakdown, ScoreConfig, ValidityGate, decomposition_score
-from .trace import RunTrace, env_to_json
+from .trace import RunTrace, canonical_json, env_to_json
 
 # Target selection strategies.
 TARGET_HIGHEST_FOOTPRINT = "highest-footprint"
@@ -103,7 +110,7 @@ def _gate_quickcheck(goal: GoalDecl, qc: QcConfig, domain: Domain) -> QcOutcome:
         return _gate_qc_memo(goal, qc, domain)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchConfig:
     """Knobs for one search run.
 
@@ -132,8 +139,8 @@ class SearchConfig:
             raise ContractViolation("max_open_lemmas must be >= 0")
         if self.k_parallel < 1:
             raise ContractViolation("k_parallel must be >= 1")
-        if self.wall_budget_secs <= 0:
-            raise ContractViolation("wall_budget_secs must be positive")
+        if not self.wall_budget_secs > 0 or math.isinf(self.wall_budget_secs):
+            raise ContractViolation("wall_budget_secs must be positive and finite")
         if self.check_timeout_ms < 1:
             raise ContractViolation("check_timeout_ms must be >= 1")
         if self.target_strategy not in (TARGET_HIGHEST_FOOTPRINT, TARGET_HIGHEST_SCORE):
@@ -144,6 +151,50 @@ class SearchConfig:
         this config and of its qc, score and domain parts."""
         qc = dict(vars(self.qc), gen_elem_lo=self.qc.elem_lo, gen_elem_hi=self.qc.elem_hi)
         return dict(vars(self), qc=qc, score=dict(vars(self.score)), domain=dict(vars(self.domain)))
+
+
+# Distinct configurations, up to their seeds, whose trace header text is
+# remembered in this process.
+CONFIG_HEADER_MEMO_SIZE = 16
+
+_CONFIG_HEADERS: dict[tuple, tuple[tuple, dict, str, str]] = {}
+_CONFIG_HEADERS_LOCK = threading.Lock()
+_SCALAR_FIELDS = operator.attrgetter(
+    *(f.name for f in fields(SearchConfig) if f.name not in ("seed", "qc", "score", "domain"))
+)
+
+
+def _config_header(config: SearchConfig) -> tuple[dict, str]:
+    """A run's header ``config`` object, ``config.snapshot()``, and its
+    canonical text.
+
+    Both are built once per configuration up to its seed and then only
+    have the seed written in.  The key holds the other scalar fields, each
+    with its type (1 and 1.0 are equal but encode differently), and the
+    frozen qc, score and domain parts by identity.  The entry holds those
+    parts, so no other object takes their ids while it lives; runs made
+    from one config by ``replace`` share them.  One lock serialises the
+    lookups, so fan-out runs of one configuration encode it once.
+    """
+    scalars = _SCALAR_FIELDS(config)
+    parts = (config.qc, config.score, config.domain)
+    key = (scalars, tuple(map(type, scalars)), *map(id, parts))
+    with _CONFIG_HEADERS_LOCK:
+        entry = _CONFIG_HEADERS.get(key)
+        if entry is None:
+            if len(_CONFIG_HEADERS) >= CONFIG_HEADER_MEMO_SIZE:
+                del _CONFIG_HEADERS[next(iter(_CONFIG_HEADERS))]
+            base = config.snapshot()
+            # The keys sort, so the text cuts into the keys before "seed"
+            # and those after it; the config has fields on both sides.
+            before = canonical_json({k: v for k, v in base.items() if k < "seed"})
+            after = canonical_json({k: v for k, v in base.items() if k > "seed"})
+            entry = _CONFIG_HEADERS[key] = (parts, base, before[:-1] + ',"seed":', "," + after[1:])
+    _, base, head, tail = entry
+    seed = config.seed
+    # An int encodes as its repr; that skips the encoder's set-up.
+    seed_text = repr(seed) if type(seed) is int else canonical_json(seed)
+    return dict(base, seed=seed), head + seed_text + tail
 
 
 @dataclass
@@ -217,11 +268,12 @@ def select_target(tree: GoalTree, strategy: str) -> GoalNode | None:
     Highest-footprint attacks the syntactically heaviest goal; highest-score
     prefers goals whose creation came from a strong decomposition (the root
     scores 0.0, so fresh lemmas are preferred to it).  Ties break toward the
-    earliest inserted node.
+    earliest inserted node.  A lone open goal is returned without weighing
+    it, so its footprint is not computed until the gate needs it.
     """
     candidates = tree.open_nodes()
-    if not candidates:
-        return None
+    if len(candidates) < 2:
+        return candidates[0] if candidates else None
     if strategy == TARGET_HIGHEST_FOOTPRINT:
         return max(candidates, key=lambda n: (n.goal.footprint, -n.order))
     if strategy == TARGET_HIGHEST_SCORE:
@@ -553,7 +605,7 @@ def run_single(
     """
     policy = policy.fork(config.seed)
     deadline = time.monotonic() + config.wall_budget_secs
-    trace = RunTrace.new(problem.name, run_index, config.seed, config.snapshot())
+    trace = RunTrace.new(problem.name, run_index, config.seed, *_config_header(config))
     tree = GoalTree(problem)
 
     decompose_used = 0

@@ -20,7 +20,9 @@ FORMAT_VERSION = 1
 
 # ``json.dumps`` with options builds a new encoder per call; one shared
 # encoder renders the same bytes, and ``encode`` keeps no state between calls.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# Trace values are built fresh for each line and never refer to themselves,
+# so the encoder skips its circular-reference bookkeeping.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def canonical_json(obj) -> str:
@@ -146,8 +148,14 @@ def _check_value(number: int, where: str, key: str, value, kinds: tuple | dict) 
 
 @dataclass
 class RunTrace:
+    """A run's header and events.  ``config_text``, when given, is the
+    canonical text of ``header["config"]``, encoded once for every run of
+    one configuration; a trace read back has none.  The header is
+    read-only once the trace is made."""
+
     header: dict
     events: list[dict] = field(default_factory=list)
+    config_text: str | None = field(default=None, repr=False, compare=False)
 
     def emit(self, event_type: str, **fields) -> dict:
         event = {"seq": len(self.events) + 1, "type": event_type}
@@ -156,7 +164,13 @@ class RunTrace:
         return event
 
     def to_jsonl(self) -> str:
-        lines = [canonical_json(self.header)]
+        if self.config_text is None:
+            lines = [canonical_json(self.header)]
+        else:
+            rest = dict(self.header)
+            del rest["config"]
+            # "config" sorts first among the header keys.
+            lines = ['{"config":' + self.config_text + "," + canonical_json(rest)[1:]]
         lines.extend(canonical_json(e) for e in self.events)
         return "\n".join(lines) + "\n"
 
@@ -164,7 +178,10 @@ class RunTrace:
         Path(path).write_text(self.to_jsonl())
 
     @classmethod
-    def new(cls, problem: str, run_index: int, seed: int, config_snapshot: dict) -> "RunTrace":
+    def new(
+        cls, problem: str, run_index: int, seed: int, config_snapshot: dict,
+        config_text: str | None = None,
+    ) -> "RunTrace":
         header = {
             "type": "config",
             "format_version": FORMAT_VERSION,
@@ -174,7 +191,7 @@ class RunTrace:
             "seed": seed,
             "config": config_snapshot,
         }
-        return cls(header=header)
+        return cls(header=header, config_text=config_text)
 
 
 def read_text(path: str | Path) -> str:

@@ -364,6 +364,21 @@ def test_config_values_of_the_wrong_json_type_are_engine_errors(
     assert err.startswith("error:") and f"{section}.{key}" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_wall_budget_that_is_not_finite_is_an_engine_error(goals_file, capsys, value):
+    code = main(["run", str(goals_file), "--goal", "add_zero", f"--wall-budget-secs={value}"])
+    assert code == 3
+    assert capsys.readouterr().err == "error: wall_budget_secs must be positive and finite\n"
+
+
+def test_a_config_file_wall_budget_read_as_infinity_is_an_engine_error(goals_file, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"search": {"wall_budget_secs": 1e999}}')
+    code = main(["--config", str(config), "run", str(goals_file), "--goal", "add_zero"])
+    assert code == 3
+    assert "wall_budget_secs must be positive and finite" in capsys.readouterr().err
+
+
 def test_config_values_of_the_right_json_type_are_taken(goals_file, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

@@ -261,6 +261,22 @@ def test_no_binders_yields_one_empty_assignment():
     assert list(TINY.iter_assignments(())) == [{}]
 
 
+def test_compiles_and_decides_over_one_domain_share_each_carrier():
+    domain = Domain(max_list_len=2)
+    goal = parse_goal("goal c (l: IntList) := forall m: IntList, len(m ++ l) = len(l) + len(m)")
+    Domain.carrier.cache_clear()
+    first = compile_formula(goal.body, domain, Budget(domain.node_budget))
+    second = compile_formula(goal.body, domain, Budget(domain.node_budget))
+    assert first({"l": ()}) and second({"l": (1,)})
+    assert decide_bounded(goal, domain).status == DecisionVerdict.VALID
+    info = Domain.carrier.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    carrier = domain.carrier(Sort.INT_LIST)
+    assert carrier == tuple(domain.iter_values(Sort.INT_LIST))
+    assert [env["l"] for env in domain.iter_assignments(goal.binders)] == list(carrier)
+    assert all(env["l"] is value for env, value in zip(domain.iter_assignments(goal.binders), carrier))
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

@@ -20,6 +20,9 @@ tick per node.
 No module of the package names ``RecursionError``: every walk is bounded by
 the language's explicit depth cap, never by the interpreter's limit.
 
+Every dataclass of the package whose name ends in ``Config`` is declared
+``frozen=True``, so configs stay immutable, hashable cache keys.
+
 The language and prover packages sit at the bottom of the package: they
 import only from each other (the prover also from the evaluator) and from
 the errors module.  A checker or policy peer that imports them then starts
@@ -217,6 +220,54 @@ def test_names_are_found():
 def test_no_module_leans_on_the_recursion_limit():
     leaning = [_scan_id(path) for path in PACKAGE.rglob("*.py") if names(path.read_text(), "RecursionError")]
     assert leaning == []
+
+
+def unfrozen_configs(source: str) -> list[str]:
+    """The classes of ``source`` named ``*Config`` that are dataclasses
+    without ``frozen=True``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ClassDef) and node.name.endswith("Config")):
+            continue
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            func = call.func if call else decorator
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name != "dataclass":
+                continue
+            frozen = any(
+                kw.arg == "frozen" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+                for kw in (call.keywords if call else ())
+            )
+            if not frozen:
+                found.append(node.name)
+    return found
+
+
+def test_unfrozen_configs_are_found():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class AConfig: pass\n"
+        "@dataclasses.dataclass(slots=True)\n"
+        "class BConfig: pass\n"
+        "@dataclass(frozen=False)\n"
+        "class CConfig: pass\n"
+        "@dataclass(frozen=True)\n"
+        "class DConfig: pass\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class EConfig: pass\n"
+        "@dataclass\n"
+        "class Settings: pass\n"
+        "class FConfig: pass\n"
+    )
+    assert unfrozen_configs(source) == ["AConfig", "BConfig", "CConfig"]
+
+
+def test_every_config_dataclass_is_frozen():
+    configs = {_scan_id(path): unfrozen_configs(path.read_text()) for path in PACKAGE.rglob("*.py")}
+    assert {name: found for name, found in configs.items() if found} == {}
 
 
 # What each low layer may import from the package, by its directory.

@@ -10,11 +10,13 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import provekit.lang.ast as ast_mod
 import provekit.prover.builtin as builtin_mod
@@ -52,6 +54,7 @@ from provekit.prover import (
 )
 from provekit.prover import api
 from provekit.quickcheck import QcConfig, quickcheck
+from provekit.scoring import ScoreConfig
 from provekit.search import (
     GOAL_DECOMPOSED,
     GOAL_DISCHARGED,
@@ -73,6 +76,7 @@ from provekit.search import (
     STEP_DISCHARGED,
     STEP_DISPROVED,
     STEP_REJECTED,
+    TARGET_HIGHEST_FOOTPRINT,
     TARGET_HIGHEST_SCORE,
     GoalTree,
     SearchConfig,
@@ -85,7 +89,7 @@ from provekit.search import (
     select_target,
     _count_proof_lines,
 )
-from provekit.trace import RunTrace, parse_trace
+from provekit.trace import RunTrace, canonical_json, parse_trace
 
 DOMAIN = Domain()
 CONFIG = SearchConfig(qc=QcConfig(trials=200, seed=0))
@@ -169,6 +173,9 @@ def test_mix_seed_is_deterministic_and_tag_sensitive():
         {"wall_budget_secs": 0.0},
         {"check_timeout_ms": 0},
         {"target_strategy": "random"},
+        {"wall_budget_secs": float("nan")},
+        {"wall_budget_secs": float("inf")},
+        {"wall_budget_secs": float("-inf")},
     ],
 )
 def test_config_validation(kwargs):
@@ -825,6 +832,118 @@ def test_pass_k_threaded_matches_sequential():
     threaded = run_pass_k(goal, policy, CHECKER, config, max_workers=4)
     assert [r.outcome for r in sequential.runs] == [OUTCOME_PROVED] * 4
     assert [t.to_jsonl() for t in sequential.traces] == [t.to_jsonl() for t in threaded.traces]
+
+
+# --- the config header ------------------------------------------------------------
+
+# Every field of a SearchConfig and of its qc, score and domain parts, drawn
+# from valid values; a field that takes both ints and floats gets both.
+CONFIGS = st.builds(
+    SearchConfig,
+    decompose_iters=st.integers(0, 3),
+    max_open_lemmas=st.integers(0, 4),
+    complete_iters=st.integers(0, 2),
+    wall_budget_secs=st.one_of(st.integers(60, 10**6), st.floats(60.0, 1e6)),
+    k_parallel=st.integers(1, 3),
+    check_timeout_ms=st.integers(1, 10**6),
+    seed=st.sampled_from([0, 1, 2**64 - 1]),
+    target_strategy=st.sampled_from([TARGET_HIGHEST_FOOTPRINT, TARGET_HIGHEST_SCORE]),
+    qc=st.builds(
+        QcConfig,
+        trials=st.integers(1, 20),
+        seed=st.integers(0, 2**64 - 1),
+        gen_int_lo=st.integers(-20, 0),
+        gen_int_hi=st.integers(0, 20),
+        gen_max_list_len=st.integers(0, 4),
+        gen_elem_lo=st.one_of(st.none(), st.integers(-5, 0)),
+        gen_elem_hi=st.one_of(st.none(), st.integers(0, 5)),
+    ),
+    score=st.builds(ScoreConfig, temperature=st.one_of(st.integers(1, 4), st.floats(0.01, 100.0))),
+    domain=st.builds(
+        Domain,
+        int_lo=st.integers(-3, 0),
+        int_hi=st.integers(0, 3),
+        max_list_len=st.integers(0, 2),
+        elem_lo=st.integers(-2, 0),
+        elem_hi=st.integers(0, 2),
+        node_budget=st.integers(1, 50_000),
+    ),
+)
+HEADER_GOALS = [
+    parse_goal("goal bad (x: Int) := x < 3"),
+    parse_goal("goal conj (x: Int) (l: IntList) := x + 0 = x /\\ len(l) >= 0"),
+]
+
+
+def _assert_header_is_written_as_snapshot(trace: RunTrace, run_config: SearchConfig) -> None:
+    text = trace.to_jsonl()
+    assert text.split("\n", 1)[0] == canonical_json(trace.header)
+    assert trace.header["config"] == run_config.snapshot()
+    # By text as well: 1 and 1.0 are equal values.
+    assert canonical_json(trace.header["config"]) == canonical_json(run_config.snapshot())
+    assert parse_trace(text).to_jsonl() == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=CONFIGS, other=CONFIGS, goal=st.sampled_from(HEADER_GOALS))
+def test_a_run_header_line_is_the_canonical_text_of_its_header(config, other, goal):
+    result = run_pass_k(
+        goal, StochasticPolicy(0, config.domain), BuiltinChecker(config.domain), config, max_workers=1
+    )
+    for i, trace in enumerate(result.traces):
+        _assert_header_is_written_as_snapshot(trace, replace(config, seed=config.seed ^ i, k_parallel=1))
+    # One field at a time from another config, every other field shared.
+    for name in (f.name for f in fields(SearchConfig)):
+        run_config = replace(config, **{name: getattr(other, name)})
+        domain = run_config.domain
+        _, trace = run_single(goal, StochasticPolicy(0, domain), BuiltinChecker(domain), run_config)
+        _assert_header_is_written_as_snapshot(trace, run_config)
+
+
+def test_configs_equal_but_for_value_types_keep_their_own_header_text():
+    goal = HEADER_GOALS[0]
+    whole, real = ScoreConfig(temperature=2), ScoreConfig(temperature=2.0)
+    lines = []
+    for score, budget in [(whole, 60), (whole, 60.0), (real, 60), (whole, 60)]:
+        config = replace(CONFIG, score=score, wall_budget_secs=budget)
+        _, trace = run_single(goal, DirectSubmit(), CHECKER, config)
+        lines.append(trace.to_jsonl().split("\n", 1)[0])
+    assert '"score":{"temperature":2}' in lines[0] and lines[0].endswith(
+        '"wall_budget_secs":60},"format_version":1,"problem":"bad","run_id":"bad.r0.s0",'
+        '"run_index":0,"seed":0,"type":"config"}'
+    )
+    assert lines[1] == lines[0].replace('"wall_budget_secs":60}', '"wall_budget_secs":60.0}')
+    assert lines[2] == lines[0].replace('"temperature":2}', '"temperature":2.0}')
+    assert lines[3] == lines[0]
+
+
+@pytest.mark.parametrize("workers", [1, None], ids=["sequential", "threaded"])
+def test_pass_k_encodes_its_config_once(monkeypatch, workers):
+    snapshots = []
+    snapshot = SearchConfig.snapshot
+
+    def counting_snapshot(config):
+        snapshots.append(config.seed)
+        time.sleep(0.05)  # long enough for the other fan-out runs to look the config up
+        return snapshot(config)
+
+    monkeypatch.setattr(SearchConfig, "snapshot", counting_snapshot)
+    monkeypatch.setattr(search_mod, "_CONFIG_HEADERS", {})
+    config = replace(CONFIG, k_parallel=4, seed=5)
+    goal = parse_goal("goal conj (x: Int) := x + 0 = x /\\ (x * 1 = x /\\ x <= x + 5)")
+    result = run_pass_k(goal, StochasticPolicy(0, DOMAIN), CHECKER, config, max_workers=workers)
+    assert [t.header["seed"] for t in result.traces] == [5, 4, 7, 6]
+    assert len(snapshots) == 1
+    # Another goal under the same config, up to its seed, encodes nothing.
+    run_pass_k(HEADER_GOALS[0], DirectSubmit(), CHECKER, replace(config, seed=6), max_workers=workers)
+    assert len(snapshots) == 1
+
+
+def test_the_config_header_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(search_mod, "_CONFIG_HEADERS", {})
+    for timeout_ms in range(1, search_mod.CONFIG_HEADER_MEMO_SIZE + 6):
+        run_single(HEADER_GOALS[0], DirectSubmit(), CHECKER, replace(CONFIG, check_timeout_ms=timeout_ms))
+    assert len(search_mod._CONFIG_HEADERS) == search_mod.CONFIG_HEADER_MEMO_SIZE
 
 
 # sha256 of every run's trace for PIN_GOALS, recorded before training's
