@@ -26,8 +26,8 @@ write their seeds into it.
 from __future__ import annotations
 
 import functools
-import math
 import operator
+import sys
 import threading
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -139,7 +139,7 @@ class SearchConfig:
             raise ContractViolation("max_open_lemmas must be >= 0")
         if self.k_parallel < 1:
             raise ContractViolation("k_parallel must be >= 1")
-        if not self.wall_budget_secs > 0 or math.isinf(self.wall_budget_secs):
+        if not 0 < self.wall_budget_secs <= sys.float_info.max:
             raise ContractViolation("wall_budget_secs must be positive and finite")
         if self.check_timeout_ms < 1:
             raise ContractViolation("check_timeout_ms must be >= 1")
@@ -191,10 +191,7 @@ def _config_header(config: SearchConfig) -> tuple[dict, str]:
             after = canonical_json({k: v for k, v in base.items() if k > "seed"})
             entry = _CONFIG_HEADERS[key] = (parts, base, before[:-1] + ',"seed":', "," + after[1:])
     _, base, head, tail = entry
-    seed = config.seed
-    # An int encodes as its repr; that skips the encoder's set-up.
-    seed_text = repr(seed) if type(seed) is int else canonical_json(seed)
-    return dict(base, seed=seed), head + seed_text + tail
+    return dict(base, seed=config.seed), head + canonical_json(config.seed) + tail
 
 
 @dataclass

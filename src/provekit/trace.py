@@ -20,9 +20,7 @@ FORMAT_VERSION = 1
 
 # ``json.dumps`` with options builds a new encoder per call; one shared
 # encoder renders the same bytes, and ``encode`` keeps no state between calls.
-# Trace values are built fresh for each line and never refer to themselves,
-# so the encoder skips its circular-reference bookkeeping.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def canonical_json(obj) -> str:

@@ -371,9 +371,10 @@ def test_a_wall_budget_that_is_not_finite_is_an_engine_error(goals_file, capsys,
     assert capsys.readouterr().err == "error: wall_budget_secs must be positive and finite\n"
 
 
-def test_a_config_file_wall_budget_read_as_infinity_is_an_engine_error(goals_file, tmp_path, capsys):
+@pytest.mark.parametrize("value", ["1e999", "1" + "0" * 400], ids=["1e999", "401-digit-int"])
+def test_a_config_file_wall_budget_past_the_float_range_is_an_engine_error(goals_file, tmp_path, capsys, value):
     config = tmp_path / "config.json"
-    config.write_text('{"search": {"wall_budget_secs": 1e999}}')
+    config.write_text('{"search": {"wall_budget_secs": %s}}' % value)
     code = main(["--config", str(config), "run", str(goals_file), "--goal", "add_zero"])
     assert code == 3
     assert "wall_budget_secs must be positive and finite" in capsys.readouterr().err

@@ -176,6 +176,7 @@ def test_mix_seed_is_deterministic_and_tag_sensitive():
         {"wall_budget_secs": float("nan")},
         {"wall_budget_secs": float("inf")},
         {"wall_budget_secs": float("-inf")},
+        {"wall_budget_secs": 10**400},
     ],
 )
 def test_config_validation(kwargs):
