@@ -154,7 +154,10 @@ def success_vs_iterations(traces: list[RunTrace]) -> list[tuple[int, float]]:
     with complete_iters = j would produce.
     """
     ensure_uniform_configs(traces)
-    budget_cap = traces[0].header["config"]["complete_iters"]
+    header = traces[0].header
+    budget_cap = header["config"].get("complete_iters")
+    if type(budget_cap) is not int:
+        raise ContractViolation(f"trace {header['run_id']!r} config lacks an integer 'complete_iters'")
     outcomes = [(proved(t), completion_sweeps_needed(t)) for t in traces]
     curve = []
     for j in range(0, budget_cap + 1):
@@ -241,6 +244,8 @@ def proof_stats(traces: list[RunTrace]) -> dict:
         }
 
     if proved_ends:
+        if any(e["lemma_count"] is None for e in proved_ends):
+            raise ContractViolation("a proved run_end has lemma_count null")
         stats["lemma_count"] = moments([e["lemma_count"] for e in proved_ends])
         stats["decompose_iterations"] = moments(
             [e["decompose_iterations"] for e in proved_ends]

@@ -22,13 +22,14 @@ from .pool import PoolConfig
 from .quickcheck import QcConfig
 from .scoring import ScoreConfig
 from .search import SearchConfig
-from .trace import read_text
+from .trace import check_keys, read_text
 
 _SECTIONS = ("search", "qc", "score", "domain", "pool")
 
 # The JSON types a field admits, by the type of its default; no field takes
-# a bool, and a field whose default is None takes an int.
-_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), type(None): (int, type(None))}
+# a bool, a field whose default is None takes an int, and one of any other
+# default (a search config's qc, score and domain) is no key of its section.
+_JSON_TYPES = {int: (int,), float: (float, int), str: (str,), type(None): (int, type(None))}
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -38,27 +39,13 @@ def load_config_file(path: str | Path) -> dict:
         raise ContractViolation(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ContractViolation("config file must hold a JSON object")
-    unknown = sorted(set(data) - set(_SECTIONS))
-    if unknown:
-        raise ContractViolation(f"unknown config sections: {unknown}")
-    for section in data:
-        if not isinstance(data[section], dict):
-            raise ContractViolation(f"config section {section!r} must be an object")
+    check_keys(f"config file {path}", data, {}, dict.fromkeys(_SECTIONS, (dict,)))
     return data
 
 
 def _build(cls, section: dict, name: str):
-    defaults = {f.name: f.default for f in fields(cls)}
-    unknown = sorted(set(section) - set(defaults))
-    if unknown:
-        raise ContractViolation(f"unknown keys in config section {name!r}: {unknown}")
-    for key, value in section.items():
-        accepted = _JSON_TYPES[type(defaults[key])]
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            expected = " or ".join("null" if t is type(None) else t.__name__ for t in accepted)
-            raise ContractViolation(
-                f"config key {name}.{key} must be {expected}, not {type(value).__name__}"
-            )
+    table = {f.name: _JSON_TYPES[type(f.default)] for f in fields(cls) if type(f.default) in _JSON_TYPES}
+    check_keys(f"config section {name!r}", section, {}, table)
     return cls(**section)
 
 
@@ -67,13 +54,7 @@ def search_config_from_sections(data: dict) -> SearchConfig:
     qc = _build(QcConfig, data.get("qc", {}), "qc")
     score = _build(ScoreConfig, data.get("score", {}), "score")
     domain = _build(Domain, data.get("domain", {}), "domain")
-    search_section = dict(data.get("search", {}))
-    for reserved in ("qc", "score", "domain"):
-        if reserved in search_section:
-            raise ContractViolation(
-                f"{reserved!r} belongs in its own top-level section, not under search"
-            )
-    config = _build(SearchConfig, search_section, "search")
+    config = _build(SearchConfig, data.get("search", {}), "search")
     return replace(config, qc=qc, score=score, domain=domain)
 
 

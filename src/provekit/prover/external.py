@@ -50,9 +50,10 @@ class JsonLineProcess:
     requests cannot starve later ones.  It keeps only replies that a request
     is still waiting for: a reply to an id that was sent but is no longer
     awaited (a late or duplicate answer) is dropped, so such replies cannot
-    pile up.  A line that is not UTF-8 or not a JSON object with an id, or a
-    reply to an id never sent, breaks the connection: every waiting request,
-    and every later one, fails at once with ``CheckerProtocolError``."""
+    pile up.  A line that is not UTF-8 or not a JSON object with an id, a
+    reply to an id never sent, or a request the peer no longer reads breaks
+    the connection: every waiting request, and every later one, fails at
+    once with ``CheckerProtocolError``."""
 
     def __init__(self, argv: list[str] | str):
         if isinstance(argv, str):
@@ -109,8 +110,13 @@ class JsonLineProcess:
             with self._write_lock:
                 if self._proc.stdin is None or self._proc.poll() is not None:
                     raise CheckerProtocolError("peer process is gone")
-                self._proc.stdin.write(encoded)
-                self._proc.stdin.flush()
+                try:
+                    self._proc.stdin.write(encoded)
+                    self._proc.stdin.flush()
+                except (OSError, ValueError) as exc:  # ValueError: the pipe is closed
+                    reason = f"cannot write to peer: {exc}"
+                    self._break(reason)
+                    raise CheckerProtocolError(reason) from None
             with self._cond:
                 self._cond.wait_for(
                     lambda: self._replies[key] is not None or self._broken is not None,

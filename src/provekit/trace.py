@@ -30,10 +30,11 @@ def canonical_json(obj) -> str:
 
 # The keys each trace line must carry and the JSON types each may take, as
 # ``json.loads`` returns them: the config header, then every event type
-# ``search`` emits.  ``parse_trace`` checks every line against these tables,
-# so readers may index these keys without a check.  Where a table gives
-# another table instead of types, the value is an object whose keys are
-# checked against it in turn.
+# ``search`` emits.  ``parse_trace`` checks every line against these tables
+# and ``TRACE_OPTIONAL``, and refuses any key they do not name, so readers
+# may index these keys without a check.  Where a table gives another table
+# instead of types, the value is an object whose keys are checked against
+# it in turn.
 _NULL = type(None)
 TRACE_HEADER = {
     "type": (str,),
@@ -113,35 +114,33 @@ TRACE_OPTIONAL = {
 
 _JSON_NAMES = {
     int: "integer", float: "number", str: "string", bool: "boolean",
-    dict: "object", list: "array", _NULL: "null",
+    dict: "object", list: "array", tuple: "array", _NULL: "null",
 }
 
 
-def _check_keys(
-    number: int, where: str, line: dict, keys: dict, optional: dict | None = None
-) -> None:
-    for key, kinds in keys.items():
-        if key not in line:
-            raise ContractViolation(f"line {number}: {where} lacks key {key!r}")
-        _check_value(number, where, key, line[key], kinds)
-    for key, kinds in (optional or {}).items():
-        if key in line:
-            _check_value(number, where, key, line[key], kinds)
-
-
-def _check_value(number: int, where: str, key: str, value, kinds: tuple | dict) -> None:
-    nested = kinds if isinstance(kinds, dict) else None
-    if nested is not None:
-        kinds = (dict,)
-    # By exact type: a boolean is not an integer here.
-    if type(value) not in kinds:
-        expected = " or ".join(_JSON_NAMES[kind] for kind in kinds)
-        raise ContractViolation(
-            f"line {number}: {where} key {key!r} must be {expected}, "
-            f"not {_JSON_NAMES[type(value)]}"
-        )
-    if nested is not None:
-        _check_keys(number, f"{where} {key}", value, nested)
+def check_keys(where: str, obj: dict, keys: dict, optional: dict | None = None) -> None:
+    """Check a JSON object read from a file against a table of the ``keys``
+    it must carry and one of the keys it may carry.  Any other key, a
+    missing key, or a value not of the exact JSON type its table gives (a
+    boolean is not an integer here) raises ``ContractViolation`` naming
+    ``where`` and the key.  A table in place of types checks a nested object."""
+    optional = optional or {}
+    unknown = sorted(key for key in obj if key not in keys and key not in optional)
+    if unknown:
+        raise ContractViolation(f"{where} has unknown keys {unknown}")
+    for key in keys:
+        if key not in obj:
+            raise ContractViolation(f"{where} lacks key {key!r}")
+    for key, value in obj.items():
+        kinds = keys.get(key) or optional[key]
+        accepted = (dict,) if isinstance(kinds, dict) else kinds
+        if type(value) not in accepted:
+            expected = " or ".join(_JSON_NAMES[kind] for kind in accepted)
+            raise ContractViolation(
+                f"{where} key {key!r} must be {expected}, not {_JSON_NAMES[type(value)]}"
+            )
+        if isinstance(kinds, dict):
+            check_keys(f"{where} {key}", value, kinds)
 
 
 @dataclass
@@ -201,7 +200,10 @@ def read_text(path: str | Path) -> str:
         raise ContractViolation(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
-def _numbered_objects(text: str) -> list[tuple[int, dict]]:
+def numbered_objects(text: str) -> list[tuple[int, dict]]:
+    """The JSON object on each non-blank line of a JSON-lines text, with its
+    line number; a line holding anything else raises ``ContractViolation``
+    with its number."""
     numbered = []
     for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -216,19 +218,12 @@ def _numbered_objects(text: str) -> list[tuple[int, dict]]:
     return numbered
 
 
-def json_objects(text: str) -> list[dict]:
-    """The JSON object on each non-blank line of a JSON-lines text; a line
-    holding anything else raises ``ContractViolation`` with its number."""
-    return [value for _, value in _numbered_objects(text)]
-
-
 def parse_trace(text: str) -> RunTrace:
-    """The trace in ``text``; a line that is not JSON, that lacks a key of
-    ``TRACE_HEADER`` or ``TRACE_EVENTS``, or that has one of those or of
-    ``TRACE_OPTIONAL`` in another type or without a key of its nested
-    object, raises ``ContractViolation`` naming the line, its type and the
-    key."""
-    lines = _numbered_objects(text)
+    """The trace in ``text``; a line that is not JSON, or that fails
+    ``check_keys`` against ``TRACE_HEADER`` or its event's tables in
+    ``TRACE_EVENTS`` and ``TRACE_OPTIONAL``, raises ``ContractViolation``
+    naming the line, its type and the key."""
+    lines = numbered_objects(text)
     if not lines:
         raise ContractViolation("empty trace")
     (number, header), events = lines[0], lines[1:]
@@ -237,13 +232,13 @@ def parse_trace(text: str) -> RunTrace:
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise ContractViolation(f"unsupported trace format version {version!r}")
-    _check_keys(number, "config", header, TRACE_HEADER)
+    check_keys(f"line {number}: config", header, TRACE_HEADER)
     for number, event in events:
         event_type = event.get("type")
         keys = TRACE_EVENTS.get(event_type) if isinstance(event_type, str) else None
         if keys is None:
             raise ContractViolation(f"line {number}: unknown event type {event_type!r}")
-        _check_keys(number, event_type, event, keys, TRACE_OPTIONAL.get(event_type))
+        check_keys(f"line {number}: {event_type}", event, keys, TRACE_OPTIONAL.get(event_type))
     return RunTrace(header=header, events=[event for _, event in events])
 
 

@@ -10,7 +10,7 @@ the search invented along the way.
 from __future__ import annotations
 
 import random
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .errors import ContractViolation, FilterViolation
@@ -33,7 +33,7 @@ from .search import (
     completion_stage,
     propose_and_gate,
 )
-from .trace import RunTrace, canonical_json, json_objects, read_text
+from .trace import RunTrace, canonical_json, check_keys, numbered_objects, read_text
 
 RECORD_DECOMPOSITION = "decomposition"
 RECORD_COMPLETION = "completion"
@@ -251,34 +251,37 @@ class TrajectoryRecord:
     replay: bool = False
 
     def to_json(self) -> dict:
-        data = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            data[f.name] = value
-        return data
+        return asdict(self)
 
     @classmethod
-    def from_json(cls, data: dict) -> "TrajectoryRecord":
-        names = {f.name for f in fields(cls)}
-        required = {
-            f.name for f in fields(cls)
-            if f.default is MISSING and f.default_factory is MISSING
-        }
-        unknown, missing = sorted(set(data) - names), sorted(required - set(data))
-        if unknown:
-            raise ContractViolation(f"trajectory record has unknown keys {unknown}")
-        if missing:
-            raise ContractViolation(f"trajectory record lacks keys {missing}")
-        kwargs = dict(data)
-        for key in ("lemma_sources", "axioms"):
-            if key in kwargs and kwargs[key] is not None:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+    def from_json(cls, data: dict, where: str = "trajectory record") -> "TrajectoryRecord":
+        """The record in ``data``, as ``json.loads`` or ``to_json`` gives it."""
+        data = {key: tuple(value) if type(value) is list else value for key, value in data.items()}
+        check_keys(where, data, RECORD_KEYS, RECORD_OPTIONAL)
+        return cls(**data)
 
     def goal(self) -> GoalDecl:
         return parse_goal(self.goal_source)
+
+
+# The keys of a trajectory file's header line and of each record line, and
+# the JSON types each may take; ``from_json`` has read a record's arrays as
+# tuples.  The score is an object whose keys ``validate_record`` checks.
+_NULL = type(None)
+TRAJECTORY_HEADER = {"type": (str,), "format_version": (int,), "count": (int,)}
+RECORD_KEYS = {"kind": (str,), "goal_source": (str,)}
+RECORD_OPTIONAL = {
+    "lemma_sources": (tuple,),
+    "reconstruction": (str, _NULL),
+    "score": (dict, _NULL),
+    "reward": (float, int, _NULL),
+    "proof_text": (str, _NULL),
+    "verdict_status": (str, _NULL),
+    "axioms": (tuple,),
+    "attempt_index": (int, _NULL),
+    "source": (str, _NULL),
+    "replay": (bool,),
+}
 
 
 def validate_record(
@@ -297,13 +300,16 @@ def validate_record(
             raise FilterViolation("decomposition record lacks its score breakdown")
         if record.score.get("v") != 1:
             raise FilterViolation("decomposition did not pass the validity gate")
-        if not record.score.get("r", 0.0) > 0.0:
+        r = record.score.get("r", 0.0)
+        if type(r) not in (float, int):
+            raise FilterViolation(f"decomposition reduction r must be a number, not {r!r}")
+        if not r > 0.0:
             raise FilterViolation("decomposition has zero reduction")
         return
     if record.kind == RECORD_COMPLETION:
         if record.verdict_status != ACCEPTED:
             raise FilterViolation("completion record is not an accepted proof")
-        extra = [a for a in record.axioms if a not in allowlist]
+        extra = [a for a in record.axioms if type(a) is not str or a not in allowlist]
         if extra:
             raise FilterViolation(f"completion relies on disallowed axioms: {extra}")
         return
@@ -327,16 +333,17 @@ def export_trajectories(records: list[TrajectoryRecord], path: str | Path) -> in
 
 
 def load_trajectories(path: str | Path) -> list[TrajectoryRecord]:
-    objects = json_objects(read_text(path))
-    if not objects:
+    lines = numbered_objects(read_text(path))
+    if not lines:
         raise FilterViolation("empty trajectory file")
-    header = objects[0]
+    (number, header), rest = lines[0], lines[1:]
     if header.get("type") != "trajectories":
         raise FilterViolation("missing trajectory header")
     if header.get("format_version") != TRAJECTORY_FORMAT_VERSION:
         raise FilterViolation(f"unsupported trajectory format {header.get('format_version')!r}")
-    records = [TrajectoryRecord.from_json(data) for data in objects[1:]]
-    if header.get("count") != len(records):
+    check_keys(f"line {number}: trajectory header", header, TRAJECTORY_HEADER)
+    records = [TrajectoryRecord.from_json(data, f"line {n}: trajectory record") for n, data in rest]
+    if header["count"] != len(records):
         raise FilterViolation("trajectory count disagrees with header")
     for record in records:
         validate_record(record)
@@ -409,17 +416,16 @@ def collect(
         stats.groups_kept += 1
         best: Rollout | None = None
         for rollout in group.rollouts:
-            if rollout.reward is None or rollout.evaluation is None:
-                continue
-            breakdown = rollout.evaluation.breakdown
-            if breakdown is None or breakdown.v != 1 or not breakdown.r > 0.0:
+            # The reward is S = r * v when the gate accepts, so it is positive
+            # exactly when the record passes validate_record (v = 1, r > 0).
+            if rollout.reward is None or not rollout.reward > 0.0:
                 continue
             records.append(_decomposition_record(problem, rollout))
             stats.decomposition_records += 1
             # Completion practice and curriculum growth both need lemmas, so
             # the best *decomposing* rollout is followed up, not a discharge.
             if rollout.proposal is not None and rollout.proposal.k >= 1:
-                if best is None or rollout.reward > (best.reward or 0.0):
+                if best is None or rollout.reward > best.reward:
                     best = rollout
         if best is None or best.proposal is None:
             continue

@@ -2,11 +2,13 @@
 
 This generator is deliberately test-side code: it builds AST nodes directly
 so the goals it produces do not depend on the parser working, and the mix of
-valid and refutable statements is controlled only by the seed.
+valid and refutable statements is controlled only by the seed.  Garbage
+goal texts and forged JSON documents feed the readers' fuzz tests.
 """
 
 from __future__ import annotations
 
+import copy
 import random
 import re
 
@@ -265,3 +267,59 @@ def token_soup(seed: int, tokens: tuple[str, ...] = SOUP_TOKENS) -> str:
     goal = random_goal(rng.getrandbits(32), "g", rng.randrange(1, 4))
     head, body = print_goal(goal).split(" := ")
     return f"{head} := {_mutate(rng, body, tokens)}"
+
+
+# ---------------------------------------------------------------------------
+# Forged JSON: a document read from a file with one key set to anything
+
+# Strings a forged value may hold: some name an event type or an outcome.
+_FORGED_TEXTS = ("", "x", "é", "config", "run_end", "decompose_attempt", "proved", "completion")
+
+
+def json_value(rng: random.Random, depth: int = 2):
+    """A random JSON value: a scalar of each JSON type, or an array or an
+    object of such values nested up to ``depth``.  Integers come from a
+    small range: a forged budget of 10**12 is valid JSON that only makes a
+    report loop for a long time."""
+    kind = rng.randrange(7 if depth > 0 else 5)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return rng.random() < 0.5
+    if kind == 2:
+        return rng.randint(-3, 40)
+    if kind == 3:
+        return rng.choice((0.0, 2.5, -1e308, float("inf"), float("nan"), rng.uniform(-9, 9)))
+    if kind == 4:
+        return rng.choice(_FORGED_TEXTS)
+    items = [json_value(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if kind == 5:
+        return items
+    return {rng.choice(_FORGED_TEXTS): item for item in items}
+
+
+def _key_paths(value, path: tuple = ()) -> list[tuple]:
+    """The path to each key of each object within ``value``, at any depth,
+    through objects and arrays alike."""
+    paths = []
+    if isinstance(value, dict):
+        for key, item in value.items():
+            paths.append((*path, key))
+            paths.extend(_key_paths(item, (*path, key)))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            paths.extend(_key_paths(item, (*path, index)))
+    return paths
+
+
+def forged_json(seed: int, document):
+    """A copy of ``document`` in which one key, of any object at any depth
+    within it, holds a seeded ``json_value``."""
+    rng = random.Random(seed)
+    *parents, last = rng.choice(_key_paths(document))
+    forged = copy.deepcopy(document)
+    target = forged
+    for step in parents:
+        target = target[step]
+    target[last] = json_value(rng)
+    return forged

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import csv
+import functools
+import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from provekit.analytics import (
     auroc,
@@ -24,13 +28,14 @@ from provekit.analytics import (
     unbiased_pass_at_k,
     write_csv,
 )
-from provekit.errors import ContractViolation, MixedConfigError, UndefinedMetric
+from corpus import forged_json
+from provekit.errors import ContractViolation, MixedConfigError, ProvekitError, UndefinedMetric
 from provekit.evaluator import Domain
 from provekit.lang import parse_goal
-from provekit.prover import BuiltinChecker
+from provekit.prover import BuiltinChecker, ConjunctionSplitter, DirectSubmit
 from provekit.quickcheck import QcConfig
 from provekit.search import SearchConfig, run_single
-from provekit.trace import RunTrace
+from provekit.trace import RunTrace, parse_trace
 
 BASE_CONFIG = {"seed": 0, "decompose_iters": 8, "complete_iters": 3}
 
@@ -402,3 +407,57 @@ def test_write_csv_accepts_dicts_and_tuples(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows == [["k", "rate"], ["1", "0.5"], ["2", "0.75"]]
+
+
+# -- forged traces -----------------------------------------------------------
+
+
+@functools.cache
+def _real_trace_lines() -> list[list[dict]]:
+    """The lines of two real runs under one config: a goal split and
+    proved, and a goal disproved."""
+    config = SearchConfig(decompose_iters=2, complete_iters=2, qc=QcConfig(trials=100, seed=0))
+    checker = BuiltinChecker(Domain())
+    runs = [
+        run_single(parse_goal("goal conj (x: Int) := x + 0 = x /\\ x * 1 = x"), ConjunctionSplitter(), checker, config),
+        run_single(parse_goal("goal broken (x: Int) := x < 3"), DirectSubmit(), checker, config),
+    ]
+    return [[trace.header, *trace.events] for _, trace in runs]
+
+
+# Every report ``provekit analyze`` prints, on a list of traces.
+_REPORTS = (
+    pass_at_k_curve,
+    lambda traces: [reduction_rate_curve(t) for t in traces],
+    success_vs_iterations,
+    lambda traces: auroc(*score_label_pairs(traces)),
+    proof_stats,
+)
+
+
+def _read(runs: list[list[dict]]) -> list[RunTrace]:
+    return [parse_trace("\n".join(json.dumps(line) for line in lines)) for lines in runs]
+
+
+def test_every_report_reads_the_real_traces():
+    traces = _read(_real_trace_lines())
+    # One proved and one disproved run, so every report has a value to forge.
+    assert [proved(t) for t in traces] == [True, False]
+    for report in _REPORTS:
+        report(traces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9))
+def test_a_forged_trace_is_reported_on_or_refused(seed):
+    # Nothing but a ProvekitError may escape, whatever one key holds: a key
+    # of any event at any depth, or of the header and its config.
+    try:
+        traces = _read(forged_json(seed, _real_trace_lines()))
+    except ProvekitError:
+        return
+    for report in _REPORTS:
+        try:
+            report(traces)
+        except ProvekitError:
+            pass

@@ -254,7 +254,7 @@ def test_a_pool_queue_capacity_in_the_file_is_an_error(goals_file, tmp_path, cap
                  "--policy", "direct", "--qc-trials", "100"])
     assert code == 3
     err = capsys.readouterr().err
-    assert "unknown keys in config section 'pool'" in err and "queue_capacity" in err
+    assert "config section 'pool' has unknown keys ['queue_capacity']" in err
 
 
 @pytest.mark.parametrize("command", ["run", "collect"])
@@ -361,7 +361,7 @@ def test_config_values_of_the_wrong_json_type_are_engine_errors(
     code = main(["--config", str(config), "pool-stats", str(goals_file), "--qc-trials", "100"])
     err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith("error:") and f"{section}.{key}" in err
+    assert err.startswith(f"error: config section {section!r} key {key!r} must be ")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -520,3 +520,54 @@ def test_analyze_refuses_a_score_without_its_keys(tmp_path, capsys, report):
     assert capsys.readouterr().err == (
         f"error: {path}: line 2: decompose_attempt score lacks key 'd_parent'\n"
     )
+
+
+def _proved_trace(tmp_path, config: dict, lemma_count):
+    header = {
+        "type": "config", "format_version": 1, "run_id": "p.r0.s0", "problem": "p",
+        "run_index": 0, "seed": 0, "config": config,
+    }
+    end = {
+        "seq": 1, "type": "run_end", "outcome": "proved", "decompose_iterations": 1,
+        "complete_iterations": 1, "lemma_count": lemma_count, "proof_lines": None,
+        "audit_failures": 0, "witness": None, "pool": None,
+    }
+    path = tmp_path / "proved.jsonl"
+    path.write_text("\n".join(json.dumps(line) for line in (header, end)) + "\n")
+
+
+def test_analyze_success_refuses_a_config_without_its_completion_budget(tmp_path, capsys):
+    _proved_trace(tmp_path, {"decompose_iters": 1}, 1)
+    assert main(["analyze", "success", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "error: trace 'p.r0.s0' config lacks an integer 'complete_iters'\n"
+    )
+    _proved_trace(tmp_path, {"complete_iters": 1}, 1)
+    assert main(["analyze", "success", str(tmp_path)]) == 0
+
+
+def test_analyze_stats_refuses_a_proved_run_without_its_lemma_count(tmp_path, capsys):
+    _proved_trace(tmp_path, {}, None)
+    assert main(["analyze", "stats", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "error: a proved run_end has lemma_count null\n"
+    _proved_trace(tmp_path, {}, 1)
+    assert main(["analyze", "stats", str(tmp_path)]) == 0
+
+
+def test_a_config_section_names_a_nested_part_as_an_unknown_key(goals_file, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"search": {"qc": {"trials": 10}}}))
+    assert main(["--config", str(config), "qc", str(goals_file)]) == 3
+    assert capsys.readouterr().err == "error: config section 'search' has unknown keys ['qc']\n"
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [({"serach": {}}, "has unknown keys ['serach']"), ({"qc": [1]}, "key 'qc' must be object, not array")],
+    ids=["unknown_section", "section_not_an_object"],
+)
+def test_a_config_file_names_a_bad_section(goals_file, tmp_path, capsys, document, message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document))
+    assert main(["--config", str(config), "qc", str(goals_file)]) == 3
+    assert capsys.readouterr().err == f"error: config file {config} {message}\n"

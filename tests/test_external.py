@@ -361,6 +361,44 @@ def test_close_stops_the_peer_and_the_reader(server_script):
     assert time.monotonic() - start < 1.0
 
 
+@pytest.fixture()
+def deaf_peer(tmp_path):
+    """A peer that closes its input once started and never replies; the
+    fixture yields once the input is closed."""
+    closed = tmp_path / "closed"
+    code = f"import os, time; os.close(0); open({str(closed)!r}, 'w').close(); time.sleep(30)"
+    with JsonLineProcess([sys.executable, "-c", code]) as proc:
+        deadline = time.monotonic() + 30
+        while not closed.exists():
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        yield proc
+
+
+def test_a_peer_that_stops_reading_is_a_checker_error_at_once(deaf_peer):
+    start = time.monotonic()
+    verdict = ExternalChecker(deaf_peer).check(_direct("plain"), 30_000)
+    assert verdict.status == CHECKER_ERROR
+    assert "cannot write to peer" in verdict.diagnostics
+    # The connection is broken: a later request fails before it is written.
+    with pytest.raises(CheckerProtocolError, match="cannot write to peer"):
+        deaf_peer.request({"goal": "goal plain := 0 = 0"}, 30.0)
+    assert time.monotonic() - start < 1.0
+    # The stage-one gate's in-line check ends in a rejection, not an exception out of the run.
+    config = SearchConfig(decompose_iters=2, complete_iters=1)
+    result, trace = run_single(
+        parse_goal("goal g (x: Int) := x = x"), DirectSubmit(), ExternalChecker(deaf_peer), config
+    )
+    assert result.outcome == OUTCOME_EXHAUSTED
+    reasons = [e["reason"] for e in trace.events if e["type"] == "decompose_attempt"]
+    assert reasons == [REASON_INFRASTRUCTURE] * 2
+
+
+def test_a_peer_that_stops_reading_is_a_policy_error(deaf_peer):
+    with pytest.raises(PolicyError, match="cannot write to peer"):
+        ExternalPolicy(deaf_peer).propose_decomposition(PolicyContext(goal=parse_goal("goal g := 0 = 0")))
+
+
 def test_transport_failure_becomes_checker_error_verdict(process):
     checker = ExternalChecker(process)
     verdict = checker.check(_direct("dropdead"), 500)

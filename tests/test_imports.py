@@ -23,6 +23,10 @@ the language's explicit depth cap, never by the interpreter's limit.
 Every dataclass of the package whose name ends in ``Config`` is declared
 ``frozen=True``, so configs stay immutable, hashable cache keys.
 
+Only the trace reader, the config file reader and the wire adapters decode
+JSON, so a new file reader goes through the trace module's key-table check
+rather than around it.
+
 The language and prover packages sit at the bottom of the package: they
 import only from each other (the prover also from the evaluator) and from
 the errors module.  A checker or policy peer that imports them then starts
@@ -268,6 +272,27 @@ def test_unfrozen_configs_are_found():
 def test_every_config_dataclass_is_frozen():
     configs = {_scan_id(path): unfrozen_configs(path.read_text()) for path in PACKAGE.rglob("*.py")}
     assert {name: found for name, found in configs.items() if found} == {}
+
+
+# The modules that may decode JSON: ``trace.numbered_objects`` reads every
+# JSON-lines file, the config reader its one document, and the wire adapters
+# their peers' replies, whose unknown fields the protocol ignores.
+JSON_DECODERS = {"trace.py", "config.py", "prover/external.py"}
+
+
+def decodes_json(source: str) -> bool:
+    return names(source, "loads") or names(source, "load")
+
+
+def test_json_decoding_is_found():
+    assert decodes_json("import json\njson.loads(text)\n")
+    assert decodes_json("from json import load\nload(fh)\n")
+    assert not decodes_json('"""Read with json.loads."""\nimport json\njson.dumps(1)\n')
+
+
+def test_only_the_checked_readers_decode_json():
+    decoders = {_scan_id(path) for path in PACKAGE.rglob("*.py") if decodes_json(path.read_text())}
+    assert decoders == JSON_DECODERS
 
 
 # What each low layer may import from the package, by its directory.

@@ -726,11 +726,17 @@ def test_a_written_trace_reads_back_as_written():
         (1, lambda e: e.update(trial_index=1.0), "line 2: decompose_attempt key 'trial_index' must be integer, not number"),
         (3, lambda e: e.update(proof_lines="2"), "line 4: complete_attempt key 'proof_lines' must be integer, not string"),
         (3, lambda e: e.update(error=None), "line 4: complete_attempt key 'error' must be string, not null"),
+        (0, lambda e: e.update(elapsed=1), "line 1: config has unknown keys ['elapsed']"),
+        (1, lambda e: e.update(elapsed=1), "line 2: decompose_attempt has unknown keys ['elapsed']"),
+        (1, lambda e: e["score"].update(T=1.0), "line 2: decompose_attempt score has unknown keys ['T']"),
+        (1, lambda e: e["gate"].update(audit_ok=True), "line 2: decompose_attempt gate has unknown keys ['audit_ok']"),
+        (5, lambda e: e.update(stop_reason="cap", b=0), "line 6: run_end has unknown keys ['b', 'stop_reason']"),
     ],
     ids=[
         "header_key", "missing", "wrong_type", "bool_not_int", "int_not_bool", "seq", "unknown", "untyped",
         "score_null", "score_key", "score_type", "gate_type", "witness_type", "trial_index_type",
-        "proof_lines_type", "error_type",
+        "proof_lines_type", "error_type", "header_extra", "event_extra", "score_extra", "gate_extra",
+        "two_extras",
     ],
 )
 def test_trace_reader_names_the_line_event_and_key(line, edit, message):

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corpus import random_goal, wide_conjunction_goal
-from provekit.errors import ContractViolation, FilterViolation, PolicyError
+from corpus import forged_json, random_goal, wide_conjunction_goal
+from provekit.errors import ContractViolation, FilterViolation, PolicyError, ProvekitError
 from provekit.evaluator import Domain
 from provekit.lang import Eq, GoalDecl, IntLit, Not, Sort, TrueF, Var, parse_goal
 from provekit.lang.ast import MAX_DEPTH
@@ -38,6 +40,8 @@ from provekit.trace import RunTrace, canonical_json, parse_trace
 from provekit.training import (
     RECORD_COMPLETION,
     RECORD_DECOMPOSITION,
+    RECORD_KEYS,
+    RECORD_OPTIONAL,
     SOURCE_FALLBACK,
     SOURCE_POLICY,
     Curriculum,
@@ -464,6 +468,19 @@ def test_validate_completion_rules():
     validate_record(tainted, allowlist=frozenset({"propext", "Lean.ofReduceBool"}))
 
 
+@pytest.mark.parametrize("r", ["0.6", None, [0.6], True], ids=["string", "null", "array", "boolean"])
+def test_validate_refuses_a_reduction_that_is_not_a_number(r):
+    record = replace(_good_decomposition(), score={"v": 1, "r": r, "S": 0.6})
+    with pytest.raises(FilterViolation, match="reduction r must be a number"):
+        validate_record(record)
+
+
+@pytest.mark.parametrize("axiom", [5, None, ["propext"], {"propext": 1}], ids=["integer", "null", "array", "object"])
+def test_validate_refuses_an_axiom_that_is_not_a_string(axiom):
+    with pytest.raises(FilterViolation, match="disallowed axioms"):
+        validate_record(_good_completion(axioms=("propext", axiom)))
+
+
 def test_validate_unknown_kind():
     stray = _good_completion()
     stray.kind = "mystery"
@@ -547,7 +564,7 @@ def test_load_rejects_corrupt_files(tmp_path):
 
 @pytest.mark.parametrize(
     "record, message",
-    [({"bogus": 1}, "unknown keys \\['bogus'\\]"), ({"kind": "completion"}, "lacks keys \\[.*'goal_source'")],
+    [({"bogus": 1}, "unknown keys \\['bogus'\\]"), ({"kind": "completion"}, "line 2: trajectory record lacks key 'goal_source'")],
     ids=["unknown_key", "missing_key"],
 )
 def test_load_names_an_unknown_or_missing_record_key(tmp_path, record, message):
@@ -558,6 +575,64 @@ def test_load_names_an_unknown_or_missing_record_key(tmp_path, record, message):
     path.write_text(f"{header}\n{json.dumps(record)}\n")
     with pytest.raises(ContractViolation, match=message):
         load_trajectories(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("score", [], "line 2: trajectory record key 'score' must be object or null, not array"),
+        ("axioms", 5, "line 2: trajectory record key 'axioms' must be array, not integer"),
+        ("replay", 1, "line 2: trajectory record key 'replay' must be boolean, not integer"),
+    ],
+    ids=["score", "axioms", "replay"],
+)
+def test_load_names_a_record_key_of_the_wrong_type(tmp_path, key, value, message):
+    import json
+
+    path = tmp_path / "types.jsonl"
+    header = json.dumps({"type": "trajectories", "format_version": 1, "count": 1})
+    record = dict(_good_completion().to_json(), **{key: value})
+    path.write_text(f"{header}\n{json.dumps(record)}\n")
+    with pytest.raises(ContractViolation) as info:
+        load_trajectories(path)
+    assert str(info.value) == message
+
+
+def test_load_names_a_header_key_of_the_wrong_type(tmp_path):
+    import json
+
+    path = tmp_path / "header.jsonl"
+    path.write_text(json.dumps({"type": "trajectories", "format_version": 1, "count": "0"}) + "\n")
+    with pytest.raises(ContractViolation) as info:
+        load_trajectories(path)
+    assert str(info.value) == "line 1: trajectory header key 'count' must be integer, not string"
+
+
+def test_the_record_tables_name_every_record_field():
+    required = {f.name for f in fields(TrajectoryRecord) if f.default is MISSING}
+    assert set(RECORD_KEYS) == required
+    assert set(RECORD_KEYS) | set(RECORD_OPTIONAL) == {f.name for f in fields(TrajectoryRecord)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9))
+def test_a_forged_trajectory_file_is_loaded_or_refused(tmp_path_factory, seed):
+    # Nothing but a ProvekitError may escape, whatever one key of the header
+    # or of a record holds, at any depth.
+    import json
+
+    lines = [
+        {"type": "trajectories", "format_version": 1, "count": 2},
+        _good_decomposition().to_json(),
+        _good_completion().to_json(),
+    ]
+    lines = json.loads(json.dumps(lines))
+    path = tmp_path_factory.getbasetemp() / "forged.jsonl"
+    path.write_text("\n".join(json.dumps(line) for line in forged_json(seed, lines)) + "\n")
+    try:
+        load_trajectories(path)
+    except ProvekitError:
+        pass
 
 
 def test_load_gives_a_record_without_optional_keys_their_defaults():
