@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import statistics
+import sys
 from pathlib import Path
 
 from .errors import ContractViolation, MixedConfigError, UndefinedMetric
@@ -119,6 +120,14 @@ def reduction_rate_curve(trace: RunTrace) -> list[dict]:
         score = event.get("score")
         if not score:
             continue
+        for key in ("d_parent", "d_bar", "r"):
+            # The reader takes integers of any size; the report divides and
+            # prints these as floats.  NaN and the infinities fail here too.
+            if not -sys.float_info.max <= score[key] <= sys.float_info.max:
+                raise ContractViolation(
+                    f"trace {trace.header.get('run_id')!r} iteration {event['iteration']}: "
+                    f"score key {key!r} is past the float range"
+                )
         d_parent = score["d_parent"]
         d_bar = score["d_bar"]
         remaining = d_bar / d_parent if d_parent > 0 else 0.0
@@ -235,29 +244,28 @@ def proof_stats(traces: list[RunTrace]) -> dict:
     }
     proved_ends = [e for e in ends if e["outcome"] == "proved"]
 
-    def moments(values: list[float]) -> dict:
-        return {
-            "mean": statistics.fmean(values),
-            "std": statistics.pstdev(values),
-            "min": min(values),
-            "max": max(values),
-        }
+    def moments(key: str, values: list[int]) -> dict:
+        try:
+            return {
+                "mean": statistics.fmean(values),
+                "std": statistics.pstdev(values),
+                "min": min(values),
+                "max": max(values),
+            }
+        except OverflowError:
+            # The reader takes integers of any size; a float holds less.
+            raise ContractViolation(f"run_end {key!r} values are past the float range") from None
 
     if proved_ends:
         if any(e["lemma_count"] is None for e in proved_ends):
             raise ContractViolation("a proved run_end has lemma_count null")
-        stats["lemma_count"] = moments([e["lemma_count"] for e in proved_ends])
-        stats["decompose_iterations"] = moments(
-            [e["decompose_iterations"] for e in proved_ends]
-        )
-        stats["complete_iterations"] = moments(
-            [e["complete_iterations"] for e in proved_ends]
-        )
+        for key in ("lemma_count", "decompose_iterations", "complete_iterations"):
+            stats[key] = moments(key, [e[key] for e in proved_ends])
         lines = [e["proof_lines"] for e in proved_ends if e.get("proof_lines") is not None]
         if lines:
             # Only external proofs have meaningful line counts; the builtin
             # one-word directive is skipped at the source.
-            stats["proof_lines"] = moments(lines)
+            stats["proof_lines"] = moments("proof_lines", lines)
     return stats
 
 

@@ -17,10 +17,14 @@ scanning again with ``finditer`` as far as the token needed
 with is an error before parsing begins.
 
 One precedence-climbing loop over ``ast.OPERATORS`` (Pratt, 1973) parses
-terms and formulas alike; ``GoalDecl.sort_error`` then rejects a
-declaration that mixes them up or is nested more than ``ast.MAX_DEPTH``
-deep.  The loop itself stops at twice that nesting, so text of any depth
-is a parse error, never a crash.
+terms and formulas alike, and works out each node's sort as it builds the
+node, by the node's row of ``ast._SIGNATURES``: the table the sort walk
+reads.  A body that is a formula of at most ``ast.MAX_DEPTH`` nodes, each
+child of the sort its node takes, is cleared there and then, without the
+walk.  Every other goal goes to ``GoalDecl.sort_error``, which writes every
+message: it rejects a declaration that mixes terms and formulas up or is
+nested more than ``MAX_DEPTH`` deep.  The loop itself stops at twice that
+nesting, so text of any depth is a parse error, never a crash.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ from typing import NamedTuple
 
 from ..errors import ParseError
 from .ast import (
+    _A,
+    _PROP,
+    _SIGNATURES,
     MAX_DEPTH,
     NONASSOC,
     OPERATORS,
@@ -171,14 +178,18 @@ def _scan(source: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return kinds, canonical
 
 
-# Infix spellings as (precedence, associativity, node builder): the table's
-# operators plus the comparison sugar.
-_INFIX = {symbol: (prec, assoc, cls) for symbol, cls, prec, assoc in OPERATORS}
+# Infix spellings as (precedence, associativity, node builder, sort rule,
+# nodes built): the table's operators plus the comparison sugar.  The sort
+# rule is the ``_SIGNATURES`` row of the class built, ``Lt``, ``Le`` or
+# ``Eq`` for the sugar, so the loop and ``_sort_of`` read one rule table.
+_INFIX = {
+    symbol: (prec, assoc, cls, _SIGNATURES[cls], 1) for symbol, cls, prec, assoc in OPERATORS
+}
 _COMPARISON = _INFIX["="][0]
 _INFIX.update({
-    ">": (_COMPARISON, NONASSOC, lambda left, right: Lt(right, left)),
-    ">=": (_COMPARISON, NONASSOC, lambda left, right: Le(right, left)),
-    "!=": (_COMPARISON, NONASSOC, lambda left, right: Not(Eq(left, right))),
+    ">": (_COMPARISON, NONASSOC, lambda left, right: Lt(right, left), _SIGNATURES[Lt], 1),
+    ">=": (_COMPARISON, NONASSOC, lambda left, right: Le(right, left), _SIGNATURES[Le], 1),
+    "!=": (_COMPARISON, NONASSOC, lambda left, right: Not(Eq(left, right)), _SIGNATURES[Eq], 2),
 })
 # The precedence a term position (a list element, an argument of len or
 # count, an if branch) parses at: term operators only.
@@ -194,6 +205,8 @@ class _Parser:
         self.kinds, self.texts = _scan(source)
         self.pos = 0
         self.nesting = 0  # parse_expression calls now open
+        self.built = 0  # nodes built for the current goal body
+        self.ill_sorted = False  # a node of the current body got a child of the wrong sort
         self.positioned: list[Token] = []  # the first tokens, read on demand
         self.reader = _positioned(source)
 
@@ -259,13 +272,21 @@ class _Parser:
                 raise self.error(f"duplicate binder {text!r}", binder, len(text))
             binders[text] = sort
         self.expect(":=")
-        body = self.parse_expression(0, frozenset(binders))
+        self.built, self.ill_sorted = 0, False
+        body, sort = self.parse_expression(0, binders)
         tok = self.token(name)
         span = SourceSpan(tok.line, tok.column, len(tok.text))
         decl = GoalDecl(self.texts[name], tuple(binders.items()), body, span=span)
-        error = decl.sort_error
-        if error is not None:
-            raise ParseError(error, span.line, span.column, span.length)
+        if self.ill_sorted or sort is not _PROP or self.built > MAX_DEPTH:
+            # The walk writes every message, and clears a well-sorted body
+            # too large for the node count to bound its depth.
+            error = decl.sort_error
+            if error is not None:
+                raise ParseError(error, span.line, span.column, span.length)
+        else:
+            # A formula of at most MAX_DEPTH nodes is no deeper than that,
+            # so the walk would find nothing: fill its cached_property slot.
+            decl.__dict__["sort_error"] = None
         return decl
 
     def parse_sort(self) -> Sort:
@@ -278,34 +299,62 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------
 
-    def parse_expression(self, min_prec: int, scope: frozenset[str]) -> Node:
+    def sort_of(self, cls: type, *sorts) -> object:
+        """The sort of a new ``cls`` node whose children have ``sorts``, by
+        its ``_SIGNATURES`` row read as ``_sort_of`` reads it.  A child of
+        the wrong sort marks the body as ill-sorted."""
+        params, result = _SIGNATURES[cls]
+        bound = None
+        for param, sort in zip(params, sorts):
+            if param is _A:
+                param = bound = bound or (sort if sort is not _PROP else None)
+            if sort is not param:
+                self.ill_sorted = True
+        return bound if result is _A else result
+
+    def parse_expression(self, min_prec: int, scope: dict[str, Sort]) -> tuple[Node, object]:
         """Parse a prefix expression, then every infix operator that binds
-        at least as tightly as ``min_prec``.  A non-associative operator
-        ends the run of operators at its own precedence."""
+        at least as tightly as ``min_prec``, and return the tree with its
+        sort.  A non-associative operator ends the run of operators at its
+        own precedence."""
         self.nesting += 1
         if self.nesting > _MAX_NESTING:
             raise self.error("expression nested too deeply", self.pos)
-        left = self.parse_prefix(scope)
+        left, sort = self.parse_prefix(scope)
         closed = None  # the precedence of a non-associative operator just applied
         while True:
             entry = _INFIX.get(self.texts[self.pos])
             if entry is None or entry[0] < min_prec or entry[0] == closed:
                 self.nesting -= 1
-                return left
-            prec, assoc, build = entry
+                return left, sort
+            prec, assoc, build, ((first, second), result), size = entry
             self.pos += 1
-            right = self.parse_expression(prec if assoc == RIGHT else prec + 1, scope)
-            left = build(left, right)
+            if first is _A:
+                # The left operand binds the sort variable, to a term sort only.
+                first = second = sort if sort is not _PROP else None
+            if sort is not first:
+                self.ill_sorted = True
+            right, right_sort = self.parse_expression(prec if assoc == RIGHT else prec + 1, scope)
+            if right_sort is not second:
+                self.ill_sorted = True
+            left, sort = build(left, right), result
+            self.built += size
             closed = prec if assoc == NONASSOC else None
 
-    def parse_prefix(self, scope: frozenset[str]) -> Node:
+    def parse_prefix(self, scope: dict[str, Sort]) -> tuple[Node, object]:
         index = self.pos
         self.pos += 1
         kind, text = self.kinds[index], self.texts[index]
+        if text == "(":
+            inner = self.parse_expression(0, scope)
+            self.expect(")")
+            return inner
+        self.built += 1  # every other prefix builds one node, or fails
         if kind == "IDENT":
-            if text not in scope:
+            sort = scope.get(text)
+            if sort is None:
                 raise self.error(f"unbound variable {text!r}", index, len(text))
-            return Var(text)
+            return Var(text), sort
         if kind == "INT" or (text == "-" and self.kinds[self.pos] == "INT"):
             if kind != "INT":
                 index = self.pos
@@ -314,47 +363,51 @@ class _Parser:
                 value = int(self.texts[index])
             except ValueError:  # past the interpreter's limit on integer digits
                 raise self.error("integer literal too long", index, len(self.texts[index])) from None
-            return IntLit(value if kind == "INT" else -value)
-        if text == "(":
-            inner = self.parse_expression(0, scope)
-            self.expect(")")
-            return inner
+            return IntLit(value if kind == "INT" else -value), Sort.INT
         if text == "!":
-            return Not(self.parse_expression(_COMPARISON, scope))
+            child, sort = self.parse_expression(_COMPARISON, scope)
+            return Not(child), self.sort_of(Not, sort)
         if text == "forall" or text == "exists":
             name = self.texts[self.expect_name("bound variable name")]
             self.expect(":")
             sort = self.parse_sort()
             self.expect(",")
             ctor = Forall if text == "forall" else Exists
-            return ctor(name, sort, self.parse_expression(0, scope | {name}))
+            body, body_sort = self.parse_expression(0, {**scope, name: sort})
+            return ctor(name, sort, body), self.sort_of(ctor, body_sort)
         if text == "true":
-            return TrueF()
+            return TrueF(), _PROP
         if text == "false":
-            return FalseF()
+            return FalseF(), _PROP
         if text == "len" or text == "count":
             self.expect("(")
-            args = [self.parse_expression(_TERM, scope)]
-            if text == "count":
-                self.expect(",")
-                args.append(self.parse_expression(_TERM, scope))
+            arg, arg_sort = self.parse_expression(_TERM, scope)
+            if text == "len":
+                self.expect(")")
+                return Length(arg), self.sort_of(Length, arg_sort)
+            self.expect(",")
+            element, element_sort = self.parse_expression(_TERM, scope)
             self.expect(")")
-            return (Length if text == "len" else Count)(*args)
+            return Count(arg, element), self.sort_of(Count, arg_sort, element_sort)
         if text == "if":
-            cond = self.parse_expression(0, scope)
+            cond, cond_sort = self.parse_expression(0, scope)
             self.expect("then")
-            then = self.parse_expression(_TERM, scope)
+            then, then_sort = self.parse_expression(_TERM, scope)
             self.expect("else")
-            return IfThenElse(cond, then, self.parse_expression(_TERM, scope))
+            other, other_sort = self.parse_expression(_TERM, scope)
+            sort = self.sort_of(IfThenElse, cond_sort, then_sort, other_sort)
+            return IfThenElse(cond, then, other), sort
         if text == "[":
-            elements: list[Node] = []
+            elements: list[tuple[Node, object]] = []
             if self.texts[self.pos] != "]":
                 elements.append(self.parse_expression(_TERM, scope))
                 while self.texts[self.pos] == ",":
                     self.pos += 1
                     elements.append(self.parse_expression(_TERM, scope))
             self.expect("]")
-            return ListLit(tuple(elements))
+            if any(sort is not Sort.INT for _, sort in elements):
+                self.ill_sorted = True
+            return ListLit(tuple(node for node, _ in elements)), Sort.INT_LIST
         self.fail("expected term", index)
         raise AssertionError  # unreachable
 

@@ -298,7 +298,9 @@ def validate_record(
     if record.kind == RECORD_DECOMPOSITION:
         if record.score is None:
             raise FilterViolation("decomposition record lacks its score breakdown")
-        if record.score.get("v") != 1:
+        v = record.score.get("v")
+        if type(v) is not int or v != 1:
+            # A JSON true or 1.0 is not the gate bit, though both equal 1.
             raise FilterViolation("decomposition did not pass the validity gate")
         r = record.score.get("r", 0.0)
         if type(r) not in (float, int):

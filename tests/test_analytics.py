@@ -391,6 +391,13 @@ def test_proof_stats_moments():
     assert stats["proof_lines"]["std"] == 0.0
 
 
+def test_proof_stats_refuses_counts_whose_sum_is_past_the_float_range():
+    # Each count fits a float, but their sum does not.
+    traces = [make_trace(events=[ended("proved", decompose_iterations=10**308)]) for _ in range(2)]
+    with pytest.raises(ContractViolation, match="'decompose_iterations' values are past the float"):
+        proof_stats(traces)
+
+
 def test_proof_stats_without_proofs_or_traces():
     stats = proof_stats([make_trace(events=[ended("exhausted")])])
     assert "lemma_count" not in stats

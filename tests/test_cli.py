@@ -522,6 +522,40 @@ def test_analyze_refuses_a_score_without_its_keys(tmp_path, capsys, report):
     )
 
 
+@pytest.mark.parametrize("key", ["d_parent", "d_bar", "r"])
+def test_analyze_reduction_refuses_a_score_past_the_float_range(tmp_path, capsys, key):
+    # The reader takes integers of any size; the report divides and prints
+    # them as floats.
+    header = {
+        "type": "config", "format_version": 1, "run_id": "p.r0.s0", "problem": "p",
+        "run_index": 0, "seed": 0, "config": {},
+    }
+    score = {"v": 1, "d_parent": 5, "d_children": [2], "d_bar": 2, "r": 0.6, "S": 0.6}
+    attempt = {
+        "seq": 1, "type": "decompose_attempt", "iteration": 1, "target": "p",
+        "target_footprint": 5, "outcome": "accepted_decomposition", "reason": None,
+        "proposal": {}, "score": dict(score, **{key: 10**400}),
+    }
+    end = {
+        "seq": 2, "type": "run_end", "outcome": "exhausted", "decompose_iterations": 1,
+        "complete_iterations": 0, "lemma_count": 1, "proof_lines": None,
+        "audit_failures": 0, "witness": None, "pool": None,
+    }
+    (tmp_path / "huge.jsonl").write_text(
+        "\n".join(json.dumps(line) for line in (header, attempt, end)) + "\n"
+    )
+    assert main(["analyze", "reduction", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: trace 'p.r0.s0' iteration 1: score key {key!r} is past the float range\n"
+    )
+
+
+def test_analyze_stats_refuses_a_count_past_the_float_range(tmp_path, capsys):
+    _proved_trace(tmp_path, {}, 10**400)
+    assert main(["analyze", "stats", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "error: run_end 'lemma_count' values are past the float range\n"
+
+
 def _proved_trace(tmp_path, config: dict, lemma_count):
     header = {
         "type": "config", "format_version": 1, "run_id": "p.r0.s0", "problem": "p",

@@ -46,7 +46,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import pytest
 
@@ -161,17 +161,22 @@ def _scopes(tree: ast.Module) -> Iterator[tuple[str, ast.AST]]:
             yield "<module>", node
 
 
+def _scopes_where(source: str, found: Callable[[ast.AST], bool]) -> list[str]:
+    """The scopes of ``source`` holding a node for which ``found`` holds.  A
+    nested function's nodes count as its enclosing function's."""
+    return sorted({
+        scope for scope, node in _scopes(ast.parse(source)) for sub in ast.walk(node) if found(sub)
+    })
+
+
 def remaining_stores(source: str) -> list[str]:
     """The scopes of ``source`` that assign or augment-assign an attribute
-    named ``remaining``.  A nested function's stores count as its enclosing
-    function's."""
-    return sorted({
-        scope
-        for scope, node in _scopes(ast.parse(source))
-        for sub in ast.walk(node)
-        if isinstance(sub, ast.Attribute) and sub.attr == "remaining"
-        and isinstance(sub.ctx, ast.Store)
-    })
+    named ``remaining``."""
+    return _scopes_where(
+        source,
+        lambda sub: isinstance(sub, ast.Attribute) and sub.attr == "remaining"
+        and isinstance(sub.ctx, ast.Store),
+    )
 
 
 def test_remaining_stores_are_found():
@@ -206,13 +211,15 @@ def test_the_budget_is_charged_at_one_site():
     assert {name: found for name, found in stores.items() if found} == REMAINING_STORES
 
 
+def _refers(node: ast.AST, name: str) -> bool:
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
 def names(source: str, name: str) -> bool:
     """Whether ``source`` refers to ``name``, as a name or an attribute."""
-    return any(
-        (isinstance(node, ast.Name) and node.id == name)
-        or (isinstance(node, ast.Attribute) and node.attr == name)
-        for node in ast.walk(ast.parse(source))
-    )
+    return any(_refers(node, name) for node in ast.walk(ast.parse(source)))
 
 
 def test_names_are_found():
@@ -224,6 +231,39 @@ def test_names_are_found():
 def test_no_module_leans_on_the_recursion_limit():
     leaning = [_scan_id(path) for path in PACKAGE.rglob("*.py") if names(path.read_text(), "RecursionError")]
     assert leaning == []
+
+
+def scopes_naming(source: str, name: str) -> list[str]:
+    """The scopes of ``source`` that refer to ``name``, as a name or an
+    attribute."""
+    return _scopes_where(source, lambda sub: _refers(sub, name))
+
+
+def test_scopes_naming_are_found():
+    source = (
+        "def walk(node):\n"
+        "    return walk(node.left)\n"
+        "class Goal:\n"
+        "    def check(self):\n"
+        "        return tree.walk(self)\n"
+        "    step = walk\n"
+        "def parse():\n"
+        "    def inner():\n"
+        "        return walk(1)\n"
+        "    return inner\n"
+        "def other(walker):\n"
+        "    return walker('walk')\n"
+    )
+    assert scopes_naming(source, "walk") == ["Goal", "Goal.check", "parse", "walk"]
+
+
+def test_the_sort_walk_is_called_at_one_site():
+    # Parsed goals are sorted in the parser's loop; a second walk over the
+    # finished tree would pay for the check twice.
+    found = {_scan_id(path): scopes_naming(path.read_text(), "_sort_of") for path in PACKAGE.rglob("*.py")}
+    assert {name: scopes for name, scopes in found.items() if scopes} == {
+        "lang/ast.py": ["GoalDecl.sort_error", "_sort_of"],
+    }
 
 
 def unfrozen_configs(source: str) -> list[str]:

@@ -7,10 +7,11 @@ import re
 from dataclasses import dataclass, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import provekit.lang
+import provekit.lang.ast as ast_mod
 import provekit.prover
 from provekit.errors import EvalError, ParseError
 from provekit.evaluator import _BUILDERS, Domain, eval_formula
@@ -19,6 +20,7 @@ from provekit.lang import (
     And,
     Cons,
     Eq,
+    Exists,
     Forall,
     Formula,
     GoalDecl,
@@ -27,8 +29,10 @@ from provekit.lang import (
     IntLit,
     Le,
     Length,
+    ListLit,
     Lt,
     Not,
+    Or,
     Sort,
     Sub,
     Term,
@@ -44,14 +48,17 @@ from provekit.lang import (
     substitute,
     tokenize,
 )
-from provekit.lang.ast import _SIGNATURES, CHILDREN, MAX_DEPTH
-from provekit.lang.parser import _scan
+from provekit.lang.ast import _PROP, _SIGNATURES, CHILDREN, MAX_DEPTH, OPERATORS
+from provekit.lang.parser import _INFIX, _scan
 
 from corpus import (
     SOUP_HEADS,
     SOUP_TOKENS,
     UNICODE_DIGITS,
+    random_formula,
     random_goal,
+    random_int_term,
+    random_list_term,
     token_soup,
     wide_conjunction_goal,
 )
@@ -299,6 +306,190 @@ def test_sort_errors_point_at_the_goal_name(source, operator):
         parse_goal_file("goal ok := true\n" + source)
     assert (info.value.line, info.value.column, info.value.length) == (2, 6, 1)
     assert operator in info.value.message
+
+
+# ---------------------------------------------------------------------------
+# The parser's sort check against the sort walk
+
+
+def _size(node) -> int:
+    return 1 + sum(map(_size, CHILDREN[type(node)](node)))
+
+
+def _count_walks(monkeypatch) -> list:
+    """The root of every sort walk from here on."""
+    roots = []
+    sort_of = ast_mod._sort_of
+
+    def counting_sort_of(node, scope, depth):
+        if depth == 1:
+            roots.append(node)
+        return sort_of(node, scope, depth)
+
+    monkeypatch.setattr(ast_mod, "_sort_of", counting_sort_of)
+    return roots
+
+
+def _slots(node, parent=None, expects=None, path=()):
+    """Every (path, parent class, sort the slot takes) of the tree, root
+    first; the root has neither parent nor sort."""
+    yield path, parent, expects
+    kind = type(node)
+    children = CHILDREN[kind](node)
+    if children:  # a variable has no row
+        params = (Sort.INT,) * len(children) if kind is ListLit else _SIGNATURES[kind][0]
+        for i, (child, param) in enumerate(zip(children, params)):
+            yield from _slots(child, kind, param, path + (i,))
+
+
+def _replaced(node, path, new):
+    if not path:
+        return new
+    kind = type(node)
+    children = list(CHILDREN[kind](node))
+    children[path[0]] = _replaced(children[path[0]], path[1:], new)
+    if kind is ListLit:
+        return ListLit(tuple(children))
+    if kind is Forall or kind is Exists:
+        return kind(node.binder, node.sort, *children)
+    return kind(*children)
+
+
+def _names(goal):
+    """The goal's Int binders and IntList binders, as the corpus takes them."""
+    return tuple(
+        tuple(name for name, s in goal.binders if s is sort) for sort in (Sort.INT, Sort.INT_LIST)
+    )
+
+
+def _term(rng, goal, sort):
+    make = random_int_term if sort is Sort.INT else random_list_term
+    return make(rng, rng.randrange(3), *_names(goal))
+
+
+def _operand(rng, goal):
+    # A formula printed as an operand reads back only when its root is not
+    # a negation: "!" takes a whole comparison after it.
+    formula = random_formula(rng, rng.randrange(3), *_names(goal))
+    while type(formula) is Not:
+        formula = formula.child
+    return formula
+
+
+_TERM_SORTS = (Sort.INT, Sort.INT_LIST)
+# Operators over terms, whose operands the printer parenthesizes by precedence.
+_TERM_OPERATORS = {cls for _, cls, _, _ in OPERATORS} - {And, Or, Implies}
+
+# Ways to make a corpus goal ill-sorted such that its printed text still
+# reads back as the same tree: which slots may change, by parent class and
+# the sort the slot takes, and what goes there.
+_MUTATIONS = {
+    "formula_in_a_term_slot": (
+        lambda parent, sort: parent in _TERM_OPERATORS,
+        lambda rng, goal, sort: _operand(rng, goal),
+    ),
+    "term_of_the_other_sort": (
+        lambda parent, sort: sort in _TERM_SORTS,
+        lambda rng, goal, sort: _term(rng, goal, Sort.INT_LIST if sort is Sort.INT else Sort.INT),
+    ),
+    "term_body": (
+        lambda parent, sort: parent is None,
+        lambda rng, goal, sort: _term(rng, goal, rng.choice(_TERM_SORTS)),
+    ),
+    "if_branches_of_two_sorts": (
+        lambda parent, sort: True,
+        lambda rng, goal, sort: IfThenElse(
+            _operand(rng, goal), *(_term(rng, goal, s) for s in rng.sample(_TERM_SORTS, 2))
+        ),
+    ),
+    "eq_over_two_formulas": (
+        lambda parent, sort: parent is None or sort == _PROP,
+        lambda rng, goal, sort: Eq(_operand(rng, goal), _operand(rng, goal)),
+    ),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9), st.sampled_from(["none", *_MUTATIONS]))
+def test_the_parser_and_the_sort_walk_agree(seed, mutation):
+    # The parser clears a goal only where the walk would, and leaves every
+    # message to the walk.
+    rng = random.Random(seed)
+    hand = random_goal(rng.randrange(10**9), "g", rng.choice((2, 3, 4)))
+    if mutation != "none":
+        where, what = _MUTATIONS[mutation]
+        slots = [(path, sort) for path, parent, sort in _slots(hand.body) if where(parent, sort)]
+        assume(slots)  # a body of equations alone has no Int or IntList slot
+        path, sort = rng.choice(slots)
+        hand = replace(hand, body=_replaced(hand.body, path, what(rng, hand, sort)))
+    verdict = hand.sort_error
+    assert (verdict is None) == (mutation == "none")
+    try:
+        parsed = parse_goal(print_goal(hand))
+    except ParseError as exc:
+        assert exc.message == verdict
+        return
+    assert parsed == hand and verdict is None
+    assert parsed.sort_error is None and replace(parsed).sort_error is None
+
+
+def _sum_text(binders: str, first: str, operands: int, comparison: str = "=") -> str:
+    """A goal comparing ``first + x + ... + x`` (left-associated, of
+    ``operands`` operands) with ``x``."""
+    return f"goal c {binders} := " + " + ".join([first] + ["x"] * (operands - 1)) + f" {comparison} x"
+
+
+_INT_X, _BOTH = "(x: Int)", "(x: Int) (l: IntList)"
+
+
+@pytest.mark.parametrize(
+    "text, nodes",
+    [
+        (_sum_text(_INT_X, "x", MAX_DEPTH // 2 - 1), MAX_DEPTH - 1),
+        (_sum_text(_BOTH, "len(l)", MAX_DEPTH // 2 - 1), MAX_DEPTH),
+        (_sum_text(_INT_X, "x", MAX_DEPTH // 2), MAX_DEPTH + 1),
+        # "!=" builds two nodes, Not over Eq.
+        (_sum_text(_BOTH, "len(l)", MAX_DEPTH // 2 - 1, "!="), MAX_DEPTH + 1),
+    ],
+    ids=["one_under", "at_the_count", "one_over", "not_equal_one_over"],
+)
+def test_the_walk_runs_only_past_max_depth_nodes(monkeypatch, text, nodes):
+    walked = _count_walks(monkeypatch)
+    goal = parse_goal(text)
+    assert _size(goal.body) == nodes
+    assert goal.sort_error is None
+    assert walked == ([goal.body] if nodes > MAX_DEPTH else [])
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("goal s (x: Int) := (forall x: IntList, len(x) >= 0) /\\ x + 1 = 1 + x", None),
+        ("goal s (l: IntList) := (exists l: Int, l < 1) /\\ l = []", None),
+        ("goal s (x: Int) := forall x: IntList, x + 1 = 1", "sort mismatch: '+' expects Int, got IntList"),
+        ("goal s (l: IntList) := exists l: Int, len(l) = 0", "sort mismatch: 'len' expects IntList, got Int"),
+    ],
+)
+def test_a_binder_shadowed_with_the_other_sort(text, error):
+    # Inside the quantifier the name has the quantifier's sort, and after
+    # it the goal binder's again.
+    try:
+        goal = parse_goal(text)
+    except ParseError as exc:
+        assert exc.message == error
+        return
+    assert error is None
+    assert goal.sort_error is None and replace(goal).sort_error is None
+
+
+def test_every_infix_spelling_carries_the_sort_rule_of_the_class_it_builds():
+    built = {symbol: cls for symbol, cls, _, _ in OPERATORS} | {">": Lt, ">=": Le, "!=": Eq}
+    assert _INFIX.keys() == built.keys()
+    for symbol, (_, _, build, rule, size) in _INFIX.items():
+        node = build(_X, _L)
+        assert type(node.child if symbol == "!=" else node) is built[symbol]
+        assert rule is _SIGNATURES[built[symbol]]
+        assert _size(node) == size + 2
 
 
 _soup = st.builds(

@@ -22,7 +22,7 @@ import provekit.lang.ast as ast_mod
 import provekit.prover.builtin as builtin_mod
 import provekit.search as search_mod
 from corpus import random_goal, wide_conjunction_goal
-from provekit.errors import ContractViolation, PolicyError
+from provekit.errors import ContractViolation, ParseError, PolicyError
 from provekit.evaluator import Domain
 from provekit.lang import (
     Add,
@@ -416,8 +416,9 @@ def test_a_lemma_over_the_depth_cap_is_listed_by_name_only(depth):
 
 
 def test_a_pass_k_root_is_checked_and_measured_once(monkeypatch):
-    # The parser's sort and depth check and the first footprint stay on the
-    # goal, so none of the k runs walks the root again for either.
+    # The parser sorts the root in its loop, and the first footprint stays
+    # on the goal, so neither the parse nor any of the k runs walks the root
+    # for its sorts, and only the first run measures it.
     sort_walks, footprint_walks = [], []
     sort_of, footprint = ast_mod._sort_of, ast_mod.formula_footprint
 
@@ -435,8 +436,36 @@ def test_a_pass_k_root_is_checked_and_measured_once(monkeypatch):
     config = replace(CONFIG, k_parallel=4)
     result = run_pass_k(root, ConjunctionSplitter(), CHECKER, config, max_workers=1)
     assert [run.decompose_iterations > 0 for run in result.runs] == [True] * 4
-    assert sum(node is root.body for node in sort_walks) == 1
+    assert sum(node is root.body for node in sort_walks) == 0
     assert sum(node is root.body for node in footprint_walks) == 1
+
+
+def test_a_goal_the_parser_does_not_clear_is_walked_once(monkeypatch):
+    # An ill-sorted text and a well-sorted body of more than MAX_DEPTH nodes
+    # (too many for their count to bound the depth) go to the sort walk,
+    # once; a copy made by replace gets a check of its own.
+    walked = []
+    sort_of = ast_mod._sort_of
+
+    def counting_sort_of(node, scope, depth):
+        if depth == 1:
+            walked.append(node)
+        return sort_of(node, scope, depth)
+
+    monkeypatch.setattr(ast_mod, "_sort_of", counting_sort_of)
+    with pytest.raises(ParseError, match="'\\+' expects Int, got IntList"):
+        parse_goal("goal bad (l: IntList) := l + 1 = 1")
+    assert len(walked) == 1
+    size = ast_mod.MAX_DEPTH + 1  # x + ... + x = x: n operands, 2n + 1 nodes
+    big = parse_goal("goal big (x: Int) := " + " + ".join(["x"] * (size // 2)) + " = x")
+    assert big.sort_error is None
+    run_single(big, ConjunctionSplitter(), CHECKER, CONFIG)
+    assert len(walked) == 2 and walked[1] is big.body
+
+    small = parse_goal("goal small (x: Int) := x + 0 = x")
+    assert small.sort_error is None and len(walked) == 2
+    assert replace(small).sort_error is None
+    assert len(walked) == 3 and walked[2] is small.body
 
 
 def test_zero_footprint_target_cannot_be_decomposed():

@@ -475,6 +475,13 @@ def test_validate_refuses_a_reduction_that_is_not_a_number(r):
         validate_record(record)
 
 
+@pytest.mark.parametrize("v", [True, 1.0, "1"], ids=["boolean", "real", "string"])
+def test_validate_refuses_a_gate_bit_that_is_not_the_integer_one(v):
+    record = replace(_good_decomposition(), score=dict(_good_decomposition().score, v=v))
+    with pytest.raises(FilterViolation, match="validity gate"):
+        validate_record(record)
+
+
 @pytest.mark.parametrize("axiom", [5, None, ["propext"], {"propext": 1}], ids=["integer", "null", "array", "object"])
 def test_validate_refuses_an_axiom_that_is_not_a_string(axiom):
     with pytest.raises(FilterViolation, match="disallowed axioms"):
