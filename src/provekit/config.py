@@ -12,7 +12,6 @@ sections before any config is built from it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .pool import PoolConfig
 from .quickcheck import QcConfig
 from .scoring import ScoreConfig
 from .search import SearchConfig
-from .trace import check_keys, read_text
+from .trace import check_keys, decode_json, read_text
 
 _SECTIONS = ("search", "qc", "score", "domain", "pool")
 
@@ -33,10 +32,7 @@ _JSON_TYPES = {int: (int,), float: (float, int), str: (str,), type(None): (int, 
 
 
 def load_config_file(path: str | Path) -> dict:
-    try:
-        data = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ContractViolation(f"config file {path} is not valid JSON: {exc}") from exc
+    data = decode_json(read_text(path), f"config file {path}")
     if not isinstance(data, dict):
         raise ContractViolation("config file must hold a JSON object")
     check_keys(f"config file {path}", data, {}, dict.fromkeys(_SECTIONS, (dict,)))

@@ -16,17 +16,11 @@ bounded process-wide LRU keyed by the goal, name included, and the quickcheck
 and domain configs; quickcheck is a pure function of those, so iterations and
 pass@k samples that re-check a goal reuse the outcome.  One lock serialises
 the lookups, so fan-out threads that miss on one key run its quickcheck once.
-
-The configuration in a run's trace header is built and encoded once per
-configuration up to its seed, through a second small locked table, so the
-k runs of a pass@k goal, and later goals under the same settings, only
-write their seeds into it.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 import sys
 import threading
 import time
@@ -150,48 +144,25 @@ class SearchConfig:
         """Flat JSON-friendly form used as the trace header: every field of
         this config and of its qc, score and domain parts."""
         qc = dict(vars(self.qc), gen_elem_lo=self.qc.elem_lo, gen_elem_hi=self.qc.elem_hi)
-        return dict(vars(self), qc=qc, score=dict(vars(self.score)), domain=dict(vars(self.domain)))
+        # From the fields: ``vars(self)`` also holds the cached header parts.
+        own = {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(own, qc=qc, score=dict(vars(self.score)), domain=dict(vars(self.domain)))
 
+    @functools.cached_property
+    def _header_parts(self) -> tuple[dict, str, str]:
+        # The snapshot, and its canonical text cut around the seed's value:
+        # the keys sort, and the config has fields on both sides of "seed".
+        base = self.snapshot()
+        before = canonical_json({k: v for k, v in base.items() if k < "seed"})
+        after = canonical_json({k: v for k, v in base.items() if k > "seed"})
+        return base, before[:-1] + ',"seed":', "," + after[1:]
 
-# Distinct configurations, up to their seeds, whose trace header text is
-# remembered in this process.
-CONFIG_HEADER_MEMO_SIZE = 16
-
-_CONFIG_HEADERS: dict[tuple, tuple[tuple, dict, str, str]] = {}
-_CONFIG_HEADERS_LOCK = threading.Lock()
-_SCALAR_FIELDS = operator.attrgetter(
-    *(f.name for f in fields(SearchConfig) if f.name not in ("seed", "qc", "score", "domain"))
-)
-
-
-def _config_header(config: SearchConfig) -> tuple[dict, str]:
-    """A run's header ``config`` object, ``config.snapshot()``, and its
-    canonical text.
-
-    Both are built once per configuration up to its seed and then only
-    have the seed written in.  The key holds the other scalar fields, each
-    with its type (1 and 1.0 are equal but encode differently), and the
-    frozen qc, score and domain parts by identity.  The entry holds those
-    parts, so no other object takes their ids while it lives; runs made
-    from one config by ``replace`` share them.  One lock serialises the
-    lookups, so fan-out runs of one configuration encode it once.
-    """
-    scalars = _SCALAR_FIELDS(config)
-    parts = (config.qc, config.score, config.domain)
-    key = (scalars, tuple(map(type, scalars)), *map(id, parts))
-    with _CONFIG_HEADERS_LOCK:
-        entry = _CONFIG_HEADERS.get(key)
-        if entry is None:
-            if len(_CONFIG_HEADERS) >= CONFIG_HEADER_MEMO_SIZE:
-                del _CONFIG_HEADERS[next(iter(_CONFIG_HEADERS))]
-            base = config.snapshot()
-            # The keys sort, so the text cuts into the keys before "seed"
-            # and those after it; the config has fields on both sides.
-            before = canonical_json({k: v for k, v in base.items() if k < "seed"})
-            after = canonical_json({k: v for k, v in base.items() if k > "seed"})
-            entry = _CONFIG_HEADERS[key] = (parts, base, before[:-1] + ',"seed":', "," + after[1:])
-    _, base, head, tail = entry
-    return dict(base, seed=config.seed), head + canonical_json(config.seed) + tail
+    def run_header(self, seed: int) -> tuple[dict, str]:
+        """A run's header ``config`` object, this config's snapshot with
+        ``seed`` written in, and its canonical text.  The snapshot is built
+        and encoded once per config object; each run only writes its seed."""
+        base, head, tail = self._header_parts
+        return dict(base, seed=seed), head + canonical_json(seed) + tail
 
 
 @dataclass
@@ -596,13 +567,15 @@ def run_single(
 ) -> tuple[RunResult, RunTrace]:
     """One full two-stage run.
 
-    The policy is forked with ``config.seed`` on entry, so the run's
-    behaviour is a function of its arguments alone, not of whatever state
-    the policy object accumulated before the call.
+    Run i uses seed ``config.seed ^ i``.  The policy is forked with that
+    seed on entry, so the run's behaviour is a function of its arguments
+    alone, not of whatever state the policy object accumulated before the
+    call.
     """
-    policy = policy.fork(config.seed)
+    seed = config.seed ^ run_index
+    policy = policy.fork(seed)
     deadline = time.monotonic() + config.wall_budget_secs
-    trace = RunTrace.new(problem.name, run_index, config.seed, *_config_header(config))
+    trace = RunTrace.new(problem.name, run_index, seed, *config.run_header(seed))
     tree = GoalTree(problem)
 
     decompose_used = 0
@@ -655,7 +628,7 @@ def run_single(
     result = RunResult(
         problem=problem.name,
         run_index=run_index,
-        seed=config.seed,
+        seed=seed,
         open_leaves=open_count,
         witness=witness,
         **shared,
@@ -721,17 +694,18 @@ def run_pass_k(
     """k_parallel independent runs of the same problem.
 
     Run i uses seed ``config.seed ^ i`` and a policy forked with that seed,
-    so the attempts diverge while staying replayable.  ``first_success_run``
-    is 1-based; ``pool_factory`` (if given) builds a fresh pool per run so
-    trace counters stay per-run.
+    so the attempts diverge while staying replayable.  Every run gets one
+    copy of the config with ``k_parallel=1``, whose header text is encoded
+    once.  ``first_success_run`` is 1-based; ``pool_factory`` (if given)
+    builds a fresh pool per run so trace counters stay per-run.
     """
     k = config.k_parallel
-    run_configs = [replace(config, seed=config.seed ^ i, k_parallel=1) for i in range(k)]
+    run_config = replace(config, k_parallel=1)
 
     def one(i: int) -> tuple[RunResult, RunTrace]:
         pool = pool_factory() if pool_factory is not None else None
         try:
-            return run_single(problem, policy, checker, run_configs[i], run_index=i, pool=pool)
+            return run_single(problem, policy, checker, run_config, run_index=i, pool=pool)
         finally:
             if pool is not None:
                 pool.shutdown()

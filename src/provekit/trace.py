@@ -18,9 +18,18 @@ from .errors import ContractViolation
 FORMAT_VERSION = 1
 
 
-# ``json.dumps`` with options builds a new encoder per call; one shared
-# encoder renders the same bytes, and ``encode`` keeps no state between calls.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# ``json.dumps`` and ``json.loads`` with options build a new coder per call;
+# one shared encoder and decoder keep no state between calls.  Neither takes
+# ``NaN`` or ``Infinity``, which are not JSON, so the writer cannot emit a
+# line the reader refuses.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
 def canonical_json(obj) -> str:
@@ -28,8 +37,18 @@ def canonical_json(obj) -> str:
     return _ENCODER.encode(obj)
 
 
+def decode_json(text: str, where: str):
+    """The JSON value in ``text``, read strictly: anything that is not JSON,
+    ``NaN`` and ``Infinity`` included, raises ``ContractViolation`` naming
+    ``where``.  Every reader of a file decodes through this."""
+    try:
+        return _DECODER.decode(text)
+    except ValueError as exc:
+        raise ContractViolation(f"{where} is not valid JSON: {exc}") from None
+
+
 # The keys each trace line must carry and the JSON types each may take, as
-# ``json.loads`` returns them: the config header, then every event type
+# ``decode_json`` returns them: the config header, then every event type
 # ``search`` emits.  ``parse_trace`` checks every line against these tables
 # and ``TRACE_OPTIONAL``, and refuses any key they do not name, so readers
 # may index these keys without a check.  Where a table gives another table
@@ -147,8 +166,8 @@ def check_keys(where: str, obj: dict, keys: dict, optional: dict | None = None) 
 class RunTrace:
     """A run's header and events.  ``config_text``, when given, is the
     canonical text of ``header["config"]``, encoded once for every run of
-    one configuration; a trace read back has none.  The header is
-    read-only once the trace is made."""
+    one config object; a trace read back has none and encodes its own.
+    The header is read-only once the trace is made."""
 
     header: dict
     events: list[dict] = field(default_factory=list)
@@ -161,13 +180,11 @@ class RunTrace:
         return event
 
     def to_jsonl(self) -> str:
-        if self.config_text is None:
-            lines = [canonical_json(self.header)]
-        else:
-            rest = dict(self.header)
-            del rest["config"]
-            # "config" sorts first among the header keys.
-            lines = ['{"config":' + self.config_text + "," + canonical_json(rest)[1:]]
+        rest = dict(self.header)
+        config = rest.pop("config")
+        text = canonical_json(config) if self.config_text is None else self.config_text
+        # "config" sorts first among the header keys.
+        lines = ['{"config":' + text + "," + canonical_json(rest)[1:]]
         lines.extend(canonical_json(e) for e in self.events)
         return "\n".join(lines) + "\n"
 
@@ -208,10 +225,7 @@ def numbered_objects(text: str) -> list[tuple[int, dict]]:
     for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            value = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ContractViolation(f"line {number} is not valid JSON: {exc}") from None
+        value = decode_json(line, f"line {number}")
         if not isinstance(value, dict):
             raise ContractViolation(f"line {number} is not a JSON object")
         numbered.append((number, value))

@@ -380,6 +380,17 @@ def test_a_config_file_wall_budget_past_the_float_range_is_an_engine_error(goals
     assert "wall_budget_secs must be positive and finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_a_config_file_holding_a_constant_that_is_not_json_is_an_engine_error(goals_file, tmp_path, capsys, value):
+    config = tmp_path / "config.json"
+    config.write_text('{"search": {"wall_budget_secs": %s}}' % value)
+    code = main(["--config", str(config), "run", str(goals_file), "--goal", "add_zero"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"error: config file {config} is not valid JSON: {value} is not a JSON number\n"
+    )
+
+
 def test_config_values_of_the_right_json_type_are_taken(goals_file, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -451,6 +462,21 @@ def test_analyze_auroc(analyzed_traces, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "auroc = 1.0000" in out  # proved runs scored 1.0, disproved 0.0
+
+
+def test_analyze_auroc_refuses_a_root_score_of_nan(analyzed_traces, tmp_path, capsys):
+    # Read as a float, a NaN score ranks anywhere: auroc printed a wrong figure and exited 0.
+    for source in analyzed_traces.glob("*.jsonl"):
+        (tmp_path / source.name).write_text(source.read_text())
+    nan = sorted(tmp_path.glob("add_zero.r0.*.jsonl"))[0]
+    lines = nan.read_text().splitlines()
+    number = next(n for n, line in enumerate(lines, start=1) if '"S":1.0' in line)
+    lines[number - 1] = lines[number - 1].replace('"S":1.0', '"S":NaN')
+    nan.write_text("\n".join(lines) + "\n")
+    assert main(["analyze", "auroc", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {nan}: line {number} is not valid JSON: NaN is not a JSON number\n"
+    )
 
 
 def test_analyze_stats_on_directory_and_single_file(analyzed_traces, capsys):

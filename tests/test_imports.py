@@ -23,9 +23,13 @@ the language's explicit depth cap, never by the interpreter's limit.
 Every dataclass of the package whose name ends in ``Config`` is declared
 ``frozen=True``, so configs stay immutable, hashable cache keys.
 
-Only the trace reader, the config file reader and the wire adapters decode
-JSON, so a new file reader goes through the trace module's key-table check
-rather than around it.
+Only the trace module and the wire adapters decode JSON, so a new file
+reader goes through the trace module's strict decoder and key-table check
+rather than around them.
+
+The one lock made at module level is the gate quickcheck memo's, so a
+process-wide locked table cannot quietly come back: a cache belongs on the
+object it describes.
 
 The language and prover packages sit at the bottom of the package: they
 import only from each other (the prover also from the evaluator) and from
@@ -314,25 +318,75 @@ def test_every_config_dataclass_is_frozen():
     assert {name: found for name, found in configs.items() if found} == {}
 
 
-# The modules that may decode JSON: ``trace.numbered_objects`` reads every
-# JSON-lines file, the config reader its one document, and the wire adapters
-# their peers' replies, whose unknown fields the protocol ignores.
-JSON_DECODERS = {"trace.py", "config.py", "prover/external.py"}
+# The modules that may decode JSON: ``trace.decode_json`` reads every input
+# file, and the wire adapters their peers' replies, whose unknown fields the
+# protocol ignores.
+JSON_DECODERS = {"trace.py", "prover/external.py"}
 
 
 def decodes_json(source: str) -> bool:
-    return names(source, "loads") or names(source, "load")
+    return names(source, "loads") or names(source, "load") or names(source, "JSONDecoder")
 
 
 def test_json_decoding_is_found():
     assert decodes_json("import json\njson.loads(text)\n")
     assert decodes_json("from json import load\nload(fh)\n")
+    assert decodes_json("import json\njson.JSONDecoder().decode(text)\n")
     assert not decodes_json('"""Read with json.loads."""\nimport json\njson.dumps(1)\n')
+    assert not decodes_json("from .trace import decode_json\ndecode_json(text, 'where')\n")
 
 
 def test_only_the_checked_readers_decode_json():
     decoders = {_scan_id(path) for path in PACKAGE.rglob("*.py") if decodes_json(path.read_text())}
     assert decoders == JSON_DECODERS
+
+
+def shared_locks(source: str) -> list[str]:
+    """What binds a new ``Lock`` or ``RLock`` outside any function of
+    ``source``, one lock for the whole process: each target, after its
+    class in a class body, or the scope of a statement that binds none."""
+    found = []
+    for scope, node in _scopes(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or not any(
+            isinstance(sub, ast.Call) and (_refers(sub.func, "Lock") or _refers(sub.func, "RLock"))
+            for sub in ast.walk(node)
+        ):
+            continue
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            found.append(scope)
+            continue
+        prefix = "" if scope == "<module>" else f"{scope}."
+        found.extend(prefix + ast.unparse(target) for target in targets)
+    return sorted(found)
+
+
+def test_shared_locks_are_found():
+    source = (
+        "import threading\n"
+        "from threading import RLock\n"
+        "_LOCK = threading.Lock()\n"
+        "_TABLE: dict = {'lock': RLock()}\n"
+        "class Pool:\n"
+        "    guard = threading.Lock()\n"
+        "    def __init__(self):\n"
+        "        self._lock = threading.Lock()\n"
+        "def make():\n"
+        "    return threading.RLock()\n"
+        "LOCKS.append(threading.Lock())\n"
+        "event = threading.Event()\n"
+    )
+    assert shared_locks(source) == ["<module>", "Pool.guard", "_LOCK", "_TABLE"]
+
+
+def test_the_gate_memo_holds_the_one_shared_lock():
+    # Per-object locks live in methods; a table of the whole process would
+    # need a lock of its own here.
+    found = {_scan_id(path): shared_locks(path.read_text()) for path in PACKAGE.rglob("*.py")}
+    assert {name: locks for name, locks in found.items() if locks} == {"search.py": ["_GATE_QC_LOCK"]}
 
 
 # What each low layer may import from the package, by its directory.

@@ -605,6 +605,15 @@ def test_load_names_a_record_key_of_the_wrong_type(tmp_path, key, value, message
     assert str(info.value) == message
 
 
+def test_load_refuses_a_reward_that_is_not_a_json_number(tmp_path):
+    path = tmp_path / "nan.jsonl"
+    assert export_trajectories([_good_decomposition()], path) == 1
+    path.write_text(path.read_text().replace('"reward":0.6', '"reward":NaN'))
+    with pytest.raises(ContractViolation) as info:
+        load_trajectories(path)
+    assert str(info.value) == "line 2 is not valid JSON: NaN is not a JSON number"
+
+
 def test_load_names_a_header_key_of_the_wrong_type(tmp_path):
     import json
 
