@@ -42,6 +42,13 @@ _WIRE_STATUS = {
 # pass@k, so a few goals' worth is enough.
 CHECK_MEMO_SIZE = 64
 
+# The longest line a stdio peer may send, newline included.  The largest
+# legitimate reply is a decomposition: at most ``max_open_lemmas`` lemmas
+# (32 by default), each one goal text, and the longest goal the tests and
+# benchmark generate prints in under 1 KB (a 32-wide conjunction in 875
+# bytes), so such a reply stays near 32 KB.  1 MiB leaves 30 times that.
+MAX_LINE_BYTES = 1 << 20
+
 
 class JsonLineProcess:
     """A child process spoken to over stdin/stdout, one JSON object per line.
@@ -50,10 +57,12 @@ class JsonLineProcess:
     requests cannot starve later ones.  It keeps only replies that a request
     is still waiting for: a reply to an id that was sent but is no longer
     awaited (a late or duplicate answer) is dropped, so such replies cannot
-    pile up.  A line that is not UTF-8 or not a JSON object with an id, a
-    reply to an id never sent, or a request the peer no longer reads breaks
-    the connection: every waiting request, and every later one, fails at
-    once with ``CheckerProtocolError``."""
+    pile up.  A line longer than ``MAX_LINE_BYTES``, a line that is not
+    UTF-8 or not a JSON object with an id, a reply to an id never sent, or a
+    request the peer no longer reads breaks the connection: every waiting
+    request, and every later one, fails at once with
+    ``CheckerProtocolError``.  So a peer that never ends its line costs at
+    most one cap's worth of memory."""
 
     def __init__(self, argv: list[str] | str):
         if isinstance(argv, str):
@@ -72,8 +81,10 @@ class JsonLineProcess:
     def _read_loop(self) -> None:
         assert self._proc.stdout is not None
         # The reader owns the stream: it closes it when it stops reading.
-        with self._proc.stdout as lines:
-            for line in lines:
+        with self._proc.stdout as stream:
+            while line := stream.readline(MAX_LINE_BYTES + 1):
+                if len(line) > MAX_LINE_BYTES:
+                    return self._break(f"peer sent a line longer than {MAX_LINE_BYTES} bytes")
                 line = line.strip()
                 if not line:
                     continue

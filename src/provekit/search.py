@@ -16,6 +16,10 @@ bounded process-wide LRU keyed by the goal, name included, and the quickcheck
 and domain configs; quickcheck is a pure function of those, so iterations and
 pass@k samples that re-check a goal reuse the outcome.  One lock serialises
 the lookups, so fan-out threads that miss on one key run its quickcheck once.
+A miss on a statement already checked under other names (a policy names
+each lemma afresh) is settled inside quickcheck by its fact table once the
+statement's sample space has been enumerated, with the outcome sampling
+would give; the memo's key, and every verdict, stay as they were.
 """
 
 from __future__ import annotations

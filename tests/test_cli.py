@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import re
+from collections import OrderedDict
 
 import pytest
 
 import provekit.cli as cli_mod
+import provekit.quickcheck as quickcheck_mod
 from provekit.cli import main
 from provekit.search import mix_seed
 from provekit.trace import read_trace_dir
@@ -134,6 +136,29 @@ def test_qc_clean_goals_exit_zero(goals_file, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("no counterexample in 200 trials") == 2
+
+
+def test_qc_gives_each_name_of_a_statement_what_it_gives_alone(tmp_path, capsys, monkeypatch):
+    # At 300 trials, some names find x = 37 and some miss it; a name that
+    # misses pays for the 201 points, which the next name then enumerates.
+    # x + 0 = x holds everywhere, so its second name is settled by the fact.
+    def qc(names: list[str]) -> list[str]:
+        monkeypatch.setattr(quickcheck_mod, "_FACTS", OrderedDict())  # a fresh process
+        path = tmp_path / "goals.txt"
+        path.write_text("".join(
+            f"goal {name} (x: Int) := {'x + 0 = x' if name.startswith('v') else 'x != 37'}\n"
+            for name in names
+        ))
+        main(["qc", str(path), "--trials", "300"])
+        return capsys.readouterr().out.splitlines()
+
+    alone = {name: qc([name]) for name in [f"n{i}" for i in range(30)] + ["v1", "v2"]}
+    missed = [name for name, out in alone.items() if "no counterexample" in out[0] and name[0] == "n"]
+    found = [name for name, out in alone.items() if "counterexample at trial" in out[0]]
+    assert missed and found
+    names = [missed[0], found[0], missed[1], "v1", "v2"]
+    for order in (names, names[::-1]):
+        assert qc(order) == [line for name in order for line in alone[name]]
 
 
 def test_qc_goal_that_runs_out_of_budget_is_not_clean(tmp_path, capsys):

@@ -38,7 +38,7 @@ from provekit.prover.api import (
     CheckVerdict,
     PolicyContext,
 )
-from provekit.prover.external import CHECK_MEMO_SIZE
+from provekit.prover.external import CHECK_MEMO_SIZE, MAX_LINE_BYTES
 from provekit.search import (
     OUTCOME_EXHAUSTED,
     REASON_INFRASTRUCTURE,
@@ -78,6 +78,8 @@ def check_response(req):
         return {"id": rid, "status": "error", "diagnostics": "kernel panic"}
     if "weird" in goal:
         return {"id": rid, "status": "maybe"}
+    if "bigreply" in goal:
+        return {"id": rid, "status": "rejected", "diagnostics": "a" * 1_000_000}
     return {"id": rid, "status": "accepted", "goal": goal}
 
 def policy_response(req):
@@ -129,6 +131,14 @@ for line in sys.stdin:
         sys.stdout.buffer.write(b'{"id": %d, "status": "rejected", "diagnostics": "\xff"}\n'
                                 % req["id"])
         sys.stdout.flush()
+        continue
+    if "flood" in goal:
+        # 4 MB and no newline; the client stops reading and closes the pipe.
+        try:
+            sys.stdout.buffer.write(b"x" * (4 << 20))
+            sys.stdout.flush()
+        except OSError:
+            sys.exit(0)
         continue
     if "pairfirst" in goal:
         held = check_response(req)
@@ -347,6 +357,24 @@ def test_reply_that_is_not_utf8_is_a_checker_error_at_once(process):
     verdict = ExternalChecker(process).check(_direct("badbytes"), 30_000)
     assert time.monotonic() - start < 1.0
     assert verdict.status == CHECKER_ERROR
+
+
+def test_a_line_longer_than_the_cap_is_a_checker_error(process):
+    start = time.monotonic()
+    verdict = ExternalChecker(process).check(_direct("flood"), 30_000)
+    assert verdict.status == CHECKER_ERROR
+    assert f"peer sent a line longer than {MAX_LINE_BYTES} bytes" in verdict.diagnostics
+    # The connection is broken: a later request fails at once too.
+    with pytest.raises(CheckerProtocolError, match=f"longer than {MAX_LINE_BYTES} bytes"):
+        process.request({"goal": "goal plain := 0 = 0"}, 30.0)
+    assert time.monotonic() - start < 5.0
+
+
+def test_a_long_reply_within_the_cap_is_read(process):
+    assert 1_000_000 < MAX_LINE_BYTES
+    verdict = ExternalChecker(process).check(_direct("bigreply"), 30_000)
+    assert verdict.status == REJECTED
+    assert verdict.diagnostics == "a" * 1_000_000
 
 
 def test_close_stops_the_peer_and_the_reader(server_script):

@@ -27,9 +27,10 @@ Only the trace module and the wire adapters decode JSON, so a new file
 reader goes through the trace module's strict decoder and key-table check
 rather than around them.
 
-The one lock made at module level is the gate quickcheck memo's, so a
-process-wide locked table cannot quietly come back: a cache belongs on the
-object it describes.
+The locks made at module level are the gate quickcheck memo's and the
+quickcheck fact table's, so no other process-wide locked table can quietly
+come back: a cache belongs on the object it describes unless it must be
+shared across objects, as those two are across goal names.
 
 The language and prover packages sit at the bottom of the package: they
 import only from each other (the prover also from the evaluator) and from
@@ -382,11 +383,14 @@ def test_shared_locks_are_found():
     assert shared_locks(source) == ["<module>", "Pool.guard", "_LOCK", "_TABLE"]
 
 
-def test_the_gate_memo_holds_the_one_shared_lock():
+def test_only_the_gate_memo_and_the_fact_table_hold_shared_locks():
     # Per-object locks live in methods; a table of the whole process would
     # need a lock of its own here.
     found = {_scan_id(path): shared_locks(path.read_text()) for path in PACKAGE.rglob("*.py")}
-    assert {name: locks for name, locks in found.items() if locks} == {"search.py": ["_GATE_QC_LOCK"]}
+    assert {name: locks for name, locks in found.items() if locks} == {
+        "quickcheck.py": ["_FACTS_LOCK"],
+        "search.py": ["_GATE_QC_LOCK"],
+    }
 
 
 # What each low layer may import from the package, by its directory.
