@@ -2,11 +2,11 @@
 
 Jobs wait FIFO for one of ``max_concurrent`` slots, and each job that takes
 a slot runs on a thread of its own, which exits once the check returns.
-The queue has no cap: it holds only what callers submit.  Every job ends in
-exactly one of four buckets (completed, timed out, cancelled, or still
-pending/queued), and the stats snapshot preserves the conservation identity
+The queue has no cap: it holds only what callers submit.  Every job is in
+exactly one of three buckets (completed, timed out, or not yet ended: in
+flight or queued), and the stats snapshot preserves the conservation identity
 
-    submitted == completed + timed_out + cancelled + in_flight + queued
+    submitted == completed + timed_out + in_flight + queued
 
 at every observable instant.  Each job is submitted with its timeout (the
 search passes its ``check_timeout_ms``); the pool has no timeout setting of
@@ -17,7 +17,8 @@ running set, not a thread: a job cut short frees its slot at once, and its
 thread counts as ``stuck`` until the check returns, so a hung check never
 holds up the queue.  The checker still gets the job's full timeout.  A
 handle carries its job, so the pool keeps only queued and running jobs, and
-latency quantiles cover recent jobs only.
+latency quantiles cover recent jobs only.  The stats depend on thread
+timing, so no trace records them.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ class PoolStats:
     submitted: int
     completed: int
     timed_out: int
-    cancelled: int
     in_flight: int
     queued: int
     peak_in_flight: int
@@ -66,9 +66,7 @@ class PoolStats:
     stuck: int  # threads still in the check of a job cut short; wall-clock, not traced
 
     def conserved(self) -> bool:
-        return self.submitted == (
-            self.completed + self.timed_out + self.cancelled + self.in_flight + self.queued
-        )
+        return self.submitted == self.completed + self.timed_out + self.in_flight + self.queued
 
 
 @dataclass(slots=True, eq=False)
@@ -99,7 +97,7 @@ class VerificationPool:
         self._running: set[_Job] = set()  # jobs holding a slot
         self._next_id = 0
         self._shutdown = False
-        self._counts = {"submitted": 0, "completed": 0, "timed_out": 0, "cancelled": 0}
+        self._counts = {"submitted": 0, "completed": 0, "timed_out": 0}
         self._peak = 0
         self._checking = 0  # job threads whose check has not returned
         self._latencies: collections.deque[float] = collections.deque(maxlen=_LATENCY_SAMPLES)
@@ -147,16 +145,6 @@ class VerificationPool:
                     self._queue.remove(job)
                 self._finalize_locked(job, "timed_out", api.timeout())
             return job.verdict
-
-    def cancel_all(self, reason: str = "cancelled") -> int:
-        """Cancel everything pending or running; returns how many jobs were
-        cut short.  The pool stays usable afterwards."""
-        with self._lock:
-            cut = [*self._queue, *self._running]
-            self._queue.clear()  # first, so the slots freed below start nothing
-            for job in cut:
-                self._finalize_locked(job, "cancelled", api.checker_error(reason))
-            return len(cut)
 
     def stats(self) -> PoolStats:
         with self._lock:

@@ -58,6 +58,8 @@ def witness_text(env: dict) -> str:
 # quickcheck memo in ``search`` this held about 0.27 MB after 3000
 # ``passk_builtin`` benchmark goals.
 DECIDE_MEMO_SIZE = 128
+NODES_PER_MS = 1000  # evaluation steps per millisecond of a check's timeout
+MAX_GROUND_POINTS = 8  # the widest carrier ``QuantifierGrounder`` spells out
 
 
 def _decide_statement(
@@ -77,8 +79,8 @@ class BuiltinChecker:
     """Checker over the bounded evaluator.
 
     The evaluation budget is derived from the requested timeout (a fixed
-    node rate, not wall time) and capped by the domain's own budget, so
-    identical obligations always get identical verdicts.
+    rate of ``NODES_PER_MS``, not wall time) and capped by the domain's own
+    budget, so identical obligations always get identical verdicts.
 
     Bounded decides (direct checks, direct-proof completions and
     reconstructions without lemmas) are memoized per checker in an LRU of
@@ -93,9 +95,8 @@ class BuiltinChecker:
     at one timeout passes the memo the same ``Domain`` object each time.
     """
 
-    def __init__(self, domain: Domain, nodes_per_ms: int = 1000):
+    def __init__(self, domain: Domain):
         self.domain = domain
-        self.nodes_per_ms = nodes_per_ms
         self._decide_memo = functools.lru_cache(maxsize=DECIDE_MEMO_SIZE)(_decide_statement)
         self._last_domain: tuple[int, Domain] | None = None
 
@@ -105,7 +106,7 @@ class BuiltinChecker:
         last = self._last_domain
         if last is not None and last[0] == timeout_ms:
             return last[1]
-        budget = min(self.domain.node_budget, max(1, timeout_ms) * self.nodes_per_ms)
+        budget = min(self.domain.node_budget, max(1, timeout_ms) * NODES_PER_MS)
         domain = replace(self.domain, node_budget=budget)
         self._last_domain = (timeout_ms, domain)
         return domain
@@ -255,18 +256,17 @@ class ConjunctionSplitter(_BuiltinPolicy):
 
 class QuantifierGrounder(_BuiltinPolicy):
     """Replace the first binder by one lemma per domain value when the
-    enumeration is small enough to be worth spelling out."""
+    enumeration has at most ``MAX_GROUND_POINTS`` values."""
 
-    def __init__(self, domain: Domain, max_points: int = 8):
+    def __init__(self, domain: Domain):
         self.domain = domain
-        self.max_points = max_points
 
     def propose_decomposition(self, context: PolicyContext) -> DecompositionProposal:
         goal = context.goal
         if not goal.binders:
             return _direct_proposal()
         name0, sort0 = goal.binders[0]
-        if self.domain.value_count(sort0) > self.max_points:
+        if self.domain.value_count(sort0) > MAX_GROUND_POINTS:
             return _direct_proposal()
         child_depth = context.target_depth + 1
         lemmas = []
@@ -321,16 +321,14 @@ class StochasticPolicy(_BuiltinPolicy):
         domain: Domain,
         weights: dict[str, float] | None = None,
         split_depth: int = 1,
-        max_ground_points: int = 8,
     ):
         self.seed = seed
         self.domain = domain
         self.weights = dict(weights or DEFAULT_WEIGHTS)
         self.split_depth = split_depth
-        self.max_ground_points = max_ground_points
         self._rng: random.Random | None = None
         self._splitter = ConjunctionSplitter(depth=split_depth)
-        self._grounder = QuantifierGrounder(domain, max_points=max_ground_points)
+        self._grounder = QuantifierGrounder(domain)
         self._direct = DirectSubmit()
 
     def propose_decomposition(self, context: PolicyContext) -> DecompositionProposal:

@@ -16,11 +16,13 @@ iteration budget).
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import shlex
 import subprocess
 import threading
+import time
 from collections import OrderedDict
 
 from ..errors import CheckerProtocolError, ParseError, PolicyError
@@ -42,11 +44,11 @@ _WIRE_STATUS = {
 # pass@k, so a few goals' worth is enough.
 CHECK_MEMO_SIZE = 64
 
-# The longest line a stdio peer may send, newline included.  The largest
-# legitimate reply is a decomposition: at most ``max_open_lemmas`` lemmas
-# (32 by default), each one goal text, and the longest goal the tests and
-# benchmark generate prints in under 1 KB (a 32-wide conjunction in 875
-# bytes), so such a reply stays near 32 KB.  1 MiB leaves 30 times that.
+# The longest stdio line (newline included) or HTTP reply body a peer may
+# send.  The largest legitimate reply is a decomposition: at most 32 lemmas
+# (the ``max_open_lemmas`` default), each a goal text, and the longest goal
+# the tests and benchmark generate prints in 875 bytes (a 32-wide
+# conjunction), so such a reply stays near 32 KB: 1 MiB leaves 30 times that.
 MAX_LINE_BYTES = 1 << 20
 
 
@@ -165,28 +167,40 @@ class JsonLineProcess:
 
 class JsonHttpEndpoint:
     """Same payloads, one POST per request; the reply must be a JSON object
-    that echoes the request's id."""
+    that echoes the request's id.  One deadline covers connecting and every
+    read of the reply, and the body may be ``MAX_LINE_BYTES`` long."""
 
     def __init__(self, url: str):
         self.url = url
         self._ids = itertools.count(1)
 
     def request(self, payload: dict, timeout_s: float) -> dict:
-        # Imported here: urllib.request pulls in ssl, http and email, which
-        # every other use of the package would otherwise pay for in memory.
-        import urllib.error
-        import urllib.request
+        # Imported here: http.client pulls in ssl and email, which every
+        # other use of the package would otherwise pay for in memory.
+        from http import client
+        from urllib.parse import urlsplit
 
+        deadline = time.monotonic() + timeout_s
         key = next(self._ids)
         body = json.dumps({**payload, "id": key}).encode()
-        req = urllib.request.Request(
-            self.url, data=body, headers={"Content-Type": "application/json"}
-        )
+        url = urlsplit(self.url)
+        path = url._replace(scheme="", netloc="").geturl() or "/"
+        connection = client.HTTPSConnection if url.scheme == "https" else client.HTTPConnection
+        conn = connection(url.netloc, timeout=timeout_s)
         try:
-            with urllib.request.urlopen(req, timeout=timeout_s) as resp:
-                raw = resp.read()
-        except (urllib.error.URLError, OSError) as exc:
+            conn.request("POST", path, body, {"Content-Type": "application/json"})
+            # Not ``conn.getresponse``, which may close the socket mid-reply.
+            resp = client.HTTPResponse(_DeadlineReader(conn.sock, deadline), method="POST")
+            resp.begin()
+            raw = resp.read(MAX_LINE_BYTES + 1)
+        except (client.HTTPException, OSError) as exc:  # a missed deadline too
             raise CheckerProtocolError(f"http transport failure: {exc}") from exc
+        finally:
+            conn.close()
+        if not 200 <= resp.status < 300:
+            raise CheckerProtocolError(f"http transport failure: {resp.status} {resp.reason}")
+        if len(raw) > MAX_LINE_BYTES:
+            raise CheckerProtocolError(f"http reply longer than {MAX_LINE_BYTES} bytes")
         try:
             reply = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -201,6 +215,24 @@ class JsonHttpEndpoint:
 
     def close(self) -> None:
         pass
+
+
+class _DeadlineReader(io.RawIOBase):
+    """A socket whose reads wait only for the time left before a deadline."""
+
+    def __init__(self, sock, deadline: float):
+        self._sock, self._deadline = sock, deadline
+
+    def makefile(self, mode: str) -> io.BufferedReader:
+        return io.BufferedReader(self)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        # Past the deadline a read takes only bytes that are already here.
+        self._sock.settimeout(max(self._deadline - time.monotonic(), 1e-6))
+        return self._sock.recv_into(buffer)
 
 
 def make_transport(endpoint: str) -> JsonLineProcess | JsonHttpEndpoint:

@@ -626,7 +626,7 @@ def run_single(
     trace.emit(
         "run_end",
         witness=None if witness is None else env_to_json(witness),
-        pool=_pool_counters(pool),
+        pool=None,
         **shared,
     )
     result = RunResult(
@@ -659,21 +659,6 @@ def _count_proof_lines(tree: GoalTree) -> int | None:
     return sum(len(text.splitlines()) for text in texts)
 
 
-def _pool_counters(pool) -> dict | None:
-    """Deterministic subset of pool stats for the trace; latency quantiles
-    are wall-clock and stay out of the log."""
-    if pool is None:
-        return None
-    stats = pool.stats()
-    return {
-        "submitted": stats.submitted,
-        "completed": stats.completed,
-        "timed_out": stats.timed_out,
-        "cancelled": stats.cancelled,
-        "peak_in_flight": stats.peak_in_flight,
-    }
-
-
 @dataclass
 class PassKResult:
     problem: str
@@ -701,7 +686,7 @@ def run_pass_k(
     so the attempts diverge while staying replayable.  Every run gets one
     copy of the config with ``k_parallel=1``, whose header text is encoded
     once.  ``first_success_run`` is 1-based; ``pool_factory`` (if given)
-    builds a fresh pool per run so trace counters stay per-run.
+    builds a fresh pool for each run, which is shut down with its run.
     """
     k = config.k_parallel
     run_config = replace(config, k_parallel=1)

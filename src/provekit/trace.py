@@ -4,7 +4,7 @@ The first line is the configuration snapshot (with a format version); every
 later line is an event with a monotonically increasing ``seq``.  Traces
 deliberately carry no wall-clock data: two runs of the same inputs must
 produce byte-identical logs, which is what makes replay a meaningful check.
-Latency figures live in the pool's stats API instead.
+Latency figures and the pool's counters live in the pool's stats instead.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ TRACE_EVENTS = {
         "proof_lines": (int, _NULL),
         "audit_failures": (int,),
         "witness": (dict, _NULL),
-        "pool": (dict, _NULL),
+        "pool": (dict, _NULL),  # always null now; kept for format-1 bytes
         **_EVENT,
     },
 }

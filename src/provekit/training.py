@@ -67,10 +67,6 @@ class RolloutGroup:
     def rewards(self) -> list[float]:
         return [r.reward for r in self.rollouts if r.reward is not None]
 
-    @property
-    def all_error(self) -> bool:
-        return not self.rewards()
-
     def mean_reward(self) -> float | None:
         rewards = self.rewards()
         if not rewards:

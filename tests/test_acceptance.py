@@ -207,9 +207,9 @@ def test_criterion_03_end_to_end_soundness():
 def test_criterion_04_hierarchical_vs_flat():
     started = time.monotonic()
     domain = Domain(int_lo=-2, int_hi=2)
-    # nodes_per_ms=1 makes the per-check budget min(1e6, 20000*1) = 20000
-    # evaluation steps: one atom decides in ~25, the n-ary product cannot.
-    checker = BuiltinChecker(domain, nodes_per_ms=1)
+    # The checker's domain caps each check at 20,000 evaluation steps: one
+    # atom decides in ~25, the n-ary product cannot.
+    checker = BuiltinChecker(replace(domain, node_budget=20_000))
     base = SearchConfig(
         max_open_lemmas=32,
         check_timeout_ms=20_000,
@@ -251,9 +251,13 @@ def test_criterion_04_hierarchical_vs_flat():
 # -- 5: pass@k grows like independent retries ---------------------------------
 
 
-def _gated_conjunction_config(seed: int, domain: Domain) -> SearchConfig:
+def _gated_checker(domain: Domain) -> BuiltinChecker:
     # check budget 600 steps: leaf decides fit, the 3-binder root does not,
     # so a run wins only when the policy draws a decomposing strategy.
+    return BuiltinChecker(replace(domain, node_budget=600))
+
+
+def _gated_conjunction_config(seed: int, domain: Domain) -> SearchConfig:
     return SearchConfig(
         decompose_iters=2,
         complete_iters=2,
@@ -268,7 +272,7 @@ def _gated_conjunction_config(seed: int, domain: Domain) -> SearchConfig:
 def test_criterion_05_pass_at_k_scaling():
     started = time.monotonic()
     domain = Domain(int_lo=-2, int_hi=2)
-    checker = BuiltinChecker(domain, nodes_per_ms=1)
+    checker = _gated_checker(domain)
 
     traces = []
     win_matrix = []
@@ -324,7 +328,7 @@ def test_criterion_05_pass_at_k_scaling():
 def test_criterion_06_score_predicts_success():
     started = time.monotonic()
     domain = Domain(int_lo=-2, int_hi=2)
-    checker = BuiltinChecker(domain, nodes_per_ms=1)
+    checker = _gated_checker(domain)
     good = {"split": 0.70, "direct": 0.10, "ground": 0.10, "junk": 0.10}
     bad = {"split": 0.05, "direct": 0.10, "ground": 0.05, "junk": 0.80}
 
@@ -528,7 +532,7 @@ def test_criterion_08_pool_discipline():
 
 def _mixed_corpus_traces(tmp_path, tag: str):
     domain = Domain(int_lo=-2, int_hi=2)
-    checker = BuiltinChecker(domain, nodes_per_ms=1)
+    checker = _gated_checker(domain)
     good = {"split": 0.70, "direct": 0.10, "ground": 0.10, "junk": 0.10}
     bad = {"split": 0.05, "direct": 0.10, "ground": 0.05, "junk": 0.80}
     out_dir = tmp_path / tag

@@ -220,56 +220,67 @@ def test_run_flag_k_overrides_the_file(goals_file, tmp_path, capsys):
     assert "add_zero: proved on run 1/2" in capsys.readouterr().out
 
 
-def test_run_flag_workers_overrides_the_file(goals_file, tmp_path, monkeypatch, capsys):
-    widths = []
+def _recording_pools(monkeypatch) -> list:
+    """Every pool the CLI builds, kept so a test can read its width and
+    stats after the run."""
+    pools = []
     real_pool = cli_mod.VerificationPool
 
     def recording_pool(checker, config):
-        widths.append(config.max_concurrent)
-        return real_pool(checker, config)
+        pools.append(real_pool(checker, config))
+        return pools[-1]
 
     monkeypatch.setattr(cli_mod, "VerificationPool", recording_pool)
+    return pools
+
+
+def test_run_flag_workers_overrides_the_file(goals_file, tmp_path, monkeypatch, capsys):
+    pools = _recording_pools(monkeypatch)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"pool": {"max_concurrent": 7}}))
     code = main(["--config", str(config), "run", str(goals_file), "--goal", "mul_one",
                  "--policy", "direct", "--workers", "2", "--qc-trials", "200"])
     assert code == 0
     assert "mul_one: proved" in capsys.readouterr().out
-    assert widths and set(widths) == {2}
+    assert pools and {pool.config.max_concurrent for pool in pools} == {2}
 
 
-def test_run_takes_its_pool_from_the_config_file(goals_file, tmp_path, capsys):
+def test_run_takes_its_pool_from_the_config_file(goals_file, tmp_path, monkeypatch, capsys):
+    pools = _recording_pools(monkeypatch)
     config = tmp_path / "config.json"
     argv = ["--config", str(config), "run", str(goals_file), "--goal", "mul_one",
             "--policy", "direct", "--qc-trials", "100"]
     config.write_text(json.dumps({"pool": {"max_concurrent": 0, "bogus": 1}}))
     assert main(argv) == 3
     assert "bogus" in capsys.readouterr().err
+    assert pools == []
 
     config.write_text(json.dumps({"pool": {"max_concurrent": 2}}))
     trace_dir = tmp_path / "traces"
     assert main([*argv, "--trace-dir", str(trace_dir)]) == 0
+    assert [pool.config.max_concurrent for pool in pools] == [2]
     (trace,) = read_trace_dir(trace_dir)
     (end,) = [e for e in trace.events if e["type"] == "run_end"]
-    assert end["pool"] is not None
+    assert end["pool"] is None
 
 
 C3_SRC = "goal c3 (a: Int) (b: Int) (c: Int) := a + 0 = a /\\ (b * 1 = b /\\ c - 0 = c)\n"
 
 
-def test_a_one_slot_pool_queues_every_leaf_of_a_sweep(tmp_path, capsys):
+def test_a_one_slot_pool_queues_every_leaf_of_a_sweep(tmp_path, monkeypatch, capsys):
+    pools = _recording_pools(monkeypatch)
     goals = tmp_path / "g.txt"
     goals.write_text(C3_SRC)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"pool": {"max_concurrent": 1}}))
-    trace_dir = tmp_path / "traces"
     code = main(["--config", str(config), "run", str(goals), "--policy", "split:3", "--k", "1",
-                 "--decompose-iters", "1", "--trace-dir", str(trace_dir)])
+                 "--decompose-iters", "1"])
     assert code == 0
     assert "c3: proved" in capsys.readouterr().out
-    (trace,) = read_trace_dir(trace_dir)
-    (end,) = [e for e in trace.events if e["type"] == "run_end"]
-    assert end["pool"]["submitted"] == 3
+    (pool,) = pools
+    stats = pool.stats()
+    assert stats.submitted == stats.completed == 3
+    assert stats.peak_in_flight == 1
 
 
 def test_a_pool_queue_capacity_in_the_file_is_an_error(goals_file, tmp_path, capsys):

@@ -676,6 +676,26 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         elif self.path == "/badbytes":
             self._send(200, b'{"id": %d, "status": "accepted", "x": "\xff"}' % req["id"])
             return
+        elif self.path == "/slowbody":
+            # A valid 31-byte reply whose headers come at once and whose
+            # body comes a byte every 0.3 s: 9.3 s in all.
+            reply = json.dumps({"id": req["id"], "status": "accepted"}).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(reply)))
+            self.end_headers()
+            self._drip(reply)
+            return
+        elif self.path == "/slowheader":
+            reply = json.dumps({"id": req["id"], "status": "accepted"}).encode()
+            head = b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n" % len(reply)
+            self._drip(head + reply)
+            return
+        elif self.path == "/big":
+            try:
+                self._send(200, b"[" + b"0," * 1_000_000 + b"0]")
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # the client stopped reading at its cap
+            return
         else:
             body = {"id": req["id"], "status": "accepted", "axioms": ["propext"]}
         self._send(200, json.dumps(body).encode())
@@ -686,6 +706,15 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
         self.wfile.write(payload)
+
+    def _drip(self, data, pause=0.3):
+        """Send ``data`` a byte per ``pause``, until the client hangs up."""
+        try:
+            for i in range(len(data)):
+                self.wfile.write(data[i:i + 1])
+                time.sleep(pause)
+        except (BrokenPipeError, ConnectionResetError):
+            pass
 
     def log_message(self, *args):
         pass
@@ -760,9 +789,37 @@ def test_http_connection_failure_is_checker_error():
     assert "transport" in verdict.diagnostics
 
 
+@pytest.mark.parametrize("path", ["/slowbody", "/slowheader"])
+def test_an_http_reply_sent_a_byte_at_a_time_fails_at_the_deadline(http_base, path):
+    # Each byte comes well within the timeout, so only a deadline for the
+    # whole request stops a reply that would take 9 s.
+    endpoint = JsonHttpEndpoint(f"{http_base}{path}")
+    started = time.monotonic()
+    with pytest.raises(CheckerProtocolError, match="http transport failure: timed out"):
+        endpoint.request({"kind": "direct"}, timeout_s=1.0)
+    assert time.monotonic() - started < 1.5
+
+
+def test_a_slow_http_checker_is_a_checker_error_at_its_deadline(http_base, monkeypatch):
+    monkeypatch.setattr(ExternalChecker, "TRANSPORT_GRACE_S", 0.5)
+    checker = ExternalChecker(JsonHttpEndpoint(f"{http_base}/slowbody"))
+    started = time.monotonic()
+    verdict = checker.check(_direct("anything"), 500)
+    assert time.monotonic() - started < 1.5
+    assert verdict.status == CHECKER_ERROR
+    assert "timed out" in verdict.diagnostics
+
+
+def test_an_http_reply_longer_than_the_cap_is_checker_error(http_base):
+    checker = ExternalChecker(JsonHttpEndpoint(f"{http_base}/big"))
+    verdict = checker.check(_direct("anything"), 1000)
+    assert verdict.status == CHECKER_ERROR
+    assert f"http reply longer than {MAX_LINE_BYTES} bytes" in verdict.diagnostics
+
+
 def test_importing_the_package_does_not_load_ssl():
-    # The HTTP transport imports urllib.request (and with it ssl, http and
-    # email) only when a request is sent.
+    # The HTTP transport imports http.client (and with it ssl and email)
+    # only when a request is sent.
     import provekit
 
     src = str(Path(provekit.__file__).resolve().parents[1])

@@ -36,7 +36,7 @@ from provekit.prover import (
     fresh_lemma_name,
 )
 from provekit.prover.api import RECON_AND_INTRO, RECON_DIRECT, RECON_GROUND
-from provekit.prover.builtin import _junk_proposal
+from provekit.prover.builtin import MAX_GROUND_POINTS, NODES_PER_MS, _junk_proposal
 
 DOMAIN = Domain()
 CHECKER = BuiltinChecker(DOMAIN)
@@ -102,9 +102,9 @@ def test_unknown_marker_falls_back_to_entailment():
 
 
 def test_budget_exhaustion_maps_to_timeout_verdict():
-    checker = BuiltinChecker(DOMAIN, nodes_per_ms=1)
+    checker = BuiltinChecker(Domain(node_budget=1))
     goal = parse_goal("goal t := 0 = 0")
-    verdict = checker.check(CheckRequest(KIND_DIRECT, goal), 0)  # 1-node budget
+    verdict = checker.check(CheckRequest(KIND_DIRECT, goal), T_MS)
     assert verdict.status == TIMEOUT
 
 
@@ -158,13 +158,15 @@ def test_repeated_decide_is_evaluated_once(monkeypatch):
 
 def test_decide_memo_is_keyed_by_the_node_budget(monkeypatch):
     calls = _count_decides(monkeypatch)
-    checker = BuiltinChecker(DOMAIN, nodes_per_ms=1)
-    request = CheckRequest(KIND_DIRECT, parse_goal("goal t (x: Int) := x + 0 = x"))
+    checker = BuiltinChecker(DOMAIN)
+    # 11**3 assignments: more than a 1 ms budget's nodes, fewer than 100 ms's.
+    goal = parse_goal("goal t (x: Int) (y: Int) (z: Int) := x + y + z = z + y + x")
+    request = CheckRequest(KIND_DIRECT, goal)
     assert checker.check(request, 1).status == TIMEOUT
-    assert checker.check(request, 10_000).status == ACCEPTED
+    assert checker.check(request, 100).status == ACCEPTED
     # A cached budget exhaustion is still reported as a timeout.
     assert checker.check(request, 1).status == TIMEOUT
-    assert calls == [1, 10_000]
+    assert calls == [NODES_PER_MS, 100 * NODES_PER_MS]
 
 
 def test_decide_memo_never_caches_a_checker_error(monkeypatch):
@@ -179,22 +181,22 @@ def test_decide_memo_never_caches_a_checker_error(monkeypatch):
 
 
 def test_checks_at_one_timeout_share_one_domain():
-    checker = BuiltinChecker(DOMAIN, nodes_per_ms=1)
+    checker = BuiltinChecker(DOMAIN)
     first = checker._domain_for(10)
-    assert checker._domain_for(10) is first and first.node_budget == 10
-    assert checker._domain_for(20).node_budget == 20
-    assert checker._domain_for(10).node_budget == 10
+    assert checker._domain_for(10) is first and first.node_budget == 10 * NODES_PER_MS
+    assert checker._domain_for(20).node_budget == 20 * NODES_PER_MS
+    assert checker._domain_for(10).node_budget == 10 * NODES_PER_MS
     assert checker._domain_for(10**9).node_budget == DOMAIN.node_budget
 
 
 def test_threads_sharing_a_checker_get_the_domain_of_their_own_timeout():
-    checker = BuiltinChecker(DOMAIN, nodes_per_ms=1)
+    checker = BuiltinChecker(DOMAIN)
     wrong: list[tuple[int, int]] = []
 
     def worker(timeout_ms: int) -> None:
         for _ in range(2000):
             budget = checker._domain_for(timeout_ms).node_budget
-            if budget != timeout_ms:
+            if budget != timeout_ms * NODES_PER_MS:
                 wrong.append((timeout_ms, budget))
 
     previous = sys.getswitchinterval()
@@ -391,21 +393,26 @@ def test_splitter_falls_back_to_direct_on_non_conjunction():
     assert proposal.k == 0 and proposal.reconstruction == RECON_DIRECT
 
 
+# The widest Int carrier the grounder spells out, and one value more.
+EIGHT_INTS = Domain(int_lo=-4, int_hi=3)
+NINE_INTS = Domain(int_lo=-4, int_hi=4)
+
+
 def test_grounder_instantiates_small_carriers():
     goal = parse_goal("goal g (x: Int) (y: Int) := x * y = y * x")
-    grounder = QuantifierGrounder(DOMAIN, max_points=11)
-    proposal = grounder.propose_decomposition(_ctx(goal))
-    assert proposal.k == DOMAIN.value_count(Sort.INT)
+    proposal = QuantifierGrounder(EIGHT_INTS).propose_decomposition(_ctx(goal))
+    assert proposal.k == EIGHT_INTS.value_count(Sort.INT) == MAX_GROUND_POINTS
     assert proposal.reconstruction == RECON_GROUND
     req = CheckRequest(
         KIND_RECONSTRUCTION, goal, lemmas=proposal.lemmas, proof_text=proposal.reconstruction
     )
-    assert _check(req).status == ACCEPTED
+    assert BuiltinChecker(EIGHT_INTS).check(req, T_MS).status == ACCEPTED
 
 
 def test_grounder_declines_large_carriers_and_closed_goals():
     goal = parse_goal("goal g (x: Int) := x + 0 = x")
-    assert QuantifierGrounder(DOMAIN, max_points=4).propose_decomposition(_ctx(goal)).k == 0
+    assert QuantifierGrounder(NINE_INTS).propose_decomposition(_ctx(goal)).k == 0
+    assert QuantifierGrounder(DOMAIN).propose_decomposition(_ctx(goal)).k == 0
     closed = parse_goal("goal c := 0 = 0")
     assert QuantifierGrounder(DOMAIN).propose_decomposition(_ctx(closed)).k == 0
 
@@ -445,10 +452,10 @@ def test_stochastic_policy_mixes_all_strategies():
 def test_stochastic_fork_reseeds_independently():
     goal = parse_goal("goal g (x: Int) := x = x /\\ x + 0 = x")
     ctx = _ctx(goal)
-    parent = StochasticPolicy(3, DOMAIN, split_depth=2, max_ground_points=5)
+    parent = StochasticPolicy(3, DOMAIN, split_depth=2)
     parent.propose_decomposition(ctx)  # advance parent state
     child = parent.fork(3)
-    fresh = StochasticPolicy(3, DOMAIN, split_depth=2, max_ground_points=5)
+    fresh = StochasticPolicy(3, DOMAIN, split_depth=2)
     assert [child.propose_decomposition(ctx) for _ in range(10)] == [
         fresh.propose_decomposition(ctx) for _ in range(10)
     ]
@@ -495,12 +502,12 @@ def test_interleaved_forks_share_no_generator():
 
 
 def test_a_fork_shares_the_stateless_sub_policies_but_not_the_weights():
-    parent = StochasticPolicy(0, DOMAIN, split_depth=2, max_ground_points=5)
+    parent = StochasticPolicy(0, DOMAIN, split_depth=2)
     fork = parent.fork(1)
     assert (fork._splitter, fork._grounder, fork._direct) == (
         parent._splitter, parent._grounder, parent._direct,
     )
-    assert (fork.seed, fork.split_depth, fork.max_ground_points) == (1, 2, 5)
+    assert (fork.seed, fork.split_depth) == (1, 2)
     assert fork.weights == parent.weights and fork.weights is not parent.weights
 
 

@@ -1000,8 +1000,9 @@ def test_the_config_sorts_first_among_the_header_keys():
 
 
 # sha256 of every run's trace for PIN_GOALS, recorded before training's
-# completion records came from completion_stage.  With a one-slot pool per
-# run the pool counters in run_end are deterministic too.
+# completion records came from completion_stage.  A pool changes how the
+# checks run, never what the trace says: every pool width, in line or
+# fanned out, gives the unpooled bytes.
 PIN_DOMAIN = Domain(node_budget=25_000)
 PIN_CONFIG = SearchConfig(
     decompose_iters=6, complete_iters=2, k_parallel=2, qc=QcConfig(trials=100, seed=0), domain=PIN_DOMAIN
@@ -1009,28 +1010,34 @@ PIN_CONFIG = SearchConfig(
 PIN_GOALS = [random_goal(s, f"g{s}") for s in range(30)] + [
     wide_conjunction_goal(f"w{n}", n) for n in (3, 5, 7)
 ]
-PASS_K_TRACE_PINS = {
-    False: "269eeb56c37fa88e46b3701d55fc63e425700cd8b5c3969e3f27fc336c71f9dc",
-    True: "6f2d2c99324119e89e935d278db4a38e853195805d2e5ac2759c6f3f6c15717b",
-}
+PASS_K_TRACE_PIN = "269eeb56c37fa88e46b3701d55fc63e425700cd8b5c3969e3f27fc336c71f9dc"
+POOL_SLOTS = {None: "no_pool", 1: "one_slot_pool", 2: "two_slot_pool", 4: "four_slot_pool"}
 
 
-@pytest.mark.parametrize("pooled", [False, True], ids=["no_pool", "one_slot_pool"])
-def test_pass_k_traces_are_pinned(pooled):
+@pytest.mark.parametrize(
+    "slots, max_workers",
+    [
+        pytest.param(slots, workers, id=name if workers == 2 else f"{name}_in_line")
+        for workers in (2, 1)
+        for slots, name in POOL_SLOTS.items()
+    ],
+)
+def test_pass_k_traces_are_pinned(slots, max_workers):
     digest = hashlib.sha256()
     outcomes = set()
     for goal in PIN_GOALS:
         checker = BuiltinChecker(PIN_DOMAIN)
         factory = None
-        if pooled:
+        if slots is not None:
             def factory():
-                return VerificationPool(checker, PoolConfig(max_concurrent=1))
+                return VerificationPool(checker, PoolConfig(max_concurrent=slots))
         result = run_pass_k(
             goal,
             StochasticPolicy(0, PIN_DOMAIN, split_depth=3),
             checker,
             replace(PIN_CONFIG, seed=mix_seed(0, goal.name)),
             pool_factory=factory,
+            max_workers=max_workers,
         )
         outcomes.update(run.outcome for run in result.runs)
         for trace in result.traces:
@@ -1039,7 +1046,7 @@ def test_pass_k_traces_are_pinned(pooled):
             parse_trace(text)
             digest.update(text.encode())
     assert outcomes == {OUTCOME_DISPROVED, OUTCOME_PROVED, OUTCOME_EXHAUSTED}
-    assert digest.hexdigest() == PASS_K_TRACE_PINS[pooled]
+    assert digest.hexdigest() == PASS_K_TRACE_PIN
 
 
 def test_runs_on_a_refuted_root_seed_no_policy_generator(monkeypatch):
@@ -1086,15 +1093,6 @@ class _RecordingPool:
     def await_verdict(self, verdict):
         return verdict
 
-    def stats(self):
-        return SimpleNamespace(
-            submitted=self.submitted,
-            completed=self.submitted,
-            timed_out=0,
-            cancelled=0,
-            peak_in_flight=1 if self.submitted else 0,
-        )
-
     def shutdown(self):
         self.log.append(self)
 
@@ -1114,7 +1112,8 @@ def test_pass_k_builds_and_shuts_down_one_pool_per_run():
     assert len(factory_calls) == 3
     assert closed == factory_calls  # every pool shut down, in run order
     assert all(r.proved for r in result.runs)
-    assert all(t.events[-1]["pool"]["submitted"] == 1 for t in result.traces)
+    assert [pool.submitted for pool in factory_calls] == [1, 1, 1]
+    assert all(t.events[-1]["pool"] is None for t in result.traces)
 
 
 class _BudgetRecorder:

@@ -138,7 +138,6 @@ def test_rollout_group_direct_policy_maxes_out():
     group = score_rollout_group(LEMMA_L, DirectSubmit(), CHECKER, CONFIG, n_rollouts=3)
     assert [r.reward for r in group.rollouts] == [1.0, 1.0, 1.0]
     assert group.mean_reward() == 1.0
-    assert not group.all_error
 
 
 def test_rollout_group_gate_failures_score_zero():
@@ -162,7 +161,7 @@ def test_rollout_group_policy_errors_carry_no_reward():
 def test_rollout_group_checker_errors_carry_no_reward():
     group = score_rollout_group(LEMMA_L, DirectSubmit(), BrokenChecker(), CONFIG, n_rollouts=2)
     assert all(r.reward is None for r in group.rollouts)
-    assert group.all_error
+    assert group.rewards() == []
     assert group.mean_reward() is None
 
 
