@@ -24,8 +24,9 @@ import subprocess
 import threading
 import time
 from collections import OrderedDict
+from urllib.parse import urlsplit
 
-from ..errors import CheckerProtocolError, ParseError, PolicyError
+from ..errors import CheckerProtocolError, ContractViolation, ParseError, PolicyError
 from ..lang.parser import parse_goal
 from ..lang.printer import print_goal
 from . import api, prompts
@@ -171,24 +172,30 @@ class JsonHttpEndpoint:
     read of the reply, and the body may be ``MAX_LINE_BYTES`` long."""
 
     def __init__(self, url: str):
-        self.url = url
+        parts = urlsplit(url)
+        try:
+            port = parts.port
+        except ValueError as exc:  # a port that is not a number, or out of range
+            raise ContractViolation(f"endpoint URL {url!r}: {exc}") from None
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ContractViolation(f"endpoint URL {url!r}: want http(s)://host[:port]/path")
+        self._https = parts.scheme == "https"
+        self._host, self._port = parts.hostname, port
+        self._path = parts._replace(scheme="", netloc="").geturl() or "/"
         self._ids = itertools.count(1)
 
     def request(self, payload: dict, timeout_s: float) -> dict:
         # Imported here: http.client pulls in ssl and email, which every
         # other use of the package would otherwise pay for in memory.
         from http import client
-        from urllib.parse import urlsplit
 
         deadline = time.monotonic() + timeout_s
         key = next(self._ids)
         body = json.dumps({**payload, "id": key}).encode()
-        url = urlsplit(self.url)
-        path = url._replace(scheme="", netloc="").geturl() or "/"
-        connection = client.HTTPSConnection if url.scheme == "https" else client.HTTPConnection
-        conn = connection(url.netloc, timeout=timeout_s)
+        connection = client.HTTPSConnection if self._https else client.HTTPConnection
+        conn = connection(self._host, self._port, timeout=timeout_s)
         try:
-            conn.request("POST", path, body, {"Content-Type": "application/json"})
+            conn.request("POST", self._path, body, {"Content-Type": "application/json"})
             # Not ``conn.getresponse``, which may close the socket mid-reply.
             resp = client.HTTPResponse(_DeadlineReader(conn.sock, deadline), method="POST")
             resp.begin()

@@ -4,8 +4,10 @@ Generation is uniform and fully seeded: each call derives its own generator
 state from (seed, goal name), so outcomes are reproducible and independent
 of call order.  Values are drawn by rejection on ``getrandbits``, which
 yields exactly the stream ``random.randint`` would give from the same state,
-without its per-call argument checks.  A reported witness is always
-re-verified by evaluation before being returned; there is no shrinking.
+without its per-call argument checks.  One closure draws a whole trial, each
+binder's rejection loop in line and with no call per value.  A reported
+witness is always re-verified by evaluation before being returned; there is
+no shrinking.
 
 A statement that keeps passing under new names is settled from its sample
 space instead.  A process-wide fact table, keyed by the statement (binders
@@ -111,34 +113,38 @@ def env_sampler(
     Each value equals what ``rng.randint`` would return at that point of the
     stream: ``randint(lo, hi)`` is ``lo + r`` for the first
     ``getrandbits(n.bit_length())`` draw ``r`` below ``n = hi - lo + 1``.
+    Every binder's rejection loop runs in line, with no call per value.
     """
     getrandbits = rng.getrandbits
-
-    def uniform(lo: int, hi: int) -> Callable[[], int]:
-        n = hi - lo + 1
-        k = n.bit_length()
-
-        def draw_one() -> int:
-            r = getrandbits(k)
-            while r >= n:
-                r = getrandbits(k)
-            return lo + r
-
-        return draw_one
-
-    draw_int = uniform(config.gen_int_lo, config.gen_int_hi)
-    draw_len = uniform(0, config.gen_max_list_len)
-    draw_elem = uniform(config.elem_lo, config.elem_hi)
+    int_lo, int_n = config.gen_int_lo, config.gen_int_hi - config.gen_int_lo + 1
+    int_k = int_n.bit_length()
+    len_n = config.gen_max_list_len + 1
+    len_k = len_n.bit_length()
+    elem_lo, elem_n = config.elem_lo, config.elem_hi - config.elem_lo + 1
+    elem_k = elem_n.bit_length()
     plan = [(name, sort is Sort.INT) for name, sort in binders]
 
     def draw() -> Env:
         env: Env = {}
         for name, is_int in plan:
             if is_int:
-                env[name] = draw_int()
+                r = getrandbits(int_k)
+                while r >= int_n:
+                    r = getrandbits(int_k)
+                env[name] = int_lo + r
             else:
                 # The length is drawn first, then the elements in order.
-                env[name] = tuple([draw_elem() for _ in range(draw_len())])
+                left = getrandbits(len_k)
+                while left >= len_n:
+                    left = getrandbits(len_k)
+                elems = []
+                while left:
+                    r = getrandbits(elem_k)
+                    while r >= elem_n:
+                        r = getrandbits(elem_k)
+                    elems.append(elem_lo + r)
+                    left -= 1
+                env[name] = tuple(elems)
         return env
 
     return draw

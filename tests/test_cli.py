@@ -314,6 +314,19 @@ def test_a_split_depth_below_one_is_an_engine_error(goals_file, tmp_path, comman
     assert f"error: policy 'split:{depth}': split depth must be a positive integer" in err
 
 
+@pytest.mark.parametrize("flag", ["--checker", "--policy"])
+@pytest.mark.parametrize("command", ["run", "collect"])
+def test_a_url_with_a_bad_port_is_an_engine_error(goals_file, tmp_path, command, flag, capsys):
+    # It ended in a traceback from http.client (InvalidURL) at the first request.
+    argv = [command, str(goals_file), "--goal", "add_zero", flag, "http://127.0.0.1:abc/x"]
+    if command == "collect":
+        argv += ["--out", str(tmp_path / "out.jsonl")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: endpoint URL 'http://127.0.0.1:abc/x'")
+    assert "Traceback" not in err
+
+
 def test_a_flag_overrides_an_invalid_value_in_the_file(goals_file, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"search": {"k_parallel": 0}}))

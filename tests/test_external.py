@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from provekit.errors import CheckerProtocolError, PolicyError
+from provekit.errors import CheckerProtocolError, ContractViolation, PolicyError
 from provekit.lang import parse_goal
 from provekit.prover import (
     ACCEPTED,
@@ -780,6 +780,30 @@ def test_http_body_that_is_not_utf8_is_policy_error(http_base):
     policy = ExternalPolicy(JsonHttpEndpoint(f"{http_base}/badbytes"))
     with pytest.raises(PolicyError, match="unparseable"):
         policy.propose_decomposition(PolicyContext(goal=parse_goal("goal g := 0 = 0")))
+
+
+@pytest.mark.parametrize(
+    "url, needle",
+    [
+        ("http://127.0.0.1:abc/x", "abc"),
+        ("http://127.0.0.1:99999/x", "out of range"),
+        ("ftp://127.0.0.1/x", "want http"),
+        ("http:///x", "want http"),
+        ("http://:8080/x", "want http"),
+    ],
+    ids=["nonnumeric_port", "port_out_of_range", "other_scheme", "no_host", "port_without_host"],
+)
+def test_a_bad_checker_url_is_refused_when_the_endpoint_is_made(url, needle):
+    # Built lazily, the connection raised http.client.InvalidURL from the
+    # first check instead of giving a verdict.
+    with pytest.raises(ContractViolation, match=needle):
+        JsonHttpEndpoint(url)
+
+
+@pytest.mark.parametrize("suffix", ["", "/check?twice=1"], ids=["no_path", "query"])
+def test_http_urls_without_a_path_or_with_a_query_are_posted_to(http_base, suffix):
+    checker = ExternalChecker(JsonHttpEndpoint(f"{http_base}{suffix}"))
+    assert checker.check(_direct("anything"), 1000).status == ACCEPTED
 
 
 def test_http_connection_failure_is_checker_error():

@@ -209,20 +209,28 @@ def _randint_sampler(binders, config, rng):
     return draw
 
 
+MIXED = (("x", Sort.INT), ("l", Sort.INT_LIST), ("y", Sort.INT), ("m", Sort.INT_LIST))
+
+
 @pytest.mark.parametrize(
-    "config",
+    "config, binders",
     [
-        QcConfig(),
-        QcConfig(gen_int_lo=4, gen_int_hi=4, gen_max_list_len=0),
-        QcConfig(gen_int_lo=-7, gen_int_hi=300, gen_max_list_len=7, gen_elem_lo=0, gen_elem_hi=3),
-        QcConfig(gen_int_lo=-(2**40), gen_int_hi=2**40, gen_elem_lo=-(2**33), gen_elem_hi=2**35),
+        (QcConfig(), MIXED),
+        (QcConfig(gen_int_lo=4, gen_int_hi=4, gen_max_list_len=0), MIXED),
+        (QcConfig(gen_int_lo=-7, gen_int_hi=300, gen_max_list_len=7, gen_elem_lo=0, gen_elem_hi=3), MIXED),
+        (QcConfig(gen_int_lo=-(2**40), gen_int_hi=2**40, gen_elem_lo=-(2**33), gen_elem_hi=2**35), MIXED),
+        # Each element is a 1-bit draw that is rejected half the time.
+        (QcConfig(gen_max_list_len=8, gen_elem_lo=3, gen_elem_hi=3), MIXED),
+        (QcConfig(), (("l", Sort.INT_LIST), ("m", Sort.INT_LIST))),
+        # Both values of a repeated name are drawn, and the last is kept.
+        (QcConfig(), (("x", Sort.INT), ("x", Sort.INT_LIST), ("l", Sort.INT_LIST), ("l", Sort.INT))),
     ],
-    ids=["default", "one_value", "narrow_elements", "wider_than_2_32"],
+    ids=["default", "one_value", "narrow_elements", "wider_than_2_32", "one_value_elements",
+         "lists_only", "repeated_name"],
 )
-def test_sampler_stream_equals_randint(config):
+def test_sampler_stream_equals_randint(config, binders):
     # Witnesses and trial indices are pinned elsewhere through this stream;
     # a change in how CPython's randint draws from getrandbits fails here.
-    binders = (("x", Sort.INT), ("l", Sort.INT_LIST), ("y", Sort.INT), ("m", Sort.INT_LIST))
     for seed in range(10):
         rng, reference_rng = derive_rng(seed, "stream"), derive_rng(seed, "stream")
         draw = env_sampler(binders, config, rng)
@@ -332,6 +340,48 @@ def test_a_fact_changes_no_outcome_on_corpus_goals(facts, config, budget):
         settled += check_exact(statement, config, domain, calls=24)
     if config is NARROW and budget > 40:
         assert settled.count(True) >= 3
+
+
+def reference_quickcheck(goal: GoalDecl, config: QcConfig, domain: Domain):
+    """Quickcheck as a plain loop: ``randint`` draws, and each trial compiled
+    and evaluated afresh under a fresh budget."""
+    draw = _randint_sampler(goal.binders, config, derive_rng(config.seed, goal.name))
+    for index in range(1, config.trials + 1):
+        env = draw()
+        try:
+            holds = eval_formula(goal.body, env, domain, Budget(domain.node_budget))
+        except EvalError:
+            holds = False
+        except BudgetExceeded:
+            return NoCounterexample(trials_run=index - 1)
+        if not holds:
+            return Counterexample(witness=env, trial_index=index)
+    return NoCounterexample(trials_run=config.trials)
+
+
+@pytest.mark.parametrize(
+    "config, budget",
+    [
+        (QcConfig(), 1_000_000),
+        (NARROW, 1_000_000),
+        (QcConfig(trials=300, gen_elem_lo=2, gen_elem_hi=2), 1_000_000),
+        (QcConfig(trials=300), 12),
+    ],
+    ids=["default", "narrow_ranges", "one_value_elements", "budget_stops_trials"],
+)
+def test_quickcheck_equals_a_plain_reference_loop(facts, config, budget):
+    domain = Domain(node_budget=budget)
+    outcomes = []
+    for seed in range(40):
+        goal = random_goal(seed, f"r{seed}", depth=2 + seed % 2)
+        outcome = quickcheck(goal, config, domain)
+        assert outcome == reference_quickcheck(goal, config, domain)
+        outcomes.append(outcome)
+    kinds = {type(outcome) for outcome in outcomes}
+    assert kinds == {Counterexample, NoCounterexample}
+    if budget == 12:
+        # Some trials stop on the budget after others have passed.
+        assert any(0 < getattr(o, "trials_run", 0) < config.trials for o in outcomes)
 
 
 @pytest.mark.parametrize("width", range(1, 7))
