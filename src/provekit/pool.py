@@ -14,11 +14,14 @@ its own.  A job's deadline is its submission time plus its timeout; whoever
 sees it pass first, awaiter or job thread, finalizes the job as a timeout,
 and a job still queued past it never starts.  A slot is a place in the
 running set, not a thread: a job cut short frees its slot at once, and its
-thread counts as ``stuck`` until the check returns, so a hung check never
-holds up the queue.  The checker still gets the job's full timeout.  A
-handle carries its job, so the pool keeps only queued and running jobs, and
-latency quantiles cover recent jobs only.  The stats depend on thread
-timing, so no trace records them.
+thread counts as ``stuck`` until the check returns, so one hung check does
+not hold up the queue.  No job starts while ``max_concurrent`` threads are
+stuck, so a checker that hangs on every job costs fewer than twice that
+many threads; queued jobs then time out at their deadlines, and the queue
+moves again as stuck checks return.  The checker still gets the job's full
+timeout.  A handle carries its job, so the pool keeps only queued and
+running jobs, and latency quantiles cover recent jobs only.  The stats
+depend on thread timing, so no trace records them.
 """
 
 from __future__ import annotations
@@ -174,9 +177,12 @@ class VerificationPool:
         self._done.notify_all()
 
     def _dispatch_locked(self) -> None:
-        """Start queued jobs while a slot is free, each on a new thread; a
-        job past its deadline times out without starting."""
-        while self._queue and len(self._running) < self.config.max_concurrent:
+        """Start queued jobs while a slot is free and fewer than
+        ``max_concurrent`` threads are stuck, each on a new thread; a job
+        past its deadline times out without starting."""
+        cap = self.config.max_concurrent
+        # Threads in a check are the running jobs' plus the stuck ones.
+        while self._queue and len(self._running) < cap and self._checking < len(self._running) + cap:
             job = self._queue.popleft()
             now = time.monotonic()
             if now >= job.deadline:
@@ -199,3 +205,5 @@ class VerificationPool:
                 late = time.monotonic() > job.deadline
                 self._finalize_locked(job, "timed_out" if late else "completed",
                                       api.timeout() if late else verdict)
+            else:  # a stuck thread is free again
+                self._dispatch_locked()

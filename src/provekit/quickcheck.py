@@ -9,22 +9,13 @@ binder's rejection loop in line and with no call per value.  A reported
 witness is always re-verified by evaluation before being returned; there is
 no shrinking.
 
-A statement that keeps passing under new names is settled from its sample
-space instead.  A process-wide fact table, keyed by the statement (binders
-and body, not the name), the sampler's ranges and the domain, records a
-fact once every top-level conjunct has held without error at every point
-of the sampled space of its own free variables, within a step bound that
-keeps every whole evaluation inside the node budget.  Then every trial
-would pass, so a later call whose first trial passes returns what its
-remaining trials would: ``NoCounterexample(trials_run=config.trials)``.  A
-fact only ever stands for what sampling would return; it never turns a
-counterexample or a budget stop into a pass, and every verdict, witness
-and trial index stays the one the seeded stream gives.  A space is
-enumerated by the rent-or-buy rule of ski rental (Karlin et al.,
-"Competitive snoopy caching", 1988): only once the trials that earlier
-passing calls spent sampling the statement reach the enumeration's cost,
-the sum of its conjuncts' space sizes.  A statement seen once is never
-enumerated, nor is a space too large to repay it.
+Quickcheck keeps no state between calls.  The search's gate settles a
+statement it keeps seeing under new names from two pure rules here:
+``holds_everywhere`` says whether every top-level conjunct holds without
+error at every point of the sampled space of its own free binders, within
+a step bound that keeps every whole trial inside the node budget, so that
+every trial of every call would pass; ``enumeration_cost`` says how many
+points that takes.
 """
 
 from __future__ import annotations
@@ -32,8 +23,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -150,19 +139,24 @@ def env_sampler(
     return draw
 
 
-# Statements the fact table remembers, least recently used first out.  On
-# 2,000 passk_builtin goals, 32 entries settled 99 % of the calls that
-# 1,024 did, and 128 entries kept 38 KB alive.
-FACT_TABLE_SIZE = 128
-
-# Per key: ``[trials spent, enumeration cost or None]`` while unsettled,
-# then whether the fact holds (``True`` or ``False``).
-_FACTS: OrderedDict[tuple, list | bool] = OrderedDict()
-_FACTS_LOCK = threading.Lock()
-
 # A trial under a fresh budget: whether the assignment falsifies the
 # formula.  ``BudgetExceeded`` escapes it and ends the call.
 Trial = Callable[[FormulaFn, Env], bool]
+
+
+def _trials(domain: Domain) -> tuple[Budget, Trial]:
+    """A budget to compile against, and the trial that refills it."""
+    budget = Budget(domain.node_budget)
+
+    def trial(holds_at: FormulaFn, env: Env) -> bool:
+        """An evaluation error counts as falsifying the assignment."""
+        budget.remaining = domain.node_budget
+        try:
+            return not holds_at(env)
+        except EvalError:
+            return True
+
+    return budget, trial
 
 
 def _sampled_space(config: QcConfig) -> Domain:
@@ -199,24 +193,29 @@ def _points(space: Domain, binders: tuple[tuple[str, Sort], ...]) -> Iterator[En
             yield {name: value, **env}
 
 
-def _enumeration_cost(goal: GoalDecl, space: Domain) -> int:
-    """Points an enumeration evaluates: the sum of the conjuncts' spaces."""
+def enumeration_cost(goal: GoalDecl, config: QcConfig) -> int:
+    """Points ``holds_everywhere`` evaluates: the sum of the sizes of the
+    conjuncts' sampled spaces."""
+    space = _sampled_space(config)
     return sum(
         math.prod(space.value_count(sort) for _, sort in binders)
         for _, binders in _conjunct_spaces(goal)
     )
 
 
-def _holds_everywhere(
-    goal: GoalDecl, space: Domain, domain: Domain, budget: Budget, trial: Trial
-) -> bool:
-    """Whether every trial of ``goal`` passes whatever the sampler draws.
+def holds_everywhere(goal: GoalDecl, config: QcConfig, domain: Domain) -> bool:
+    """Whether every trial of ``goal`` passes whatever the sampler draws,
+    so that ``quickcheck`` returns ``NoCounterexample(config.trials)``
+    under any name and seed.
 
-    Each conjunct must hold, without error, at every point of its own
-    space.  A trial then evaluates every conjunct and each ``And`` above
-    them once, so it visits at most ``(conjuncts - 1) + sum of each
-    conjunct's most steps`` nodes, which must fit in the node budget.
+    Each top-level conjunct must hold, without error, at every point of
+    the sampled space of its own free binders.  A trial then evaluates
+    every conjunct and each ``And`` above them once, so it visits at most
+    ``(conjuncts - 1) + sum of each conjunct's most steps`` nodes, which
+    must fit in the node budget.
     """
+    space = _sampled_space(config)
+    budget, trial = _trials(domain)
     spaces = _conjunct_spaces(goal)
     bound = len(spaces) - 1
     for conjunct, binders in spaces:
@@ -235,53 +234,6 @@ def _holds_everywhere(
     return True
 
 
-def _remember(key: tuple, entry: list | bool) -> None:
-    """Store ``entry`` as the most recently used; the caller holds the lock."""
-    _FACTS[key] = entry
-    _FACTS.move_to_end(key)
-    if len(_FACTS) > FACT_TABLE_SIZE:
-        _FACTS.popitem(last=False)
-
-
-def _pay_rent(key: tuple, trials: int) -> None:
-    """Count the trials a passing call spent sampling an unsettled statement."""
-    with _FACTS_LOCK:  # looked up again: another call may have stored or bought it
-        entry = _FACTS.get(key)
-        if entry is None:
-            _remember(key, [trials, None])
-        elif type(entry) is list:
-            entry[0] += trials
-
-
-def _settled(
-    key: tuple, goal: GoalDecl, config: QcConfig, domain: Domain, budget: Budget, trial: Trial
-) -> bool:
-    """Whether the fact about ``key`` holds, enumerating its space first if
-    the trials spent on it have reached the enumeration's cost."""
-    with _FACTS_LOCK:
-        entry = _FACTS.get(key)
-        if entry is not None:
-            _FACTS.move_to_end(key)
-    if type(entry) is not list:
-        return entry is True
-    space = _sampled_space(config)
-    if entry[1] is None:
-        entry[1] = _enumeration_cost(goal, space)
-    if entry[0] < entry[1]:
-        return False
-    holds = _holds_everywhere(goal, space, domain, budget, trial)
-    with _FACTS_LOCK:
-        _remember(key, holds)
-    return holds
-
-
-def _witness(trial: Trial, holds_at: FormulaFn, env: Env, index: int) -> Counterexample:
-    """The counterexample of a falsifying trial, once re-verified."""
-    if not trial(holds_at, env):
-        raise ContractViolation("witness failed re-verification")
-    return Counterexample(witness=env, trial_index=index)
-
-
 def quickcheck(goal: GoalDecl, config: QcConfig, domain: Domain) -> QcOutcome:
     """Run up to ``config.trials`` sampled assignments against the goal body.
 
@@ -290,37 +242,17 @@ def quickcheck(goal: GoalDecl, config: QcConfig, domain: Domain) -> QcOutcome:
     node budget.  The first falsifying assignment is re-verified and returned
     with its 1-based trial index.  A trial that runs out of budget falsifies
     nothing: the search stops there and reports the trials finished before.
-    Once the first trial passes, a fact about the statement may settle the
-    call with what its other trials would return (see the module notes).
     """
-    budget = Budget(domain.node_budget)
-
-    def trial(holds_at: FormulaFn, env: Env) -> bool:
-        """An evaluation error counts as falsifying the assignment."""
-        budget.remaining = domain.node_budget
-        try:
-            return not holds_at(env)
-        except EvalError:
-            return True
-
+    budget, trial = _trials(domain)
     holds_at = compile_formula(goal.body, domain, budget)
     draw = env_sampler(goal.binders, config, derive_rng(config.seed, goal.name))
-    index = 1
     try:
-        env = draw()
-        if trial(holds_at, env):
-            return _witness(trial, holds_at, env, index)
-        key = (
-            goal.binders, goal.body, config.gen_int_lo, config.gen_int_hi,
-            config.gen_max_list_len, config.elem_lo, config.elem_hi, domain,
-        )
-        if _settled(key, goal, config, domain, budget, trial):
-            return NoCounterexample(trials_run=config.trials)
-        for index in range(2, config.trials + 1):
+        for index in range(1, config.trials + 1):
             env = draw()
             if trial(holds_at, env):
-                return _witness(trial, holds_at, env, index)
+                if not trial(holds_at, env):
+                    raise ContractViolation("witness failed re-verification")
+                return Counterexample(witness=env, trial_index=index)
     except BudgetExceeded:
         return NoCounterexample(trials_run=index - 1)
-    _pay_rent(key, config.trials)
     return NoCounterexample(trials_run=config.trials)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,6 +43,48 @@ def test_a_run_is_read_from_its_last_line():
 def test_a_run_that_printed_nothing_is_refused():
     with pytest.raises(ValueError):
         bench.parse_run("\n")
+
+
+CRASH = """\
+Traceback (most recent call last):
+  File "perfbench/run.py", line 612, in <module>
+    main()
+KeyError: 'goals'
+"""
+ARGS = ["python3", "perfbench/run.py", "--workload", "qc_screen", "--seed", "3"]
+
+
+def _finished(returncode: int, stdout: str, stderr: str = "") -> subprocess.CompletedProcess:
+    return subprocess.CompletedProcess(ARGS, returncode, stdout, stderr)
+
+
+@pytest.mark.parametrize("returncode", [0, 1])
+def test_a_finished_run_is_read_whether_or_not_its_checks_passed(returncode):
+    assert bench.run_result(_finished(returncode, CANNED), Path("base")) == bench.parse_run(CANNED)
+
+
+@pytest.mark.parametrize(
+    "returncode, stdout, problem",
+    [
+        (1, "", "run.py printed nothing"),
+        (1, "\n".join(CANNED.splitlines()[:2]), "last line is no result: {\"meta\""),
+        (1, "ready\n", "last line is no result: ready"),
+        (1, '{"correct": true, "metrics": []}', "last line is no result"),
+        (2, CANNED, "no result read"),
+        (-9, "ready\n", "no result read"),
+    ],
+    ids=["nothing", "meta_line_last", "not_json", "missing_keys", "usage_error", "killed"],
+)
+def test_a_run_with_no_result_reports_its_command_exit_code_and_stderr(returncode, stdout, problem):
+    stderr = "".join(f"noise {i}\n" for i in range(40)) + CRASH
+    with pytest.raises(RuntimeError) as caught:
+        bench.run_result(_finished(returncode, stdout, stderr), Path("base"))
+    message = str(caught.value)
+    head, _, tail = message.partition("\n")
+    assert head.startswith(f"{' '.join(ARGS)} in base exited {returncode}: ")
+    assert problem in head
+    assert tail.splitlines() == stderr.splitlines()[-bench.STDERR_TAIL:]
+    assert tail.endswith("KeyError: 'goals'")
 
 
 def test_the_metrics_come_from_the_benchmark_file():

@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import json
 import re
-from collections import OrderedDict
 
 import pytest
 
 import provekit.cli as cli_mod
-import provekit.quickcheck as quickcheck_mod
 from provekit.cli import main
 from provekit.search import mix_seed
 from provekit.trace import read_trace_dir
@@ -138,12 +136,10 @@ def test_qc_clean_goals_exit_zero(goals_file, capsys):
     assert out.count("no counterexample in 200 trials") == 2
 
 
-def test_qc_gives_each_name_of_a_statement_what_it_gives_alone(tmp_path, capsys, monkeypatch):
-    # At 300 trials, some names find x = 37 and some miss it; a name that
-    # misses pays for the 201 points, which the next name then enumerates.
-    # x + 0 = x holds everywhere, so its second name is settled by the fact.
+def test_qc_gives_each_name_of_a_statement_what_it_gives_alone(tmp_path, capsys):
+    # At 300 trials, some names find x = 37 and some miss it, and x + 0 = x
+    # holds everywhere.  No name's check depends on the ones before it.
     def qc(names: list[str]) -> list[str]:
-        monkeypatch.setattr(quickcheck_mod, "_FACTS", OrderedDict())  # a fresh process
         path = tmp_path / "goals.txt"
         path.write_text("".join(
             f"goal {name} (x: Int) := {'x + 0 = x' if name.startswith('v') else 'x != 37'}\n"

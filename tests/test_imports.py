@@ -14,8 +14,8 @@ search and training share one gate and one completion loop.
 The evaluator's node budget is stored to only by the compiler: on
 entering a block, in the root block's restore and in the walk that replays
 a root.  Apart from the budget's own constructor, only quickcheck's
-per-trial reset also stores to it, so no speed-up can quietly bring back a
-tick per node.
+per-trial reset (``_trials``, which sampling and enumeration share) also
+stores to it, so no speed-up can quietly bring back a tick per node.
 
 No module of the package names ``RecursionError``: every walk is bounded by
 the language's explicit depth cap, never by the interpreter's limit.
@@ -27,10 +27,11 @@ Only the trace module and the wire adapters decode JSON, so a new file
 reader goes through the trace module's strict decoder and key-table check
 rather than around them.
 
-The locks made at module level are the gate quickcheck memo's and the
-quickcheck fact table's, so no other process-wide locked table can quietly
-come back: a cache belongs on the object it describes unless it must be
-shared across objects, as those two are across goal names.
+The one lock made at module level is the search gate's, which guards both
+of its tables, the quickcheck memo and the statement facts, so no other
+process-wide locked table can quietly come back: a cache belongs on the
+object it describes unless it must be shared across objects, as the gate's
+are across goal names.
 
 The language and prover packages sit at the bottom of the package: they
 import only from each other (the prover also from the evaluator) and from
@@ -207,7 +208,7 @@ def test_remaining_stores_are_found():
 # The scopes that may store to a budget's ``remaining``, by module.
 REMAINING_STORES = {
     "evaluator.py": ["Budget.__init__", "_Compiler.block", "_Compiler.compile", "_Compiler.walk"],
-    "quickcheck.py": ["quickcheck"],
+    "quickcheck.py": ["_trials"],
 }
 
 
@@ -383,14 +384,11 @@ def test_shared_locks_are_found():
     assert shared_locks(source) == ["<module>", "Pool.guard", "_LOCK", "_TABLE"]
 
 
-def test_only_the_gate_memo_and_the_fact_table_hold_shared_locks():
+def test_only_the_gate_holds_a_shared_lock():
     # Per-object locks live in methods; a table of the whole process would
     # need a lock of its own here.
     found = {_scan_id(path): shared_locks(path.read_text()) for path in PACKAGE.rglob("*.py")}
-    assert {name: locks for name, locks in found.items() if locks} == {
-        "quickcheck.py": ["_FACTS_LOCK"],
-        "search.py": ["_GATE_QC_LOCK"],
-    }
+    assert {name: locks for name, locks in found.items() if locks} == {"search.py": ["_GATE_QC_LOCK"]}
 
 
 # What each low layer may import from the package, by its directory.

@@ -159,22 +159,64 @@ def test_timeout_is_measured_from_submission():
 
 
 def test_a_stuck_check_does_not_block_the_queue():
+    # Two slots: one parked job times out while the other keeps its slot,
+    # and the queued job takes the freed slot while the parked check still
+    # holds its thread.
     checker = GatedChecker(prefix="parked")
-    config = PoolConfig(max_concurrent=1)
+    config = PoolConfig(max_concurrent=2)
     with VerificationPool(checker, config) as pool:
+        started = time.monotonic()
         first = pool.submit(_request("parked1"), timeout_ms=100)
-        second_at = time.monotonic()
-        second = pool.submit(_request("parked2"), timeout_ms=100)
+        second = pool.submit(_request("parked2"), timeout_ms=5_000)
         third = pool.submit(_request("free"), timeout_ms=5_000)
         assert pool.await_verdict(first).status == TIMEOUT
-        assert pool.await_verdict(second).status == TIMEOUT
-        assert time.monotonic() - second_at < 0.5
         assert pool.await_verdict(third).status == ACCEPTED
+        assert time.monotonic() - started < 0.5
         assert pool.stats().stuck >= 1  # served while a parked check holds its thread
         checker.release.set()
+        assert pool.await_verdict(second).status == ACCEPTED
         stats = pool.stats()
-        assert (stats.timed_out, stats.completed) == (2, 1)
+        assert (stats.timed_out, stats.completed) == (1, 2)
         assert stats.conserved()
+
+
+def test_no_job_starts_while_max_concurrent_threads_are_stuck():
+    # Each job of 20 ms over a blocked checker is awaited before the next is
+    # submitted.  Two stuck threads stop the pool from starting a third, so
+    # the other eight time out in the queue, and the queue moves again once
+    # the checker returns.
+    checker = GatedChecker()
+    samples = []
+    with VerificationPool(checker, PoolConfig(max_concurrent=2)) as pool:
+        for i in range(10):
+            handle = pool.submit(_request(f"j{i}"), timeout_ms=20)
+            samples.append(pool.stats())
+            assert pool.await_verdict(handle).status == TIMEOUT
+            samples.append(pool.stats())
+        assert checker.entered == 2
+        later = [pool.submit(_request(f"later{i}"), TIMEOUT_MS) for i in range(3)]
+        samples.append(pool.stats())
+        assert (samples[-1].queued, samples[-1].in_flight, samples[-1].stuck) == (3, 0, 2)
+        checker.release.set()
+        assert all(pool.await_verdict(handle).status == ACCEPTED for handle in later)
+        assert wait_until(lambda: pool.stats().stuck == 0)
+        samples.append(pool.stats())
+    assert max(stats.stuck for stats in samples) == 2
+    assert (samples[-1].timed_out, samples[-1].completed, samples[-1].queued) == (10, 3, 0)
+    assert all(stats.conserved() for stats in samples)
+
+
+def test_stuck_threads_stay_below_twice_max_concurrent():
+    # Ten jobs submitted together: a job starts only while fewer than two
+    # threads are stuck, and at most two run, so at most three get stuck.
+    checker = GatedChecker()
+    with VerificationPool(checker, PoolConfig(max_concurrent=2)) as pool:
+        handles = [pool.submit(_request(f"j{i}"), timeout_ms=20) for i in range(10)]
+        assert all(pool.await_verdict(handle).status == TIMEOUT for handle in handles)
+        stats = pool.stats()
+        checker.release.set()
+    assert 2 <= stats.stuck <= 3
+    assert stats.timed_out == 10 and stats.conserved()
 
 
 def test_stuck_counts_threads_left_in_a_cut_short_check():

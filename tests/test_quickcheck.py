@@ -1,12 +1,12 @@
 """Seeded random testing: determinism, witness soundness, generator ranges
-and the generator stream; a fact settled from a statement's sample space
-changes no outcome under any name, serially or across threads."""
+and the generator stream.  A fact the search gate settles from a
+statement's sample space changes no outcome under any name, serially or
+across threads, and leaves quickcheck itself drawing every trial."""
 
 from __future__ import annotations
 
 import sys
 import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import provekit.quickcheck as quickcheck_mod
+import provekit.search as search_mod
 from corpus import random_goal, wide_conjunction_goal
 from provekit.errors import BudgetExceeded, ContractViolation, EvalError
 from provekit.evaluator import Budget, Domain, eval_formula
@@ -37,7 +38,6 @@ from provekit.lang import (
     parse_goal,
 )
 from provekit.quickcheck import (
-    FACT_TABLE_SIZE,
     Counterexample,
     NoCounterexample,
     QcConfig,
@@ -45,6 +45,7 @@ from provekit.quickcheck import (
     env_sampler,
     quickcheck,
 )
+from provekit.search import FACT_TABLE_SIZE
 
 DOMAIN = Domain()
 
@@ -255,43 +256,24 @@ def test_bad_configs_are_rejected(kwargs):
         QcConfig(**kwargs)
 
 
-# --- facts settled from the sample space ----------------------------------------
-
-
-@pytest.fixture()
-def facts(monkeypatch):
-    """A fact table of the test's own, empty at the start."""
-    table: OrderedDict = OrderedDict()
-    monkeypatch.setattr(quickcheck_mod, "_FACTS", table)
-    return table
+# --- facts the gate settles from the sample space --------------------------------
 
 
 def named(statement: GoalDecl, name: str) -> GoalDecl:
     return GoalDecl(name, statement.binders, statement.body)
 
 
-def cold(goal: GoalDecl, config: QcConfig, domain: Domain):
-    """What sampling alone gives: the call sees an empty table, and the
-    test's own table is left as it was."""
-    saved = quickcheck_mod._FACTS
-    quickcheck_mod._FACTS = OrderedDict()
-    try:
-        return quickcheck(goal, config, domain)
-    finally:
-        quickcheck_mod._FACTS = saved
-
-
 def check_exact(statement: GoalDecl, config: QcConfig, domain: Domain, calls: int) -> list[bool]:
-    """Quickcheck the statement under ``calls`` names in turn, each call
-    seeing the table the calls before it left, and compare every outcome
-    with the one an empty table gives.  Returns the facts settled under
-    keys that were not in the table before."""
-    table = quickcheck_mod._FACTS
+    """Quickcheck the statement through the gate under ``calls`` fresh
+    names in turn, each call seeing the facts the calls before it left, and
+    compare every outcome with what sampling alone gives.  Returns the
+    facts settled under keys that were not in the table before."""
+    table = search_mod._FACTS
     before = set(table)
     names = [f"{statement.name}_{i}" for i in range(calls)]
-    warm = [quickcheck(named(statement, name), config, domain) for name in names]
+    gated = [search_mod._gate_quickcheck(named(statement, name), config, domain) for name in names]
     settled = [entry for key, entry in table.items() if key not in before and type(entry) is bool]
-    assert warm == [cold(named(statement, name), config, domain) for name in names]
+    assert gated == [quickcheck(named(statement, name), config, domain) for name in names]
     return settled
 
 
@@ -329,7 +311,7 @@ NARROW = QcConfig(trials=30, gen_int_lo=-3, gen_int_hi=3, gen_max_list_len=2,
     ids=["narrow_ranges", "default_ranges"],
 )
 @pytest.mark.parametrize("budget", [40, 25_000, 1_000_000])
-def test_a_fact_changes_no_outcome_on_corpus_goals(facts, config, budget):
+def test_a_fact_changes_no_outcome_on_corpus_goals(fresh_gate, config, budget):
     # Narrow ranges let statements over lists settle too; at the default
     # ranges a list's space is far too large to repay, and only statements
     # over one or two integers can settle.
@@ -369,23 +351,31 @@ def reference_quickcheck(goal: GoalDecl, config: QcConfig, domain: Domain):
     ],
     ids=["default", "narrow_ranges", "one_value_elements", "budget_stops_trials"],
 )
-def test_quickcheck_equals_a_plain_reference_loop(facts, config, budget):
+def test_quickcheck_equals_a_plain_reference_loop(fresh_gate, config, budget):
+    # Each goal under three names, so that the gate's facts settle some of
+    # the later ones; quickcheck alone and the gate both give the loop's
+    # outcome under every name.
     domain = Domain(node_budget=budget)
     outcomes = []
     for seed in range(40):
-        goal = random_goal(seed, f"r{seed}", depth=2 + seed % 2)
-        outcome = quickcheck(goal, config, domain)
-        assert outcome == reference_quickcheck(goal, config, domain)
-        outcomes.append(outcome)
+        statement = random_goal(seed, f"r{seed}", depth=2 + seed % 2)
+        for name in (f"r{seed}_{i}" for i in range(3)):
+            goal = named(statement, name)
+            outcome = reference_quickcheck(goal, config, domain)
+            assert quickcheck(goal, config, domain) == outcome
+            assert search_mod._gate_quickcheck(goal, config, domain) == outcome
+            outcomes.append(outcome)
     kinds = {type(outcome) for outcome in outcomes}
     assert kinds == {Counterexample, NoCounterexample}
     if budget == 12:
         # Some trials stop on the budget after others have passed.
         assert any(0 < getattr(o, "trials_run", 0) < config.trials for o in outcomes)
+    else:
+        assert True in fresh_gate.values()
 
 
 @pytest.mark.parametrize("width", range(1, 7))
-def test_wide_conjunctions_settle_after_a_few_sightings(facts, width):
+def test_wide_conjunctions_settle_after_a_few_sightings(fresh_gate, width):
     # Each atom ranges over 201 integers, so 201 * width points repay after
     # width + 1 calls of 200 trials.  A trial visits 5 nodes per atom and
     # one per And: at that budget every trial fits, one below none does.
@@ -399,7 +389,7 @@ def test_wide_conjunctions_settle_after_a_few_sightings(facts, width):
     assert check_exact(statement, config, Domain(node_budget=bound - 1), width + 3) == []
 
 
-def test_the_steps_bound_is_met_exactly(facts):
+def test_the_steps_bound_is_met_exactly(fresh_gate):
     # At the bound a fact settles; one below, where some trial may run out
     # of budget, none does, and sampling gives every outcome, although the
     # table holds the fact at the bound.
@@ -440,12 +430,12 @@ INT_X = (("x", Sort.INT),)
     ids=["eval_error_at_one_point", "free_non_binder", "zero_binders", "conjunct_under_quantifier",
          "unused_list_binder"],
 )
-def test_a_fact_settles_exactly_on_edge_statements(facts, statement, fact):
+def test_a_fact_settles_exactly_on_edge_statements(fresh_gate, statement, fact):
     config = QcConfig(trials=40)
     assert check_exact(statement, config, Domain(), calls=20) == [fact]
 
 
-def test_a_fact_needs_every_point_inside_the_budget(facts):
+def test_a_fact_needs_every_point_inside_the_budget(fresh_gate):
     # x >= 98 takes the costly branch, 9 nodes against 4, and forty trials
     # often miss it; with the And and y = y a trial visits 13 at most.
     statement = parse_goal("goal c (x: Int) (y: Int) := (x < 98 \\/ x + 0 = x) /\\ y = y")
@@ -455,28 +445,57 @@ def test_a_fact_needs_every_point_inside_the_budget(facts):
     assert check_exact(statement, config, Domain(node_budget=12), 60) == [False]
 
 
-def test_a_space_is_enumerated_once_sampling_has_paid_for_it(facts, monkeypatch):
+def test_a_space_is_enumerated_once_sampling_has_paid_for_it(fresh_gate, monkeypatch):
     bought = []
-    enumerate_space = quickcheck_mod._holds_everywhere
+    enumerate_space = search_mod.holds_everywhere
 
     def spy(goal, *args):
         bought.append(goal.name)
         return enumerate_space(goal, *args)
 
-    monkeypatch.setattr(quickcheck_mod, "_holds_everywhere", spy)
+    monkeypatch.setattr(search_mod, "holds_everywhere", spy)
     # 201 points at 100 trials a call: the fourth call has 300 trials behind it.
     statement = parse_goal("goal a (x: Int) := x + 0 = x")
     for i in range(6):
-        quickcheck(named(statement, f"a{i}"), QcConfig(trials=100), Domain())
+        search_mod._gate_quickcheck(named(statement, f"a{i}"), QcConfig(trials=100), Domain())
     assert bought == ["a3"]
     # A list's space at the default ranges, about 10**18 points, never repays.
     lists = parse_goal("goal l (m: IntList) := m = m")
     for i in range(50):
-        quickcheck(named(lists, f"l{i}"), QcConfig(trials=100), Domain())
+        search_mod._gate_quickcheck(named(lists, f"l{i}"), QcConfig(trials=100), Domain())
     assert bought == ["a3"]
 
 
-def test_a_fact_stands_only_for_its_own_sample_space(facts):
+def test_quickcheck_draws_every_trial_of_a_statement_the_gate_settled(fresh_gate, monkeypatch):
+    draws = []
+    sampler = quickcheck_mod.env_sampler
+
+    def counting(binders, config, rng):
+        draw = sampler(binders, config, rng)
+        draws.append(0)
+
+        def counted():
+            draws[-1] += 1
+            return draw()
+
+        return counted
+
+    monkeypatch.setattr(quickcheck_mod, "env_sampler", counting)
+    statement = parse_goal("goal a (x: Int) := x + 0 = x")
+    config = QcConfig(trials=100)
+    gated = [search_mod._gate_quickcheck(named(statement, f"g{i}"), config, DOMAIN) for i in range(6)]
+    # Three calls pay for the 201 points; the fourth buys the fact, and
+    # from there the gate draws nothing.
+    assert gated == [NoCounterexample(trials_run=100)] * 6
+    assert draws == [100] * 3
+    assert list(fresh_gate.values()) == [True]
+    draws.clear()
+    alone = [quickcheck(named(statement, f"q{i}"), config, DOMAIN) for i in range(6)]
+    assert alone == [NoCounterexample(trials_run=100)] * 6
+    assert draws == [100] * 6
+
+
+def test_a_fact_stands_only_for_its_own_sample_space(fresh_gate):
     statement = parse_goal("goal r (x: Int) (l: IntList) := x < 4 /\\ len(l) < 3")
     assert check_exact(statement, NARROW, Domain(), 40) == [True]
     # One more integer, or longer lists, and the statement fails somewhere.
@@ -489,14 +508,14 @@ def test_a_fact_stands_only_for_its_own_sample_space(facts):
 
 
 def in_threads(jobs: list[GoalDecl], config: QcConfig, domain: Domain) -> list:
-    """Quickcheck ``jobs`` on eight threads started together, with a short
-    switch interval so that they trade the interpreter often; the outcomes
-    come back in job order."""
+    """Quickcheck ``jobs`` through the gate on eight threads started
+    together, with a short switch interval so that they trade the
+    interpreter often; the outcomes come back in job order."""
     start = threading.Barrier(8)
 
     def run(part: list[GoalDecl]) -> list:
         start.wait(timeout=60)
-        return [quickcheck(goal, config, domain) for goal in part]
+        return [search_mod._gate_quickcheck(goal, config, domain) for goal in part]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -508,15 +527,15 @@ def in_threads(jobs: list[GoalDecl], config: QcConfig, domain: Domain) -> list:
     return [parts[i % 8][i // 8] for i in range(len(jobs))]
 
 
-def test_threads_sharing_the_table_get_the_serial_outcomes(facts, monkeypatch):
+def test_threads_sharing_the_table_get_the_serial_outcomes(fresh_gate, monkeypatch):
     bought = []
-    enumerate_space = quickcheck_mod._holds_everywhere
+    enumerate_space = search_mod.holds_everywhere
 
     def spy(goal, *args):
         bought.append(goal.name)
         return enumerate_space(goal, *args)
 
-    monkeypatch.setattr(quickcheck_mod, "_holds_everywhere", spy)
+    monkeypatch.setattr(search_mod, "holds_everywhere", spy)
     config, domain = QcConfig(trials=200), Domain()
     # Two statements under distinct names, which threads buy while others
     # look them up, and a list statement whose space never repays, so its
@@ -526,14 +545,14 @@ def test_threads_sharing_the_table_get_the_serial_outcomes(facts, monkeypatch):
     lists = parse_goal("goal l (m: IntList) := m = m")
     jobs = [named(statement, f"{statement.name}{i}") for i in range(32) for statement in (needle, valid)]
     jobs += [named(lists, f"l{i}") for i in range(80)]
-    serial = [cold(goal, config, domain) for goal in jobs]
+    serial = [quickcheck(goal, config, domain) for goal in jobs]
     assert in_threads(jobs, config, domain) == serial
     assert {name[0] for name in bought} == {"t", "v"}
-    rents = [entry[0] for entry in facts.values() if type(entry) is list and (entry[1] or 0) > 10**9]
+    rents = [entry[0] for entry in fresh_gate.values() if type(entry) is list and (entry[1] or 0) > 10**9]
     assert rents == [200 * 80]
     # x = 37 falsifies the needle, and some names miss it.
     assert any(isinstance(outcome, NoCounterexample) for outcome in serial[0:64:2])
     # More statements than the table holds: lookups and evictions interleave.
     churn = [parse_goal(f"goal c{i} (x: Int) := x + {i} = {i} + x") for i in range(2 * FACT_TABLE_SIZE)]
-    assert in_threads(churn, config, domain) == [cold(goal, config, domain) for goal in churn]
-    assert len(facts) == FACT_TABLE_SIZE
+    assert in_threads(churn, config, domain) == [quickcheck(goal, config, domain) for goal in churn]
+    assert len(fresh_gate) == FACT_TABLE_SIZE

@@ -1158,11 +1158,10 @@ def _count_gate_quickchecks(monkeypatch) -> list[str]:
         return quickcheck(goal, qc, domain)
 
     monkeypatch.setattr(search_mod, "quickcheck", counting)
-    search_mod._gate_qc_memo.cache_clear()
     return calls
 
 
-def test_gate_quickchecks_run_once_per_goal(monkeypatch):
+def test_gate_quickchecks_run_once_per_goal(fresh_gate, monkeypatch):
     calls = _count_gate_quickchecks(monkeypatch)
     outcomes = []
     for _ in range(2):
@@ -1176,7 +1175,7 @@ def test_gate_quickchecks_run_once_per_goal(monkeypatch):
     assert calls == ["memo", "memo_1_1", "memo_1_2"]
 
 
-def test_gate_memo_keeps_each_goal_name_s_counterexample(monkeypatch):
+def test_gate_memo_keeps_each_goal_name_s_counterexample(fresh_gate, monkeypatch):
     # Quickcheck seeds its trials from the goal name, so alpha-equal goals
     # with different names must not share an outcome.
     calls = _count_gate_quickchecks(monkeypatch)
@@ -1194,7 +1193,7 @@ def test_gate_memo_keeps_each_goal_name_s_counterexample(monkeypatch):
     assert calls == ["first", "second"]
 
 
-def test_gate_memo_runs_a_key_once_across_threads(monkeypatch):
+def test_gate_memo_runs_a_key_once_across_threads(fresh_gate, monkeypatch):
     # Fan-out threads that miss on one key together must not both run the
     # quickcheck; the stub sleeps so that, unserialised, both would miss.
     calls = []
@@ -1205,7 +1204,6 @@ def test_gate_memo_runs_a_key_once_across_threads(monkeypatch):
         return quickcheck(goal, qc, domain)
 
     monkeypatch.setattr(search_mod, "quickcheck", slow)
-    search_mod._gate_qc_memo.cache_clear()
     goal = parse_goal("goal shared (x: Int) := x + 0 = x")
     start = threading.Barrier(2)
     outcomes = []

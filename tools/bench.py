@@ -41,6 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CLAIM_SHARE = 0.9  # a gain must show in this share of the pairs
+STDERR_TAIL = 20  # lines of a failed run's stderr shown with its error
 
 
 @dataclass(frozen=True)
@@ -64,17 +65,37 @@ def load_metrics(benchmark: dict) -> list[Metric]:
 
 
 def parse_run(stdout: str) -> Run:
-    """The result of one ``run.py`` invocation: its last line of output."""
+    """The result of one ``run.py`` invocation: its last line of output,
+    which must be a result line."""
     lines = stdout.strip().splitlines()
     if not lines:
         raise ValueError("run.py printed nothing")
-    result = json.loads(lines[-1])
-    return Run(
-        correct=result["correct"],
-        attempted=result["attempted"],
-        failed=result["failed"],
-        values={name: entry["value"] for name, entry in result["metrics"].items()},
-    )
+    try:
+        result = json.loads(lines[-1])
+        return Run(
+            correct=result["correct"],
+            attempted=result["attempted"],
+            failed=result["failed"],
+            values={name: entry["value"] for name, entry in result["metrics"].items()},
+        )
+    except (ValueError, KeyError, TypeError, AttributeError):
+        raise ValueError(f"run.py's last line is no result: {lines[-1][:200]}") from None
+
+
+def run_result(out: subprocess.CompletedProcess, tree: Path) -> Run:
+    """The run a finished ``run.py`` reports.  It exits 1 both when a check
+    failed and when it crashed, so unless it exited 0 or 1 with a result
+    line last, the error names the command, its exit code and the tail of
+    its stderr."""
+    try:
+        if out.returncode in (0, 1):
+            return parse_run(out.stdout)
+        problem = "no result read"
+    except ValueError as exc:
+        problem = str(exc)
+    tail = "\n".join(out.stderr.strip().splitlines()[-STDERR_TAIL:])
+    command = " ".join(map(str, out.args))
+    raise RuntimeError(f"{command} in {tree} exited {out.returncode}: {problem}\n{tail}")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -155,10 +176,7 @@ def format_table(workload: str, metrics: list[Metric], base: list[Run], head: li
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> Run:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
-    if out.returncode not in (0, 1):  # 1: the run finished but some check failed
-        raise RuntimeError(f"{' '.join(argv)} in {tree} exited {out.returncode}:\n{out.stderr}")
-    return parse_run(out.stdout)
+    return run_result(subprocess.run(argv, cwd=tree, capture_output=True, text=True), tree)
 
 
 def compare(args: argparse.Namespace) -> int:
