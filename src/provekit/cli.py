@@ -332,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     pool_p.add_argument("--workers", type=int, default=None)
     pool_p.add_argument("--repeat", type=int, default=1)
     pool_p.add_argument("--check-timeout", type=int, default=None, metavar="MS")
-    add_search_flags(pool_p)
     pool_p.set_defaults(func=cmd_pool_stats)
 
     ana_p = sub.add_parser("analyze", help="compute reports from trace files")

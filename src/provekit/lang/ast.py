@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable
 
@@ -23,13 +23,6 @@ class Sort(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-@dataclass(frozen=True)
-class SourceSpan:
-    line: int
-    column: int
-    length: int = 1
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +195,11 @@ class GoalDecl:
     """A named, implicitly universally quantified statement.  Its hash is
     the one the dataclass would generate, ``hash((name, binders, body))``,
     but it is worked out once per goal, like the two cached properties;
-    none of the three enters equality or repr, and neither does the span."""
+    none of the three enters equality or repr."""
 
     name: str
     binders: tuple[tuple[str, Sort], ...]
     body: Formula
-    span: SourceSpan | None = field(default=None, compare=False)
 
     def __hash__(self) -> int:
         return self._hash

@@ -10,11 +10,11 @@ ASCII spellings are canonical (``/\\``, ``\\/``, ``->``, ``!``, ``in``,
 
 One regex reads the text: whitespace and comments, then one token, whose
 kind one classifier names.  The parser scans with it once through
-``findall`` and walks the token kinds and texts by index; line and column
-are worked out only for a goal name's span and for a ``ParseError``, by
-scanning again with ``finditer`` as far as the token needed
-(``tokenize`` is that positioned reader).  A character no token starts
-with is an error before parsing begins.
+``findall`` and walks the token kinds and texts by index.  Line and column
+are worked out only for a ``ParseError``, by scanning again with
+``finditer`` (``tokenize`` is that positioned reader), so text that parses
+is never read for positions.  A character no token starts with is an
+error before parsing begins.
 
 One precedence-climbing loop over ``ast.OPERATORS`` (Pratt, 1973) parses
 terms and formulas alike, and works out each node's sort as it builds the
@@ -57,7 +57,6 @@ from .ast import (
     Not,
     Node,
     Sort,
-    SourceSpan,
     TrueF,
     Var,
 )
@@ -202,25 +201,19 @@ _SORTS = {"Int": Sort.INT, "IntList": Sort.INT_LIST}
 
 class _Parser:
     def __init__(self, source: str):
+        self.source = source
         self.kinds, self.texts = _scan(source)
         self.pos = 0
         self.nesting = 0  # parse_expression calls now open
         self.built = 0  # nodes built for the current goal body
         self.ill_sorted = False  # a node of the current body got a child of the wrong sort
-        self.positioned: list[Token] = []  # the first tokens, read on demand
-        self.reader = _positioned(source)
 
     # -- token plumbing ----------------------------------------------------
 
-    def token(self, index: int) -> Token:
-        """Token ``index`` with its position: the source is read again, and
-        only as far as the furthest token asked for so far."""
-        while len(self.positioned) <= index:
-            self.positioned.append(next(self.reader))
-        return self.positioned[index]
-
     def error(self, message: str, index: int, length: int = 1) -> ParseError:
-        tok = self.token(index)
+        """The error at token ``index``, whose position is read from the
+        source again; ``_scan`` has accepted the source, so that cannot raise."""
+        tok = tokenize(self.source)[index]
         return ParseError(message, tok.line, tok.column, length)
 
     def expect(self, text: str) -> None:
@@ -247,12 +240,10 @@ class _Parser:
         decls: list[GoalDecl] = []
         seen: set[str] = set()
         while self.kinds[self.pos] != "EOF":
+            name = self.pos + 1  # the token after ``goal``
             decl = self.parse_decl()
             if decl.name in seen:
-                span = decl.span
-                raise ParseError(
-                    f"duplicate goal name {decl.name!r}", span.line, span.column, span.length
-                )
+                raise self.error(f"duplicate goal name {decl.name!r}", name, len(decl.name))
             seen.add(decl.name)
             decls.append(decl)
         return decls
@@ -274,15 +265,14 @@ class _Parser:
         self.expect(":=")
         self.built, self.ill_sorted = 0, False
         body, sort = self.parse_expression(0, binders)
-        tok = self.token(name)
-        span = SourceSpan(tok.line, tok.column, len(tok.text))
-        decl = GoalDecl(self.texts[name], tuple(binders.items()), body, span=span)
+        text = self.texts[name]
+        decl = GoalDecl(text, tuple(binders.items()), body)
         if self.ill_sorted or sort is not _PROP or self.built > MAX_DEPTH:
             # The walk writes every message, and clears a well-sorted body
             # too large for the node count to bound its depth.
             error = decl.sort_error
             if error is not None:
-                raise ParseError(error, span.line, span.column, span.length)
+                raise self.error(error, name, len(text))
         else:
             # A formula of at most MAX_DEPTH nodes is no deeper than that,
             # so the walk would find nothing: fill its cached_property slot.

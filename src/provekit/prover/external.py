@@ -68,8 +68,14 @@ class JsonLineProcess:
     most one cap's worth of memory."""
 
     def __init__(self, argv: list[str] | str):
-        if isinstance(argv, str):
-            argv = shlex.split(argv)
+        command = argv
+        if isinstance(command, str):
+            try:
+                argv = shlex.split(command)
+            except ValueError as exc:  # an unclosed quotation or a trailing escape
+                raise ContractViolation(f"endpoint command {command!r}: {exc}") from None
+        if not argv:
+            raise ContractViolation(f"endpoint command {command!r}: no program to run")
         # Bytes, not text: each line is decoded on its own, so a reply that
         # is not UTF-8 fails like any other malformed line.
         self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
@@ -172,10 +178,10 @@ class JsonHttpEndpoint:
     read of the reply, and the body may be ``MAX_LINE_BYTES`` long."""
 
     def __init__(self, url: str):
-        parts = urlsplit(url)
         try:
+            parts = urlsplit(url)
             port = parts.port
-        except ValueError as exc:  # a port that is not a number, or out of range
+        except ValueError as exc:  # a bad IPv6 host, or a port not a number or out of range
             raise ContractViolation(f"endpoint URL {url!r}: {exc}") from None
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ContractViolation(f"endpoint URL {url!r}: want http(s)://host[:port]/path")

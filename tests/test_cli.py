@@ -323,6 +323,38 @@ def test_a_url_with_a_bad_port_is_an_engine_error(goals_file, tmp_path, command,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("", "endpoint command '': no program to run"),
+        ("   ", "endpoint command '   ': no program to run"),
+        ("'abc", "endpoint command \"'abc\": No closing quotation"),
+        ("http://[::1/x", "endpoint URL 'http://[::1/x': Invalid IPv6 URL"),
+    ],
+    ids=["empty", "blank", "open_quote", "bad_ipv6_host"],
+)
+@pytest.mark.parametrize("flag", ["--checker", "--policy"])
+@pytest.mark.parametrize("command", ["run", "collect"])
+def test_a_bad_endpoint_spec_is_an_engine_error(goals_file, tmp_path, command, flag, spec, message, capsys):
+    # Each ended in a traceback: an IndexError from starting no program, or
+    # a ValueError from splitting the command line or the URL.
+    argv = [command, str(goals_file), "--goal", "add_zero", flag, spec]
+    if command == "collect":
+        argv += ["--out", str(tmp_path / "out.jsonl")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--qc-trials", "--qc-seed"])
+def test_pool_stats_takes_no_seed_or_quickcheck_flag(goals_file, flag, capsys):
+    # It runs direct checks only, which no seed and no quickcheck setting reaches.
+    with pytest.raises(SystemExit) as info:
+        main(["pool-stats", str(goals_file), flag, "1"])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
 def test_a_flag_overrides_an_invalid_value_in_the_file(goals_file, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"search": {"k_parallel": 0}}))
@@ -339,7 +371,7 @@ def test_a_pool_check_timeout_in_the_file_is_an_error(goals_file, tmp_path, caps
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"pool": {"check_timeout_ms": 5}}))
     code = main(["--config", str(config), command, str(goals_file), "--goal", "mul_one",
-                 "--workers", "2", "--qc-trials", "100"])
+                 "--workers", "2"])
     err = capsys.readouterr().err
     assert code == 3
     assert "error:" in err and "check_timeout_ms" in err
@@ -403,7 +435,7 @@ def test_config_values_of_the_wrong_json_type_are_engine_errors(
 ):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({section: {key: value}}))
-    code = main(["--config", str(config), "pool-stats", str(goals_file), "--qc-trials", "100"])
+    code = main(["--config", str(config), "pool-stats", str(goals_file)])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith(f"error: config section {section!r} key {key!r} must be ")
@@ -447,8 +479,7 @@ def test_config_values_of_the_right_json_type_are_taken(goals_file, tmp_path, ca
     assert code == 0
     assert "no counterexample in 9 trials" in capsys.readouterr().out
 def test_pool_stats_prints_conserved_json(goals_file, capsys):
-    code = main(["pool-stats", str(goals_file), "--workers", "4", "--repeat", "3",
-                 "--qc-trials", "100"])
+    code = main(["pool-stats", str(goals_file), "--workers", "4", "--repeat", "3"])
     out = capsys.readouterr().out
     assert code == 0
     payload = json.loads(out)

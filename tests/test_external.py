@@ -790,14 +790,35 @@ def test_http_body_that_is_not_utf8_is_policy_error(http_base):
         ("ftp://127.0.0.1/x", "want http"),
         ("http:///x", "want http"),
         ("http://:8080/x", "want http"),
+        ("http://[::1/x", "Invalid IPv6 URL"),
     ],
-    ids=["nonnumeric_port", "port_out_of_range", "other_scheme", "no_host", "port_without_host"],
+    ids=["nonnumeric_port", "port_out_of_range", "other_scheme", "no_host", "port_without_host",
+         "unclosed_ipv6_host"],
 )
 def test_a_bad_checker_url_is_refused_when_the_endpoint_is_made(url, needle):
     # Built lazily, the connection raised http.client.InvalidURL from the
     # first check instead of giving a verdict.
     with pytest.raises(ContractViolation, match=needle):
         JsonHttpEndpoint(url)
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        ("", "no program to run"),
+        ("  \t ", "no program to run"),
+        ([], "no program to run"),
+        ("'abc", "No closing quotation"),
+    ],
+    ids=["empty", "blank", "empty_list", "open_quote"],
+)
+def test_a_bad_checker_command_is_refused_before_any_process_starts(argv, needle, monkeypatch):
+    def no_process(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    with pytest.raises(ContractViolation, match=needle):
+        JsonLineProcess(argv)
 
 
 @pytest.mark.parametrize("suffix", ["", "/check?twice=1"], ids=["no_path", "query"])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import provekit.lang
 import provekit.lang.ast as ast_mod
+import provekit.lang.parser as parser_mod
 import provekit.prover
 from provekit.errors import EvalError, ParseError
 from provekit.evaluator import _BUILDERS, Domain, eval_formula
@@ -566,8 +567,9 @@ def _pinned_texts() -> list[str]:
 
 def test_parse_behaviour_is_pinned():
     # Recorded before the recursive-descent parser was replaced by one
-    # precedence-climbing loop: which texts parse, and to which trees and
-    # goal spans, must stay exactly as they were.
+    # precedence-climbing loop: which texts parse, and to which trees, must
+    # stay exactly as they were.  (Goals no longer carry a source span; the
+    # pin is the recorded one with each span taken out of the trees' repr.)
     digest = hashlib.sha256()
     for text in _pinned_texts():
         try:
@@ -575,7 +577,7 @@ def test_parse_behaviour_is_pinned():
         except ParseError:
             outcome = "ParseError"
         digest.update(outcome.encode() + b"\n")
-    assert digest.hexdigest() == "ef08c468218726b6519e57d0d85a5d68551f0c204b2d758f8bb5535b30936186"
+    assert digest.hexdigest() == "52e62c33e20217669318d61a2f89779cb298c55dfc567f0533b9283d0bb943d7"
 
 
 def _placed(text: str) -> tuple[str, ...]:
@@ -616,21 +618,70 @@ _SEPARATORS = ("\n", "\n\n", "\r\n", " ", "\n# comment\n", "  # trailing\n\n", "
 def test_goal_file_spans_are_pinned():
     # Recorded with the error pin above: files of several printed goals with
     # comments, blank lines, CRLF line ends, Unicode aliases and declarations
-    # that share a line or span two must keep every tree and every goal span,
-    # the spans on later lines included.
-    digest = hashlib.sha256()
+    # that share a line or span two must keep every tree, and every goal
+    # name must keep its position, the names on later lines included.  A
+    # goal's position shows in the error raised when it repeats the first
+    # goal's name, "g0", which is as long as its own; the positions were
+    # recorded from the goal spans parsing once kept.
+    trees, positions = hashlib.sha256(), hashlib.sha256()
     for f in range(300):
         rng = random.Random(f)
-        source = rng.choice(("", "# goals\n", "\n\n  "))
+        head = rng.choice(("", "# goals\n", "\n\n  "))
+        texts = []
         for i in range(rng.randrange(1, 7)):
             text = print_goal(random_goal(rng.randrange(10**9), f"g{i}", rng.choice((2, 3, 4))))
             if rng.random() < 0.3:
                 text = text.replace(" := ", " :=\n    ", 1)
             if rng.random() < 0.3:
                 text = text.replace("/\\", "∧").replace("->", "→")
-            source += text + rng.choice(_SEPARATORS)
-        digest.update(repr(parse_goal_file(source)).encode() + b"\n")
-    assert digest.hexdigest() == "20acce93e1b1d99332bf1c09484e3ff47f5835b4cc02f6e1b295385e697fcd98"
+            texts.append(text + rng.choice(_SEPARATORS))
+        trees.update(repr(parse_goal_file(head + "".join(texts))).encode() + b"\n")
+        for i in range(1, len(texts)):
+            renamed = texts[:i] + [texts[i].replace(f"goal g{i} ", "goal g0 ", 1)] + texts[i + 1 :]
+            with pytest.raises(ParseError) as info:
+                parse_goal_file(head + "".join(renamed))
+            exc = info.value
+            assert exc.message == "duplicate goal name 'g0'"
+            positions.update(repr((exc.line, exc.column, exc.length)).encode() + b"\n")
+    assert trees.hexdigest() == "4cb75bf8cf27c38ca778d4f3a4460accfd7e27ec3ee94cb16803fc75f36a70a1"
+    assert positions.hexdigest() == "1930a7568d83fb278ba594d9244c3d4e76e22239452cdd033e921eafdf37f75e"
+
+
+def _count_position_reads(monkeypatch) -> list:
+    """Every source the parser reads for positions from here on."""
+    read = []
+    positioned = parser_mod._positioned
+
+    def counting_positioned(source):
+        read.append(source)
+        return positioned(source)
+
+    monkeypatch.setattr(parser_mod, "_positioned", counting_positioned)
+    return read
+
+
+def test_a_clean_parse_reads_no_position(monkeypatch):
+    # Line and column are worked out only for the error a parse raises.
+    read = _count_position_reads(monkeypatch)
+    for goal in CORPUS_GOALS:
+        assert parse_goal(print_goal(goal)) == goal
+    distinct = CORPUS_GOALS[::3][:20]  # one goal of each name
+    source = "# goals\n" + "\n".join(map(print_goal, distinct))
+    assert parse_goal_file(source) == distinct
+    assert read == []
+    for source, error in [
+        (
+            "goal ok := true\ngoal e (x: Int) := len(x) = 0",
+            ("sort mismatch: 'len' expects IntList, got Int", 2, 6, 1),
+        ),
+        ("goal ab := true\n\n  goal ab := false", ("duplicate goal name 'ab'", 3, 8, 2)),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_goal_file(source)
+        exc = info.value
+        assert (exc.message, exc.line, exc.column, exc.length) == error
+        assert read == [source]
+        read.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -652,16 +703,6 @@ def test_goal_hash_is_the_dataclass_hash_before_and_after_the_cached_properties(
         fresh = replace(goal)
         assert fresh.footprint == goal.footprint and fresh.sort_error is None
         assert hash(fresh) == expected
-
-
-def test_goals_differing_only_in_span_hash_and_compare_equal():
-    for goal in CORPUS_GOALS[:60]:
-        parsed = parse_goal(print_goal(goal))
-        assert parsed.span is not None and goal.span is None
-        assert parsed == goal and hash(parsed) == hash(goal)
-        assert len({goal, parsed, replace(parsed, span=None)}) == 1
-    renamed = replace(CORPUS_GOALS[0], name="other")
-    assert renamed != CORPUS_GOALS[0]
 
 
 def test_a_pickled_goal_works_its_hash_out_again():
